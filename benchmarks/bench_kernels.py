@@ -1,5 +1,9 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
+Also times calibration's median crossing time (configs/calibrate.yaml sizes:
+200 seeds, 80 s walks sampled every 0.1 s) as one batched numpy walk against
+the per-seed ``FiberChannel.probe_trace`` loop it replaced.
+
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--walk-steps N] [--tags N] [--repeats R]
@@ -11,6 +15,9 @@ import time
 import numpy as np
 
 from polarlink._kernels import _purepy
+from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel, first_crossing_time
+from polarlink.cli import median_crossing_time
+from polarlink.polmath import StokesVector
 
 try:
     from polarlink._kernels import _native
@@ -62,6 +69,31 @@ def bench_greedy_match(n_tags, repeats):
     return results
 
 
+def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
+    """One ``FiberChannel.probe_trace`` per seed, as calibration walked before batching."""
+    sched = DriftSchedule.constant(rate)
+    times = []
+    for child in np.random.SeedSequence(seed).spawn(n_seeds):
+        ch = FiberChannel(sched, np.random.default_rng(child))
+        t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, sample_dt)
+        crossing = first_crossing_time(t, fid, threshold)
+        times.append(crossing if crossing is not None else max_time_s)
+    return float(np.median(times))
+
+
+def bench_median_crossing(n_seeds, repeats):
+    args = (DAY_RATE, 0.95, n_seeds, 80.0, 3)
+    assert median_crossing_time(*args) == per_seed_median_crossing_time(*args), (
+        "batched and per-seed walks disagree"
+    )
+    per_seed = timeit(lambda: per_seed_median_crossing_time(*args), repeats)
+    batched = timeit(lambda: median_crossing_time(*args), repeats)
+    print(
+        f"{'median_crossing':<16} n={n_seeds:<9} per-seed {per_seed * 1e3:7.2f} ms"
+        f"   batched {batched * 1e3:8.2f} ms   speedup {per_seed / batched:6.1f}x"
+    )
+
+
 def report(name, size, results):
     py = results["python"]
     line = f"{name:<16} n={size:<9} python {py * 1e3:9.2f} ms"
@@ -81,6 +113,7 @@ def main():
     args = parser.parse_args()
     report("rotation_walk", args.walk_steps, bench_rotation_walk(args.walk_steps, args.repeats))
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
+    bench_median_crossing(200, args.repeats)
 
 
 if __name__ == "__main__":

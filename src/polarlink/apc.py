@@ -20,8 +20,6 @@ OUTCOME_SKIPPED = "skipped"
 OUTCOME_CONVERGED = "converged"
 OUTCOME_TIMEOUT = "timeout"
 
-REFERENCE_POWER_MW = 0.5  # injected reference laser power; no simulated effect
-
 _GRADIENT_TOL = 1e-9
 _MAX_HALVINGS = 5
 

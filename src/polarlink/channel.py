@@ -24,6 +24,13 @@ NIGHT_RATE = DAY_RATE / 500.0
 BURST_MULTIPLIER = 100.0
 
 DEFAULT_LOSS_DB = 21.0  # 18 dB fiber + 3 dB connectors/components
+MAX_STEP_S = 0.1  # longest single step of the walk
+
+# Steps drawn per seed at a time by probe_crossing_times, so that its memory
+# does not grow with the length of the walk.  At 200 seeds, 25 steps keep the
+# peak memory of a calibration at that of one-seed-at-a-time walks (100 steps
+# add about 3 MB) and are no slower.
+_CHUNK_STEPS = 25
 
 
 class ChannelError(ValueError):
@@ -107,7 +114,7 @@ class FiberChannel:
     loss_db: float = DEFAULT_LOSS_DB
     transform: PolTransform = field(default_factory=PolTransform.identity)
     sim_time: float = 0.0
-    max_step_s: float = 0.1
+    max_step_s: float = MAX_STEP_S
 
     def __post_init__(self):
         if self.loss_db < 0:
@@ -132,15 +139,8 @@ class FiberChannel:
         self._walk(np.full(n, duration / n))
 
     def _walk(self, dts: np.ndarray, sample_stride: int = 0) -> np.ndarray:
-        times = self.sim_time + np.concatenate(([0.0], np.cumsum(dts[:-1])))
-        rates = self.schedule.rate_at(times)
-        # One row of 4 normals per step: 3 for the axis, 1 for the angle.
-        draws = self.rng.standard_normal((len(dts), 4))
-        axes = draws[:, :3]
-        norms = np.linalg.norm(axes, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        axes = axes / norms
-        angles = draws[:, 3] * np.sqrt(rates * dts)
+        scale = _step_scales(self.schedule, self.sim_time, dts)
+        axes, angles = _axes_and_angles(self.rng.standard_normal((len(dts), 4)), scale)
         final, samples = _kernels.rotation_walk(
             self.transform.rotation, axes, angles, sample_stride
         )
@@ -155,10 +155,7 @@ class FiberChannel:
         the initial sample at t = sim_time.  Fidelity is relative to the
         output SOP at the start of the trace.
         """
-        if duration <= 0 or sample_dt <= 0:
-            raise ChannelError("duration and sample_dt must be > 0")
-        substeps = max(1, int(np.ceil(sample_dt / self.max_step_s)))
-        n_samples = int(round(duration / sample_dt))
+        substeps, n_samples = _probe_grid(duration, sample_dt, self.max_step_s)
         t0 = self.sim_time
         s_in = input_sop.as_array()
         first = self.transform.rotation @ s_in
@@ -168,6 +165,90 @@ class FiberChannel:
         times = t0 + sample_dt * np.arange(n_samples + 1)
         fidelity = 0.5 * (1.0 + outs @ first)
         return times, outs, fidelity
+
+
+def _step_scales(schedule: DriftSchedule, t0: float, dts: np.ndarray) -> np.ndarray:
+    """sqrt(rate * dt) of consecutive walk steps of lengths ``dts`` from ``t0``."""
+    times = t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))
+    return np.sqrt(schedule.rate_at(times) * dts)
+
+
+def _axes_and_angles(draws: np.ndarray, scale: np.ndarray):
+    """Unit axes and angles of walk steps from one row of 4 normals per step.
+
+    ``draws[..., :3]`` gives the axis direction (an all-zero row is left as a
+    zero axis) and ``draws[..., 3] * scale`` the angle, where ``scale`` is
+    sqrt(rate * dt) of each step.
+    """
+    axes = draws[..., :3]
+    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return axes / norms, draws[..., 3] * scale
+
+
+def _probe_grid(duration: float, sample_dt: float, max_step_s: float):
+    """(walk steps per sample, number of samples) of a probe trace."""
+    if duration <= 0 or sample_dt <= 0:
+        raise ChannelError("duration and sample_dt must be > 0")
+    return max(1, int(np.ceil(sample_dt / max_step_s))), int(round(duration / sample_dt))
+
+
+def probe_crossing_times(
+    schedule: DriftSchedule,
+    rngs,
+    duration: float,
+    sample_dt: float,
+    threshold: float,
+) -> np.ndarray:
+    """First time each channel's H-probe fidelity drops below ``threshold``.
+
+    Element j is ``first_crossing_time`` of the trace that
+    ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
+    gives, or NaN where that is None, from the same draws of ``rngs[j]``.
+    Rather than each channel's 3x3 rotation it walks the probe's Stokes
+    vector, one numpy step for the whole batch, and it stops once every
+    channel has crossed.
+    """
+    substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
+    n_steps = n_samples * substeps
+    dts = np.full(n_steps, sample_dt / substeps)
+    scale = _step_scales(schedule, 0.0, dts)
+    times = sample_dt * np.arange(n_samples + 1)
+    # The output of the identity transform at t = 0 is H itself, fidelity 1.
+    n = len(rngs)
+    crossing = np.full(n, times[0] if 1.0 < threshold else np.nan)
+    vx, vy, vz = np.ones(n), np.zeros(n), np.zeros(n)
+    chunk = substeps * max(1, _CHUNK_STEPS // substeps)
+    draws = np.empty((n, chunk, 4))
+    for start in range(0, n_steps, chunk):
+        if not np.isnan(crossing).any():
+            break
+        m = min(chunk, n_steps - start)
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=draws[j, :m])
+        axes, angles = _axes_and_angles(draws[:, :m], scale[start : start + m])
+        axes = np.ascontiguousarray(axes.transpose(1, 2, 0))  # (step, xyz, seed)
+        angles = angles.T
+        cos, sin = np.cos(angles), np.sin(angles)
+        one_minus_cos = 1.0 - cos
+        sampled_x = np.empty((m // substeps, n))
+        for i in range(m):
+            # Rodrigues: v <- v cos + (k x v) sin + k (k . v)(1 - cos)
+            kx, ky, kz = axes[i]
+            c, s = cos[i], sin[i]
+            kv = one_minus_cos[i] * (kx * vx + ky * vy + kz * vz)
+            vx, vy, vz = (
+                c * vx + s * (ky * vz - kz * vy) + kv * kx,
+                c * vy + s * (kz * vx - kx * vz) + kv * ky,
+                c * vz + s * (kx * vy - ky * vx) + kv * kz,
+            )
+            if (i + 1) % substeps == 0:
+                sampled_x[i // substeps] = vx
+        # Fidelity against the initial output H is 0.5 * (1 + s1).
+        below = 0.5 * (1.0 + sampled_x) < threshold
+        new = below.any(axis=0) & np.isnan(crossing)
+        crossing[new] = times[1 + start // substeps + below.argmax(axis=0)[new]]
+    return crossing
 
 
 def first_crossing_time(times: np.ndarray, fidelity: np.ndarray, threshold: float):

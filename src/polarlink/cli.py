@@ -18,7 +18,14 @@ import yaml
 
 from . import __version__, analysis, channel, source
 from .apc import ApcConfig, ApcError, Controller, run_session, write_sessions_csv
-from .channel import Burst, ChannelError, DriftSchedule, FiberChannel, first_crossing_time
+from .channel import (
+    Burst,
+    ChannelError,
+    DriftSchedule,
+    FiberChannel,
+    first_crossing_time,
+    probe_crossing_times,
+)
 from .polmath import AnalyzerSetting, PolarizationError, StokesVector, TwoQubitPolState
 from .scheduler import (
     SchedulerConfig,
@@ -326,26 +333,64 @@ def median_crossing_time(
     seed: int,
     sample_dt: float = 0.1,
 ) -> float:
-    """Median first time the probe fidelity drops below ``threshold``."""
-    sched = DriftSchedule.constant(rate)
-    times = []
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(n_seeds):
-        ch = FiberChannel(sched, np.random.default_rng(child))
-        t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, sample_dt)
-        crossing = first_crossing_time(t, fid, threshold)
-        times.append(crossing if crossing is not None else max_time_s)
-    return float(np.median(times))
+    """Median first time the probe fidelity drops below ``threshold``.
+
+    Seeds that never cross within ``max_time_s`` count as ``max_time_s``.
+    """
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
+    times = probe_crossing_times(
+        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold
+    )
+    return float(np.median(np.where(np.isnan(times), max_time_s, times)))
+
+
+_CALIBRATE_DEFAULTS = {
+    "target_fidelity": 0.95,
+    "target_time_s": 20.0,
+    "n_seeds": 200,
+    "tolerance": 0.05,
+    "night_ratio": 500.0,
+}
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and bool(np.isfinite(value)))
+
+
+def _calibrate_settings(cfg: dict) -> dict:
+    """The ``calibrate`` block with defaults filled in, every value checked."""
+    block = _get(cfg, "calibrate")
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        raise ConfigError("calibrate must be a mapping")
+    unknown = sorted(str(k) for k in block if k not in _CALIBRATE_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"calibrate.{unknown[0]}: unknown field")
+    settings = {**_CALIBRATE_DEFAULTS, **block}
+    for key, value in settings.items():
+        if not _is_finite_number(value):
+            raise ConfigError(f"calibrate.{key} must be a finite number, got {value!r}")
+    n_seeds = settings["n_seeds"]
+    if not isinstance(n_seeds, int) or n_seeds < 1:
+        raise ConfigError(f"calibrate.n_seeds must be an integer >= 1, got {n_seeds!r}")
+    if not 0.0 < settings["target_fidelity"] <= 1.0:
+        raise ConfigError("calibrate.target_fidelity must be in (0, 1]")
+    for key in ("target_time_s", "tolerance", "night_ratio"):
+        if settings[key] <= 0:
+            raise ConfigError(f"calibrate.{key} must be > 0, got {settings[key]!r}")
+    return settings
 
 
 def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
-    target_fidelity = float(_get(cfg, "calibrate.target_fidelity", 0.95))
-    target_time = float(_get(cfg, "calibrate.target_time_s", 20.0))
-    n_seeds = int(_get(cfg, "calibrate.n_seeds", 200))
-    tolerance = float(_get(cfg, "calibrate.tolerance", 0.05))
-    night_ratio = float(_get(cfg, "calibrate.night_ratio", 500.0))
-    if not 0.0 < target_fidelity <= 1.0:
-        raise ConfigError("calibrate.target_fidelity must be in (0, 1]")
+    settings = _calibrate_settings(cfg)
+    target_fidelity = float(settings["target_fidelity"])
+    target_time = float(settings["target_time_s"])
+    n_seeds = settings["n_seeds"]
+    tolerance = float(settings["tolerance"])
+    night_ratio = float(settings["night_ratio"])
     if target_fidelity == 1.0:
         day_rate, median = 0.0, target_time
     else:

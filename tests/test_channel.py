@@ -11,6 +11,7 @@ from polarlink.channel import (
     DriftSchedule,
     FiberChannel,
     first_crossing_time,
+    probe_crossing_times,
 )
 from polarlink.polmath import StokesVector, sop_fidelity
 
@@ -159,3 +160,33 @@ class TestProbeTrace:
     def test_rejects_bad_args(self):
         with pytest.raises(ChannelError):
             make_channel(0.1, 8).probe_trace(H, -1.0, 0.1)
+
+
+class TestProbeCrossingTimes:
+    @pytest.mark.parametrize(
+        "rate,sample_dt,threshold",
+        [
+            (1e-5, 0.1, 0.95),  # nothing crosses
+            (1.0, 0.1, 0.95),  # everything crosses within a few samples
+            (DAY_RATE, 0.1, 0.95),
+            (DAY_RATE, 0.25, 0.95),  # sample_dt > max_step_s: 3 walk steps per sample
+            (0.05, 0.3, 0.99),
+            (DAY_RATE, 0.1, 1.01),  # the t = 0 sample is already below
+        ],
+    )
+    def test_matches_per_channel_probe_traces(self, rate, sample_dt, threshold):
+        sched = DriftSchedule.constant(rate)
+        children = np.random.SeedSequence(17).spawn(40)
+        expected = []
+        for child in children:
+            ch = FiberChannel(sched, np.random.default_rng(child))
+            t, _, f = ch.probe_trace(H, 40.0, sample_dt)
+            c = first_crossing_time(t, f, threshold)
+            expected.append(np.nan if c is None else c)
+        rngs = [np.random.default_rng(child) for child in children]
+        got = probe_crossing_times(sched, rngs, 40.0, sample_dt, threshold)
+        assert np.array_equal(got, expected, equal_nan=True)
+        if rate == 1e-5:
+            assert np.isnan(got).all()
+        if rate == 1.0:
+            assert np.nanmax(got) < 5.0

@@ -228,6 +228,31 @@ class TestCalibrate:
         assert sched["night_rate"] == pytest.approx(sched["day_rate"] / 500.0)
         assert sched["achieved_median_s"] == pytest.approx(20.0, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_seeds", -1),
+            ("n_seeds", 0),
+            ("n_seeds", 2.5),
+            ("n_seeds", True),
+            ("tolerance", -1.0),
+            ("target_time_s", 0.0),
+            ("target_time_s", float("nan")),
+            ("target_fidelity", "abc"),
+            ("target_fidelity", 1.5),
+            ("night_ratio", 0.0),
+            ("n_seed", 10),
+        ],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        data = {"scenario": "calibrate", "calibrate": {"n_seeds": 5, field: value}}
+        cfg = write_cfg(tmp_path, data)
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"calibrate.{field}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "schedule.json").exists()
+
     def test_perfect_fidelity_gives_zero_rate(self, tmp_path, capsys):
         data = {"scenario": "calibrate", "calibrate": {"target_fidelity": 1.0}}
         cfg = write_cfg(tmp_path, data)
