@@ -1,4 +1,4 @@
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the hot-loop kernels: the rotation walk and the tag matcher.
 
 Also times calibration's median crossing time (configs/calibrate.yaml sizes:
 200 seeds, 80 s walks sampled every 0.1 s) as one batched numpy walk against
@@ -14,15 +14,10 @@ import time
 
 import numpy as np
 
-from polarlink._kernels import _purepy
+from polarlink import _kernels
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel, first_crossing_time
 from polarlink.cli import median_crossing_time
 from polarlink.polmath import StokesVector
-
-try:
-    from polarlink._kernels import _native
-except ImportError:
-    _native = None
 
 
 def timeit(fn, repeats):
@@ -41,16 +36,7 @@ def bench_rotation_walk(n_steps, repeats):
     angles = rng.normal(0.0, 0.01, n_steps)
     r0 = np.eye(3)
     stride = max(1, n_steps // 100)
-    results = {}
-    results["python"] = timeit(lambda: _purepy.rotation_walk(r0, axes, angles, stride), repeats)
-    if _native is not None:
-        results["native"] = timeit(
-            lambda: _native.rotation_walk(r0, axes, angles, stride), repeats
-        )
-        rp, _ = _purepy.rotation_walk(r0, axes, angles, stride)
-        rn, _ = _native.rotation_walk(r0, axes, angles, stride)
-        assert np.allclose(rp, rn, atol=1e-12), "backends disagree"
-    return results
+    return timeit(lambda: _kernels.rotation_walk(r0, axes, angles, stride), repeats)
 
 
 def bench_greedy_match(n_tags, repeats):
@@ -59,14 +45,7 @@ def bench_greedy_match(n_tags, repeats):
     ref = np.sort(rng.uniform(0, span, n_tags))
     tags = np.sort(rng.uniform(0, span, n_tags))
     half_window = 2e-6
-    results = {}
-    results["python"] = timeit(lambda: _purepy.greedy_match(ref, tags, half_window), repeats)
-    if _native is not None:
-        results["native"] = timeit(lambda: _native.greedy_match(ref, tags, half_window), repeats)
-        assert _purepy.greedy_match(ref, tags, half_window) == _native.greedy_match(
-            ref, tags, half_window
-        ), "backends disagree"
-    return results
+    return timeit(lambda: _kernels.greedy_match(ref, tags, half_window), repeats)
 
 
 def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
@@ -94,15 +73,8 @@ def bench_median_crossing(n_seeds, repeats):
     )
 
 
-def report(name, size, results):
-    py = results["python"]
-    line = f"{name:<16} n={size:<9} python {py * 1e3:9.2f} ms"
-    if "native" in results:
-        nat = results["native"]
-        line += f"   native {nat * 1e3:9.2f} ms   speedup {py / nat:6.1f}x"
-    else:
-        line += "   (compiled backend unavailable)"
-    print(line)
+def report(name, size, seconds):
+    print(f"{name:<16} n={size:<9} python {seconds * 1e3:9.2f} ms")
 
 
 def main():

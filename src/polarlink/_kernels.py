@@ -1,12 +1,6 @@
-"""Pure-numpy fallback for the compiled hot-loop kernels.
-
-Semantics must stay in lockstep with ``_native.pyx``: the benchmark and the
-backend-equivalence tests compare the two implementations directly.
-"""
+"""Hot loops of the simulator: the channel's rotation walk and the tag matcher."""
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def _axis_angle_matrix(axis, angle):

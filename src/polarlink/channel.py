@@ -119,6 +119,8 @@ class FiberChannel:
     def __post_init__(self):
         if self.loss_db < 0:
             raise ChannelError("loss_db must be >= 0")
+        if not (np.isfinite(self.max_step_s) and self.max_step_s > 0):
+            raise ChannelError(f"max_step_s must be finite and > 0, got {self.max_step_s!r}")
 
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)

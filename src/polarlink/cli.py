@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +65,18 @@ def _get(cfg: dict, path: str, default=None, required=False):
     return node
 
 
+def _get_finite(cfg: dict, path: str, default=None, required=False) -> float:
+    """The value at ``path`` as a float; ConfigError naming it unless finite."""
+    value = _get(cfg, path, default, required)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not np.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return number
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
@@ -88,14 +99,19 @@ def build_schedule(cfg: dict, compression: float) -> DriftSchedule:
     """
     sched = _get(cfg, "channel.schedule", {})
     kind = sched.get("kind", "constant")
-    bursts = tuple(
-        Burst(
-            start_s=float(b["start_s"]) / compression,
-            duration_s=float(b["duration_s"]),
-            multiplier=float(b.get("multiplier", channel.BURST_MULTIPLIER)),
+    try:
+        bursts = tuple(
+            Burst(
+                start_s=float(b["start_s"]) / compression,
+                duration_s=float(b["duration_s"]),
+                multiplier=float(b.get("multiplier", channel.BURST_MULTIPLIER)),
+            )
+            for b in sched.get("bursts", [])
         )
-        for b in sched.get("bursts", [])
-    )
+    except KeyError as e:
+        raise ConfigError(f"channel.schedule.bursts: an entry is missing {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"channel.schedule.bursts: {e}") from e
     try:
         if kind == "constant":
             return DriftSchedule.constant(float(sched.get("rate", 0.0)), bursts=bursts)
@@ -126,15 +142,17 @@ def build_schedule(cfg: dict, compression: float) -> DriftSchedule:
 
 
 def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
-    compression = float(_get(cfg, "time_compression", 1.0))
+    compression = _get_finite(cfg, "time_compression", 1.0)
     if compression < 1.0:
         raise ConfigError("time_compression must be >= 1")
-    return FiberChannel(
-        schedule=build_schedule(cfg, compression),
-        rng=rng,
-        loss_db=float(_get(cfg, "channel.loss_db", channel.DEFAULT_LOSS_DB)),
-        max_step_s=float(_get(cfg, "channel.max_step_s", 0.1)),
-    )
+    schedule = build_schedule(cfg, compression)
+    loss_db = _get_finite(cfg, "channel.loss_db", channel.DEFAULT_LOSS_DB)
+    max_step_s = _get_finite(cfg, "channel.max_step_s", channel.MAX_STEP_S)
+    try:
+        return FiberChannel(schedule=schedule, rng=rng, loss_db=loss_db, max_step_s=max_step_s)
+    except ChannelError as e:
+        # FiberChannel's messages start with the name of the offending field.
+        raise ConfigError(f"channel.{e}") from e
 
 
 def build_source(cfg: dict) -> PairSource:
@@ -191,7 +209,7 @@ def build_scheduler_config(cfg: dict) -> SchedulerConfig:
 
 
 def _resolved_duration(cfg: dict) -> float:
-    duration = float(_get(cfg, "duration_s", required=True))
+    duration = _get_finite(cfg, "duration_s", required=True)
     if duration < 0:
         raise ConfigError("duration_s must be >= 0")
     return duration / float(_get(cfg, "time_compression", 1.0))
@@ -474,13 +492,7 @@ def main(argv=None) -> int:
             print(json.dumps({k: v for k, v in summary.items() if k != "config"}, sort_keys=True))
         else:
             seeds = [seed + i for i in range(args.seeds)]
-            with ThreadPoolExecutor() as pool:
-                results = list(
-                    pool.map(
-                        lambda s: _run_one(args.scenario, cfg, s, out / f"seed_{s:04d}"),
-                        seeds,
-                    )
-                )
+            results = [_run_one(args.scenario, cfg, s, out / f"seed_{s:04d}") for s in seeds]
             aggregate = {"scenario": args.scenario, "seeds": seeds, "runs": results}
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "aggregate.json", "w") as f:

@@ -79,6 +79,11 @@ class TestStep:
         with pytest.raises(ChannelError):
             make_channel(0.1, 1).step(0.0)
 
+    @pytest.mark.parametrize("max_step_s", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_max_step(self, max_step_s):
+        with pytest.raises(ChannelError, match="max_step_s"):
+            make_channel(0.1, 1, max_step_s=max_step_s)
+
     def test_deterministic_trajectories(self):
         def run(seed):
             ch = make_channel(DAY_RATE, seed)

@@ -86,6 +86,37 @@ class TestConfigHandling:
         cfg = write_cfg(tmp_path, data)
         assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("channel.max_step_s", 0),
+            ("channel.max_step_s", -0.1),
+            ("channel.max_step_s", float("nan")),
+            ("channel.max_step_s", "abc"),
+            ("channel.loss_db", "abc"),
+            ("channel.loss_db", float("inf")),
+            ("channel.loss_db", -1.0),
+            ("channel.schedule.bursts", [{"duration_s": 10.0}]),
+            ("channel.schedule.bursts", [{"start_s": 5.0}]),
+            ("channel.schedule.bursts", [{"start_s": "abc", "duration_s": 10.0}]),
+            ("duration_s", float("nan")),
+            ("time_compression", "abc"),
+        ],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        data = probe_cfg()
+        *parents, key = field.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg = write_cfg(tmp_path, data)
+        assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "probe.csv").exists()
+
 
 class TestProbe:
     def test_outputs_and_summary(self, tmp_path, capsys):

@@ -1,16 +1,9 @@
-"""Backend equivalence and correctness of the hot-loop kernels."""
+"""Correctness of the hot-loop kernels."""
 
 import numpy as np
 import pytest
 
-from polarlink._kernels import _purepy
-
-try:
-    from polarlink._kernels import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None, reason="compiled kernels unavailable")
+from polarlink import _kernels
 
 
 def _random_walk_inputs(seed, n):
@@ -22,7 +15,7 @@ def _random_walk_inputs(seed, n):
 
 
 def brute_force_match(ref, tags, half_window):
-    """O(n^2) oracle: same greedy-nearest semantics as the kernels."""
+    """O(n^2) oracle: same greedy-nearest semantics as ``greedy_match``."""
     used = [False] * len(ref)
     count = 0
     for t in tags:
@@ -41,45 +34,36 @@ def brute_force_match(ref, tags, half_window):
 
 class TestRotationWalk:
     def test_identity_on_empty_walk(self):
-        r, samples = _purepy.rotation_walk(np.eye(3), np.empty((0, 3)), np.empty(0))
+        r, samples = _kernels.rotation_walk(np.eye(3), np.empty((0, 3)), np.empty(0))
         assert np.allclose(r, np.eye(3))
         assert samples.shape == (0, 3, 3)
 
     def test_stays_orthogonal(self):
         axes, angles = _random_walk_inputs(0, 500)
-        r, _ = _purepy.rotation_walk(np.eye(3), axes, angles)
+        r, _ = _kernels.rotation_walk(np.eye(3), axes, angles)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_matches_final(self):
         axes, angles = _random_walk_inputs(1, 300)
-        r, samples = _purepy.rotation_walk(np.eye(3), axes, angles, sample_stride=50)
+        r, samples = _kernels.rotation_walk(np.eye(3), axes, angles, sample_stride=50)
         assert samples.shape == (6, 3, 3)
         assert np.allclose(samples[-1], r)
-
-    @needs_native
-    def test_native_matches_purepy(self):
-        axes, angles = _random_walk_inputs(2, 400)
-        r0 = np.eye(3)
-        rn, sn = _native.rotation_walk(r0, axes, angles, 40)
-        rp, sp = _purepy.rotation_walk(r0, axes, angles, 40)
-        assert np.allclose(rn, rp, atol=1e-12)
-        assert np.allclose(sn, sp, atol=1e-12)
 
 
 class TestGreedyMatch:
     def test_identical_streams(self):
         t = np.sort(np.random.default_rng(3).uniform(0, 1, 100))
-        assert _purepy.greedy_match(t, t, 1e-9) == 100
+        assert _kernels.greedy_match(t, t, 1e-9) == 100
 
     def test_disjoint_streams(self):
         a = np.arange(10.0)
         b = np.arange(10.0) + 100.0
-        assert _purepy.greedy_match(a, b, 0.5) == 0
+        assert _kernels.greedy_match(a, b, 0.5) == 0
 
     def test_tie_goes_to_earlier(self):
         # tag exactly between two refs: the earlier one is consumed
-        assert _purepy.greedy_match(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1.0) == 2
+        assert _kernels.greedy_match(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1.0) == 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_against_brute_force(self, seed):
@@ -87,13 +71,4 @@ class TestGreedyMatch:
         a = np.sort(rng.uniform(0, 1e-3, 200))
         b = np.sort(rng.uniform(0, 1e-3, 180))
         w = 2e-6
-        assert _purepy.greedy_match(a, b, w) == brute_force_match(a, b, w)
-
-    @needs_native
-    @pytest.mark.parametrize("seed", range(10))
-    def test_native_matches_purepy(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        a = np.sort(rng.uniform(0, 1e-3, 300))
-        b = np.sort(rng.uniform(0, 1e-3, 300))
-        w = rng.uniform(1e-7, 1e-5)
-        assert _native.greedy_match(a, b, w) == _purepy.greedy_match(a, b, w)
+        assert _kernels.greedy_match(a, b, w) == brute_force_match(a, b, w)
