@@ -8,7 +8,9 @@ resolved configuration so any run can be reproduced from its own output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,172 +56,211 @@ class CalibrationError(RuntimeError):
     """Calibration search failed to converge."""
 
 
-def _get(cfg: dict, path: str, default=None, required=False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required config field: {path}")
-            return default
-        node = node[part]
-    return node
+_NOUNS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+_NOUNS.update({dict: "a mapping", list: "a list"})
+_REQUIRED = object()
 
 
-def _get_finite(cfg: dict, path: str, default=None, required=False) -> float:
-    """The value at ``path`` as a float; ConfigError naming it unless finite."""
-    value = _get(cfg, path, default, required)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
-    if not np.isfinite(number):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return number
+def _check(kind: type, value, path: str):
+    """``value`` if it is a ``kind``, else ConfigError naming ``path``.
+
+    A float field takes any finite number, returned as a float, and numeric
+    strings, since PyYAML reads ``2.0e5`` as a string.  A bool is no number.
+    """
+    if kind is float and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if isinstance(value, float) and math.isfinite(value):
+            return value
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {_NOUNS[kind]}, got {value!r}")
+
+
+def _schedule(value, path: str) -> dict:
+    """The schedule block, checked against the fields its ``kind`` reads."""
+    kind = _check(dict, value, path).get("kind", "constant")
+    if not isinstance(kind, str) or kind not in _SCHEDULES:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    return _resolve_block({"kind": (str, kind), **_SCHEDULES[kind], "bursts": _BURSTS}, value, path)
+
+
+def _fields_of(cls) -> dict:
+    """The fields of a dataclass and their defaults, as schema entries."""
+    return {
+        f.name: (
+            bool if isinstance(f.default, bool) else float,
+            _REQUIRED if f.default is dataclasses.MISSING else f.default,
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+# Every config field.  A nested dict is a block.  A field is (kind, default):
+# kind is a type, a one-block list for a list of such blocks, or a converter
+# function.  A callable default is computed from the fields before it in its
+# block, and _REQUIRED marks a field without a default.
+_BURSTS = ([_fields_of(Burst)], [])
+_SEGMENT = {"start_s": (float, _REQUIRED), "rate": (float, _REQUIRED)}
+_SCHEDULES = {  # each kind also reads "bursts"
+    "constant": {"rate": (float, 0.0)},
+    "day_night": {
+        "day_rate": (float, channel.DAY_RATE),
+        "night_rate": (float, lambda block: block["day_rate"] / 500.0),
+        "day_start_s": (float, 6 * 3600.0),
+        "night_start_s": (float, 18 * 3600.0),
+        "period_s": (float, 86400.0),
+    },
+    "segments": {"segments": ([_SEGMENT], _REQUIRED), "period_s": (float, 86400.0)},
+}
+_SCHEMA = {
+    "scenario": (str, None),
+    "seed": (int, 0),
+    "duration_s": (float, None),  # required by probe and longrun only
+    "time_compression": (float, 1.0),
+    "channel": {
+        "loss_db": (float, channel.DEFAULT_LOSS_DB),
+        "max_step_s": (float, channel.MAX_STEP_S),
+        "schedule": (_schedule, {}),
+    },
+    "source": {"local_pair_rate": (float, source.DEFAULT_PAIR_RATE), "visibility": (float, 1.0)},
+    # Efficiencies default to 1.0, not DetectionChain's 0.70, so counts follow
+    # the loss-only pair-rate budget.
+    "detection": {
+        "signal_efficiency": (float, 1.0),
+        "idler_efficiency": (float, 1.0),
+        "dark_rate": (float, 0.0),
+        "coincidence_window": (float, source.DEFAULT_COINCIDENCE_WINDOW),
+    },
+    "apc": _fields_of(ApcConfig),
+    "scheduler": _fields_of(SchedulerConfig),
+    "probe": {"sample_dt_s": (float, 0.1)},
+    "fringe": {"noiseless": (bool, False)},
+    "calibrate": {
+        "target_fidelity": (float, 0.95),
+        "target_time_s": (float, 20.0),
+        "n_seeds": (int, 200),
+        "tolerance": (float, 0.05),
+        "night_ratio": (float, 500.0),
+    },
+}
+
+
+def _resolve_block(schema: dict, block, path: str) -> dict:
+    block = {} if block is None else _check(dict, block, path)
+    for key in block:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}: unknown field".lstrip("."))
+    out = {}
+    for key, spec in schema.items():
+        field = f"{path}.{key}".lstrip(".")
+        if isinstance(spec, dict):
+            out[key] = _resolve_block(spec, block.get(key), field)
+            continue
+        kind, default = spec
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required config field: {field}")
+        if callable(value):
+            value = value(out)
+        if value is None and default is None:
+            out[key] = None
+        elif isinstance(kind, list):
+            entries = enumerate(_check(list, value, field))
+            out[key] = [_resolve_block(kind[0], entry, f"{field}[{i}]") for i, entry in entries]
+        else:
+            out[key] = _check(kind, value, field) if isinstance(kind, type) else kind(value, field)
+    return out
+
+
+def resolve_config(cfg) -> dict:
+    """``cfg`` as a plain dict with every default filled in.
+
+    Raises ConfigError naming the field path for an unknown key, a value of
+    the wrong type or a non-finite number.  Idempotent, so the config that a
+    run embeds in its ``summary.json`` reproduces the run.
+    """
+    return _resolve_block(_SCHEMA, _check(dict, cfg, "config root"), "")
 
 
 def load_config(path) -> dict:
+    """The resolved config read from the YAML file at ``path``."""
     try:
         with open(path) as f:
-            cfg = yaml.safe_load(f) or {}
+            cfg = yaml.safe_load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    return cfg
-
-
-def build_schedule(cfg: dict, compression: float) -> DriftSchedule:
-    """Build the drift schedule, compressing the time axis of the cycle.
-
-    Segment boundaries, the period and burst start times are divided by the
-    compression factor; diffusion rates and burst durations are untouched, so
-    per-session drift statistics match the uncompressed link.
-    """
-    sched = _get(cfg, "channel.schedule", {})
-    kind = sched.get("kind", "constant")
-    try:
-        bursts = tuple(
-            Burst(
-                start_s=float(b["start_s"]) / compression,
-                duration_s=float(b["duration_s"]),
-                multiplier=float(b.get("multiplier", channel.BURST_MULTIPLIER)),
-            )
-            for b in sched.get("bursts", [])
-        )
-    except KeyError as e:
-        raise ConfigError(f"channel.schedule.bursts: an entry is missing {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"channel.schedule.bursts: {e}") from e
-    try:
-        if kind == "constant":
-            return DriftSchedule.constant(float(sched.get("rate", 0.0)), bursts=bursts)
-        if kind == "day_night":
-            day_rate = float(sched.get("day_rate", channel.DAY_RATE))
-            night_rate = float(sched.get("night_rate", day_rate / 500.0))
-            return DriftSchedule.day_night(
-                day_rate=day_rate,
-                night_rate=night_rate,
-                day_start_s=float(sched.get("day_start_s", 6 * 3600.0)) / compression,
-                night_start_s=float(sched.get("night_start_s", 18 * 3600.0)) / compression,
-                period_s=float(sched.get("period_s", 86400.0)) / compression,
-                bursts=bursts,
-            )
-        if kind == "segments":
-            segments = tuple(
-                (float(s["start_s"]) / compression, float(s["rate"]))
-                for s in sched["segments"]
-            )
-            return DriftSchedule(
-                segments=segments,
-                period_s=float(sched.get("period_s", 86400.0)) / compression,
-                bursts=bursts,
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"channel.schedule: {e}") from e
-    raise ConfigError(f"channel.schedule.kind: unknown kind {kind!r}")
+    return resolve_config({} if cfg is None else cfg)
 
 
 def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
-    compression = _get_finite(cfg, "time_compression", 1.0)
-    if compression < 1.0:
+    """Build the channel, compressing the time axis of the drift cycle.
+
+    Segment boundaries, the period and burst start times are divided by
+    ``time_compression``; diffusion rates and burst durations are untouched,
+    so per-session drift statistics match the uncompressed link.
+    """
+    c = cfg["time_compression"]
+    if c < 1.0:
         raise ConfigError("time_compression must be >= 1")
-    schedule = build_schedule(cfg, compression)
-    loss_db = _get_finite(cfg, "channel.loss_db", channel.DEFAULT_LOSS_DB)
-    max_step_s = _get_finite(cfg, "channel.max_step_s", channel.MAX_STEP_S)
+    block, sched = cfg["channel"], cfg["channel"]["schedule"]
+    bursts = [Burst(b["start_s"] / c, b["duration_s"], b["multiplier"]) for b in sched["bursts"]]
     try:
-        return FiberChannel(schedule=schedule, rng=rng, loss_db=loss_db, max_step_s=max_step_s)
+        if sched["kind"] == "constant":
+            schedule = DriftSchedule.constant(sched["rate"], bursts=bursts)
+        elif sched["kind"] == "day_night":
+            schedule = DriftSchedule.day_night(
+                day_rate=sched["day_rate"],
+                night_rate=sched["night_rate"],
+                day_start_s=sched["day_start_s"] / c,
+                night_start_s=sched["night_start_s"] / c,
+                period_s=sched["period_s"] / c,
+                bursts=bursts,
+            )
+        else:
+            segments = tuple((s["start_s"] / c, s["rate"]) for s in sched["segments"])
+            schedule = DriftSchedule(segments, sched["period_s"] / c, tuple(bursts))
+    except ChannelError as e:
+        raise ConfigError(f"channel.schedule: {e}") from e
+    try:
+        return FiberChannel(schedule, rng, loss_db=block["loss_db"], max_step_s=block["max_step_s"])
     except ChannelError as e:
         # FiberChannel's messages start with the name of the offending field.
         raise ConfigError(f"channel.{e}") from e
 
 
-def build_source(cfg: dict) -> PairSource:
-    try:
-        return PairSource(
-            local_pair_rate=float(_get(cfg, "source.local_pair_rate", source.DEFAULT_PAIR_RATE)),
-            state=TwoQubitPolState(float(_get(cfg, "source.visibility", 1.0))),
-        )
-    except (PolarizationError, SourceError) as e:
-        raise ConfigError(f"source: {e}") from e
-
-
-def build_chain(cfg: dict, ch: FiberChannel) -> DetectionChain:
-    try:
-        return DetectionChain(
-            idler_transmittance=ch.transmittance(),
-            signal_efficiency=float(_get(cfg, "detection.signal_efficiency", 1.0)),
-            idler_efficiency=float(_get(cfg, "detection.idler_efficiency", 1.0)),
-            dark_rate=float(_get(cfg, "detection.dark_rate", 0.0)),
-            coincidence_window=float(
-                _get(cfg, "detection.coincidence_window", source.DEFAULT_COINCIDENCE_WINDOW)
-            ),
-        )
-    except SourceError as e:
-        raise ConfigError(f"detection: {e}") from e
-
-
-def build_apc_config(cfg: dict) -> ApcConfig:
-    block = _get(cfg, "apc", {})
-    try:
-        defaults = ApcConfig()
-        return ApcConfig(
-            check_threshold=float(block.get("check_threshold", defaults.check_threshold)),
-            target_threshold=float(block.get("target_threshold", defaults.target_threshold)),
-            timeout_s=float(block.get("timeout_s", defaults.timeout_s)),
-            step_size=float(block.get("step_size", defaults.step_size)),
-            fd_delta=float(block.get("fd_delta", defaults.fd_delta)),
-            cycle_time_s=float(block.get("cycle_time_s", defaults.cycle_time_s)),
-        )
-    except ApcError as e:
-        raise ConfigError(f"apc: {e}") from e
-
-
-def build_scheduler_config(cfg: dict) -> SchedulerConfig:
-    block = _get(cfg, "scheduler", {})
-    try:
-        return SchedulerConfig(
-            uptime_window_s=float(block.get("uptime_window_s", 3.0)),
-            measure_window_s=float(block.get("measure_window_s", 2.0)),
-            stabilized=bool(block.get("stabilized", True)),
-        )
-    except SchedulerError as e:
-        raise ConfigError(f"scheduler: {e}") from e
+def build_link(cfg: dict, rng: np.random.Generator) -> tuple:
+    """The channel, pair source, detection chain, APC and scheduler settings."""
+    ch = build_channel(cfg, rng)
+    builders = {
+        "source": lambda b: PairSource(b["local_pair_rate"], TwoQubitPolState(b["visibility"])),
+        "detection": lambda b: DetectionChain(ch.transmittance(), **b),
+        "apc": lambda b: ApcConfig(**b),
+        "scheduler": lambda b: SchedulerConfig(**b),
+    }
+    built = [ch]
+    for block, build in builders.items():
+        try:
+            built.append(build(cfg[block]))
+        except (PolarizationError, SourceError, ApcError, SchedulerError) as e:
+            raise ConfigError(f"{block}: {e}") from e
+    return tuple(built)
 
 
 def _resolved_duration(cfg: dict) -> float:
-    duration = _get_finite(cfg, "duration_s", required=True)
-    if duration < 0:
+    if cfg["duration_s"] is None:
+        raise ConfigError("missing required config field: duration_s")
+    if cfg["duration_s"] < 0:
         raise ConfigError("duration_s must be >= 0")
-    return duration / float(_get(cfg, "time_compression", 1.0))
+    return cfg["duration_s"] / cfg["time_compression"]
 
 
 def _write_summary(path: Path, cfg: dict, seed: int, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg
-    payload["seed"] = seed
-    payload["polarlink_version"] = __version__
+    payload = {**payload, "config": cfg, "seed": seed, "polarlink_version": __version__}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -229,7 +270,9 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
     ch = build_channel(cfg, rng)
     duration = _resolved_duration(cfg)
-    sample_dt = float(_get(cfg, "probe.sample_dt_s", 0.1))
+    sample_dt = cfg["probe"]["sample_dt_s"]
+    if sample_dt <= 0:
+        raise ConfigError(f"probe.sample_dt_s must be > 0, got {sample_dt!r}")
     times, stokes, fidelity = ch.probe_trace(StokesVector(1, 0, 0), duration, sample_dt)
     with open(out / "probe.csv", "w", newline="") as f:
         f.write("t_s,s1,s2,s3,fidelity\n")
@@ -247,12 +290,8 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
 
 def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
-    ch = build_channel(cfg, rng)
-    src = build_source(cfg)
-    chain = build_chain(cfg, ch)
-    apc_cfg = build_apc_config(cfg)
-    sched_cfg = build_scheduler_config(cfg)
-    noiseless = bool(_get(cfg, "fringe.noiseless", False))
+    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
+    noiseless = cfg["fringe"]["noiseless"]
     ctrl = Controller()
     datasets = []
     records = []
@@ -295,11 +334,7 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
 
 def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
-    ch = build_channel(cfg, rng)
-    src = build_source(cfg)
-    chain = build_chain(cfg, ch)
-    apc_cfg = build_apc_config(cfg)
-    sched_cfg = build_scheduler_config(cfg)
+    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
     duration = _resolved_duration(cfg)
     summary: dict = {"scenario": "longrun", "stabilized": sched_cfg.stabilized}
     if duration == 0:
@@ -362,53 +397,17 @@ def median_crossing_time(
     return float(np.median(np.where(np.isnan(times), max_time_s, times)))
 
 
-_CALIBRATE_DEFAULTS = {
-    "target_fidelity": 0.95,
-    "target_time_s": 20.0,
-    "n_seeds": 200,
-    "tolerance": 0.05,
-    "night_ratio": 500.0,
-}
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and bool(np.isfinite(value)))
-
-
-def _calibrate_settings(cfg: dict) -> dict:
-    """The ``calibrate`` block with defaults filled in, every value checked."""
-    block = _get(cfg, "calibrate")
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise ConfigError("calibrate must be a mapping")
-    unknown = sorted(str(k) for k in block if k not in _CALIBRATE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"calibrate.{unknown[0]}: unknown field")
-    settings = {**_CALIBRATE_DEFAULTS, **block}
-    for key, value in settings.items():
-        if not _is_finite_number(value):
-            raise ConfigError(f"calibrate.{key} must be a finite number, got {value!r}")
+def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
+    settings = cfg["calibrate"]
+    target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
     n_seeds = settings["n_seeds"]
-    if not isinstance(n_seeds, int) or n_seeds < 1:
-        raise ConfigError(f"calibrate.n_seeds must be an integer >= 1, got {n_seeds!r}")
-    if not 0.0 < settings["target_fidelity"] <= 1.0:
+    if n_seeds < 1:
+        raise ConfigError(f"calibrate.n_seeds must be >= 1, got {n_seeds!r}")
+    if not 0.0 < target_fidelity <= 1.0:
         raise ConfigError("calibrate.target_fidelity must be in (0, 1]")
     for key in ("target_time_s", "tolerance", "night_ratio"):
         if settings[key] <= 0:
             raise ConfigError(f"calibrate.{key} must be > 0, got {settings[key]!r}")
-    return settings
-
-
-def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
-    settings = _calibrate_settings(cfg)
-    target_fidelity = float(settings["target_fidelity"])
-    target_time = float(settings["target_time_s"])
-    n_seeds = settings["n_seeds"]
-    tolerance = float(settings["tolerance"])
-    night_ratio = float(settings["night_ratio"])
     if target_fidelity == 1.0:
         day_rate, median = 0.0, target_time
     else:
@@ -420,7 +419,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
             median = median_crossing_time(
                 mid, target_fidelity, n_seeds, max_time, seed + iteration
             )
-            if abs(median - target_time) <= 0.5 * tolerance * target_time:
+            if abs(median - target_time) <= 0.5 * settings["tolerance"] * target_time:
                 day_rate = mid
                 break
             if median > target_time:
@@ -435,7 +434,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     payload = {
         "scenario": "calibrate",
         "day_rate": day_rate,
-        "night_rate": day_rate / night_ratio if day_rate else 0.0,
+        "night_rate": day_rate / settings["night_ratio"] if day_rate else 0.0,
         "target_fidelity": target_fidelity,
         "target_time_s": target_time,
         "achieved_median_s": median,
@@ -457,6 +456,7 @@ _COMMANDS = {
 
 
 def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
+    cfg = resolve_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[scenario](cfg, seed, out)
 
@@ -474,15 +474,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        declared = cfg.get("scenario")
-        if declared is not None and declared != args.scenario:
+        if cfg["scenario"] not in (None, args.scenario):
             raise ConfigError(
-                f"scenario: config declares {declared!r} but {args.scenario!r} was requested"
+                f"scenario: config declares {cfg['scenario']!r} but {args.scenario!r} was requested"
             )
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg["seed"]
         if args.seeds < 1:
             raise ConfigError("--seeds must be >= 1")
-    except (ConfigError, ChannelError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out = Path(args.out)

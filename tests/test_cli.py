@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from polarlink import cli
+from polarlink.apc import ApcConfig
 from polarlink.channel import DAY_RATE
 
 CONFIG_DIR = "configs"
@@ -51,6 +52,57 @@ def longrun_cfg(duration=600.0, rate=DAY_RATE, stabilized=True, seed=11):
     }
 
 
+# (scenario, field path, bad value): each run must exit 2 naming the field
+BAD_FIELDS = [
+    ("probe", "channel.max_step_s", 0),
+    ("probe", "channel.max_step_s", -0.1),
+    ("probe", "channel.max_step_s", float("nan")),
+    ("probe", "channel.max_step_s", "abc"),
+    ("probe", "channel.loss_db", "abc"),
+    ("probe", "channel.loss_db", float("inf")),
+    ("probe", "channel.loss_db", -1.0),
+    ("probe", "channel.schedule.bursts", [{"duration_s": 10.0}]),
+    ("probe", "channel.schedule.bursts", [{"start_s": 5.0}]),
+    ("probe", "channel.schedule.bursts", [{"start_s": "abc", "duration_s": 10.0}]),
+    ("probe", "duration_s", float("nan")),
+    ("probe", "time_compression", "abc"),
+    ("probe", "channel.schedule.bursts", [{"start_s": 5.0, "duration_s": float("nan")}]),
+    ("probe", "channel.schedule.rate", float("nan")),
+    ("probe", "channel.schedule.kind", ["constant"]),
+    ("probe", "probe.sample_dt_s", "abc"),
+    ("probe", "probe.sample_dt_s", 0),
+    ("probe", "seed", "abc"),
+    ("probe", "seed", 1.5),
+    ("fringe", "apc.timeout_s", "abc"),
+    ("fringe", "source.visibility", "abc"),
+    ("fringe", "detection.dark_rate", "abc"),
+    ("fringe", "scheduler.uptime_window_s", "abc"),
+    ("fringe", "scheduler.stabilized", "false"),
+    ("fringe", "apc.stepsize", 1.0),
+    ("fringe", "scheduler.uptime_windows_s", 3.0),
+    ("fringe", "apc", "x"),
+    ("fringe", "scheduler", "x"),
+    ("fringe", "channel", "x"),
+    ("fringe", "channel.schedule", "x"),
+    ("calibrate", "calibrate.n_seeds", -1),
+    ("calibrate", "calibrate.n_seeds", 0),
+    ("calibrate", "calibrate.n_seeds", 2.5),
+    ("calibrate", "calibrate.n_seeds", True),
+    ("calibrate", "calibrate.tolerance", -1.0),
+    ("calibrate", "calibrate.target_time_s", 0.0),
+    ("calibrate", "calibrate.target_time_s", float("nan")),
+    ("calibrate", "calibrate.target_fidelity", "abc"),
+    ("calibrate", "calibrate.target_fidelity", 1.5),
+    ("calibrate", "calibrate.night_ratio", 0.0),
+    ("calibrate", "calibrate.n_seed", 10),
+]
+# test ids "<field>-<value>"; a list or mapping value is named "value<position>"
+BAD_FIELD_IDS = [
+    f"{field}-{value if isinstance(value, (int, float, str)) else f'value{i}'}"
+    for i, (_, field, value) in enumerate(BAD_FIELDS)
+]
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 
@@ -86,36 +138,44 @@ class TestConfigHandling:
         cfg = write_cfg(tmp_path, data)
         assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("channel.max_step_s", 0),
-            ("channel.max_step_s", -0.1),
-            ("channel.max_step_s", float("nan")),
-            ("channel.max_step_s", "abc"),
-            ("channel.loss_db", "abc"),
-            ("channel.loss_db", float("inf")),
-            ("channel.loss_db", -1.0),
-            ("channel.schedule.bursts", [{"duration_s": 10.0}]),
-            ("channel.schedule.bursts", [{"start_s": 5.0}]),
-            ("channel.schedule.bursts", [{"start_s": "abc", "duration_s": 10.0}]),
-            ("duration_s", float("nan")),
-            ("time_compression", "abc"),
-        ],
-    )
-    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
-        data = probe_cfg()
+    @pytest.mark.parametrize("scenario,field,value", BAD_FIELDS, ids=BAD_FIELD_IDS)
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, scenario, field, value):
+        data = {
+            "probe": probe_cfg(),
+            "fringe": fringe_cfg(),
+            "calibrate": {"scenario": "calibrate", "calibrate": {"n_seeds": 5}},
+        }[scenario]
         *parents, key = field.split(".")
         node = data
         for part in parents:
-            node = node[part]
+            node = node.setdefault(part, {})
         node[key] = value
         cfg = write_cfg(tmp_path, data)
-        assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        out = tmp_path / "o"
+        assert run([scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
-        assert not (tmp_path / "o" / "probe.csv").exists()
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestSummaryConfig:
+    def test_embedded_config_reproduces_run(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        config = f"{CONFIG_DIR}/fringe.yaml"
+        assert run(["fringe", "--config", config, "--seed", 5, "--out", first]) == 0
+        summary = json.loads((first / "summary.json").read_text())
+        # resolved: the YAML string "2.0e5" is a number, and defaults are filled in
+        assert summary["config"]["source"]["local_pair_rate"] == 2.0e5
+        assert summary["config"]["apc"]["timeout_s"] == ApcConfig().timeout_s
+        resolved = tmp_path / "resolved.yaml"
+        resolved.write_text(json.dumps(summary["config"]))
+        seed = summary["seed"]
+        assert run(["fringe", "--config", resolved, "--seed", seed, "--out", second]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestProbe:
@@ -258,31 +318,6 @@ class TestCalibrate:
         assert sched["day_rate"] == pytest.approx(DAY_RATE, rel=0.25)
         assert sched["night_rate"] == pytest.approx(sched["day_rate"] / 500.0)
         assert sched["achieved_median_s"] == pytest.approx(20.0, rel=0.05)
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("n_seeds", -1),
-            ("n_seeds", 0),
-            ("n_seeds", 2.5),
-            ("n_seeds", True),
-            ("tolerance", -1.0),
-            ("target_time_s", 0.0),
-            ("target_time_s", float("nan")),
-            ("target_fidelity", "abc"),
-            ("target_fidelity", 1.5),
-            ("night_ratio", 0.0),
-            ("n_seed", 10),
-        ],
-    )
-    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
-        data = {"scenario": "calibrate", "calibrate": {"n_seeds": 5, field: value}}
-        cfg = write_cfg(tmp_path, data)
-        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert f"calibrate.{field}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out" / "schedule.json").exists()
 
     def test_perfect_fidelity_gives_zero_rate(self, tmp_path, capsys):
         data = {"scenario": "calibrate", "calibrate": {"target_fidelity": 1.0}}
