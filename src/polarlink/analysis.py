@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polmath import AnalyzerSetting
-from .scheduler import WindowCounts
+from .scheduler import CHSH_WINDOW_SETTINGS, WindowCounts
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
@@ -169,7 +169,7 @@ def longrun_series(windows: list[WindowCounts]) -> list[SeriesPoint]:
         es = np.empty(4)
         variances = np.empty(4)
         for k, w in enumerate(group):
-            if w.setting_index != k:
+            if w.setting != CHSH_WINDOW_SETTINGS[k]:
                 raise FitError("windows are not aligned to 4-window CHSH groups")
             es[k], sig = _window_correlation(w.counts)
             variances[k] = sig * sig

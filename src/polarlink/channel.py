@@ -45,6 +45,11 @@ class Burst:
     duration_s: float
     multiplier: float = BURST_MULTIPLIER
 
+    def __post_init__(self):
+        for name in ("duration_s", "multiplier"):
+            if getattr(self, name) < 0:
+                raise ChannelError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
     def active(self, t: float) -> bool:
         return self.start_s <= t < self.start_s + self.duration_s
 

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, analysis, channel, source
-from .apc import ApcConfig, ApcError, Controller, run_session, write_sessions_csv
+from . import __version__, analysis, apc, channel, source
+# run_session stays importable from cli, where perfbench's tracer wraps it.
+from .apc import ApcConfig, ApcError, Controller, run_session, write_sessions_csv  # noqa: F401
 from .channel import (
     Burst,
     ChannelError,
@@ -36,7 +37,7 @@ from .scheduler import (
     uptime_fraction,
     write_timeline_csv,
 )
-from .source import DetectionChain, PairSource, SourceError, expected_coincidence_rate
+from .source import DetectionChain, PairSource, SourceError
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -208,7 +209,12 @@ def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
     if c < 1.0:
         raise ConfigError("time_compression must be >= 1")
     block, sched = cfg["channel"], cfg["channel"]["schedule"]
-    bursts = [Burst(b["start_s"] / c, b["duration_s"], b["multiplier"]) for b in sched["bursts"]]
+    bursts = []
+    for i, b in enumerate(sched["bursts"]):
+        try:
+            bursts.append(Burst(b["start_s"] / c, b["duration_s"], b["multiplier"]))
+        except ChannelError as e:  # its messages start with the field name
+            raise ConfigError(f"channel.schedule.bursts[{i}].{e}") from e
     try:
         if sched["kind"] == "constant":
             schedule = DriftSchedule.constant(sched["rate"], bursts=bursts)
@@ -270,6 +276,8 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
     ch = build_channel(cfg, rng)
     duration = _resolved_duration(cfg)
+    if duration == 0:
+        raise ConfigError("duration_s must be > 0 for a probe trace")
     sample_dt = cfg["probe"]["sample_dt_s"]
     if sample_dt <= 0:
         raise ConfigError(f"probe.sample_dt_s must be > 0, got {sample_dt!r}")
@@ -288,41 +296,37 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     return summary
 
 
-def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
+def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
+    """Run the seeded link along ``plan`` (to its end; with none, for duration_s)
+    and sample every window's counts after the walk, from the same rng."""
     rng = np.random.default_rng(seed)
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
-    noiseless = cfg["fringe"]["noiseless"]
-    ctrl = Controller()
-    datasets = []
-    records = []
-    for _, basis_deg in NIST_BASES:
-        points = []
-        for angle in UMD_SWEEP_DEG:
-            rec = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
-            records.append(rec)
-            effective = ctrl.to_transform().compose(ch.transform)
-            rate = expected_coincidence_rate(
-                src, chain, AnalyzerSetting(basis_deg), AnalyzerSetting(angle), effective
-            )
-            mean = rate * sched_cfg.measure_window_s
-            count = mean if noiseless else int(rng.poisson(mean))
-            ch.advance(sched_cfg.uptime_window_s)
-            points.append(
-                analysis.FringePoint(
-                    umd_angle_deg=angle,
-                    count=count,
-                    duration_s=sched_cfg.measure_window_s,
-                    post_timeout=rec.outcome == "timeout",
-                )
-            )
-        datasets.append(analysis.FringeDataset(AnalyzerSetting(basis_deg), tuple(points)))
+    duration = math.inf if plan is not None else _resolved_duration(cfg)
+    timeline = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
+    return timeline, simulate_window_counts(timeline, src, chain, sched_cfg, rng, noiseless)
+
+
+def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
+    bases = [AnalyzerSetting(basis_deg) for _, basis_deg in NIST_BASES]
+    plan = [(basis, AnalyzerSetting(angle)) for basis in bases for angle in UMD_SWEEP_DEG]
+    timeline, windows = _measure(cfg, seed, plan, cfg["fringe"]["noiseless"])
+    # Pass/pass counts at the sweep's own angles (AnalyzerSetting reads 180 as 0).
+    points = [
+        analysis.FringePoint(angle, w.counts[0].item(), w.duration_s, w.post_timeout)
+        for angle, w in zip(UMD_SWEEP_DEG * len(bases), windows)
+    ]
+    n = len(UMD_SWEEP_DEG)
+    datasets = [
+        analysis.FringeDataset(basis, tuple(points[i * n : i * n + n]))
+        for i, basis in enumerate(bases)
+    ]
     analysis.write_fringe_csv(out / "fringe.csv", datasets)
-    write_sessions_csv(out / "sessions.csv", records)
+    write_sessions_csv(out / "sessions.csv", timeline.sessions())
     fits = [analysis.fit_fringe(d) for d in datasets]
     result = analysis.chsh_from_visibilities(fits)
     analysis.write_chsh_json(out / "chsh.json", result)
     summary = {"scenario": "fringe", "chsh": analysis.chsh_result_to_dict(result)}
-    if any(p.post_timeout for d in datasets for p in d.points):
+    if any(w.post_timeout for w in windows):
         corrected = analysis.chsh_from_visibilities(
             [analysis.corrected_fit(d) for d in datasets], corrected=True
         )
@@ -333,18 +337,13 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
 
 
 def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
-    rng = np.random.default_rng(seed)
-    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
-    duration = _resolved_duration(cfg)
-    summary: dict = {"scenario": "longrun", "stabilized": sched_cfg.stabilized}
-    if duration == 0:
+    timeline, windows = _measure(cfg, seed)
+    summary: dict = {"scenario": "longrun", "stabilized": cfg["scheduler"]["stabilized"]}
+    if not timeline.entries:
         for name in ("timeline.csv", "series.csv", "sessions.csv"):
             (out / name).write_text("")
         _write_summary(out / "summary.json", cfg, seed, summary)
         return summary
-    ctrl = Controller()
-    timeline = run_link(ch, ctrl, apc_cfg, sched_cfg, duration, rng)
-    windows = simulate_window_counts(timeline, src, chain, sched_cfg, rng)
     series = analysis.longrun_series(windows)
     write_timeline_csv(out / "timeline.csv", timeline)
     write_sessions_csv(out / "sessions.csv", timeline.sessions())
@@ -356,16 +355,10 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
                 f"{p.sigma_s:.6f},{p.compensation_time_s:.6f},{int(p.post_timeout)}\n"
             )
     outcomes = [r.outcome for r in timeline.sessions()]
-    n = len(outcomes)
-    summary.update(
-        {
-            "uptime_fraction": uptime_fraction(timeline),
-            "n_sessions": n,
-            "fraction_skipped": outcomes.count("skipped") / n,
-            "fraction_converged": outcomes.count("converged") / n,
-            "fraction_timeout": outcomes.count("timeout") / n,
-        }
-    )
+    summary["uptime_fraction"] = uptime_fraction(timeline)
+    summary["n_sessions"] = n = len(outcomes)
+    for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
+        summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
     if series:
         stats = analysis.summarize_longrun(series)
         summary["mean_S"] = stats.mean_s
@@ -478,7 +471,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"scenario: config declares {cfg['scenario']!r} but {args.scenario!r} was requested"
             )
-        seed = args.seed if args.seed is not None else cfg["seed"]
+        seed, name = (cfg["seed"], "seed") if args.seed is None else (args.seed, "--seed")
+        if seed < 0:
+            raise ConfigError(f"{name} must be >= 0, got {seed}")
         if args.seeds < 1:
             raise ConfigError("--seeds must be >= 1")
     except ConfigError as e:

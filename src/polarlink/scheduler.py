@@ -5,11 +5,12 @@ fixed uptime windows, with the channel drifting continuously throughout.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .apc import ApcConfig, Controller, ReferenceSequence, SessionRecord, run_session
+from .apc import OUTCOME_TIMEOUT, ApcConfig, Controller, SessionRecord, run_session
 from .channel import FiberChannel
 from .polmath import CANONICAL_CHSH_ANGLES, PolTransform
 from .source import DetectionChain, PairSource, port_rates
@@ -39,10 +40,11 @@ class TimelineEntry:
     end_s: float
     kind: str
     session: SessionRecord | None = None
-    # Snapshots at the start of an uptime window; counts measured in the
-    # window are evaluated against controller-after-channel at that moment.
+    # An uptime window's (signal, idler) analyzer pair and snapshots at its
+    # start; its counts are evaluated against controller-after-channel then.
     transform: PolTransform | None = None
     controller_transform: PolTransform | None = None
+    setting: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -76,21 +78,23 @@ def run_link(
     sched_cfg: SchedulerConfig,
     duration: float,
     rng: np.random.Generator,
-    refs: ReferenceSequence | None = None,
+    plan=None,
 ) -> LinkTimeline:
     """Alternate [compensation session -> uptime window] until ``duration``.
 
-    With stabilized=False the sessions still measure fidelities (one check
-    cycle, for logging) but never actuate the controller.
+    ``plan`` yields the (signal, idler) analyzer pair of each window, by
+    default CHSH_WINDOW_SETTINGS over and over; the link also stops when it
+    runs out.  With stabilized=False the sessions still measure fidelities
+    (one check cycle, for logging) but never actuate the controller.
     """
     if duration < 0:
         raise SchedulerError("duration must be >= 0")
     t0 = ch.sim_time
     entries = []
-    while ch.sim_time - t0 < duration:
-        record = run_session(
-            ch, ctrl, apc_cfg, rng, refs=refs, actuate=sched_cfg.stabilized
-        )
+    for setting in itertools.cycle(CHSH_WINDOW_SETTINGS) if plan is None else plan:
+        if ch.sim_time - t0 >= duration:
+            break
+        record = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
         entries.append(
             TimelineEntry(record.start_time_s, ch.sim_time, KIND_COMPENSATION, session=record)
         )
@@ -105,6 +109,7 @@ def run_link(
                 KIND_UPTIME,
                 transform=snapshot,
                 controller_transform=ctrl_snapshot,
+                setting=setting,
             )
         )
     return LinkTimeline(tuple(entries))
@@ -117,20 +122,16 @@ def uptime_fraction(timeline: LinkTimeline) -> float:
     return up / timeline.span()
 
 
-def compensation_fraction(timeline: LinkTimeline) -> float:
-    return 1.0 - uptime_fraction(timeline)
-
-
 @dataclass(frozen=True)
 class WindowCounts:
     """Port coincidence counts taken in one uptime window.
 
-    ``setting_index`` selects one of the four canonical CHSH analyzer pairs;
-    ``counts`` holds (pass/pass, pass/fail, fail/pass, fail/fail).
+    ``setting`` is the window's (signal, idler) analyzer pair; ``counts``
+    holds (pass/pass, pass/fail, fail/pass, fail/fail).
     """
 
     window_start_s: float
-    setting_index: int
+    setting: tuple
     counts: np.ndarray
     duration_s: float
     post_timeout: bool
@@ -154,29 +155,24 @@ def simulate_window_counts(
     chain: DetectionChain,
     sched_cfg: SchedulerConfig,
     rng: np.random.Generator,
+    noiseless: bool = False,
 ) -> list[WindowCounts]:
-    """Poisson-sample four-port counts for every uptime window.
+    """Four-port counts of every uptime window at its analyzer pair.
 
-    Windows cycle through the four CHSH settings; the effective idler
-    transform is controller-after-channel, frozen at the window start.
+    Counts are Poisson samples, or their exact means when ``noiseless``.  The
+    effective idler transform is controller-after-channel at the window start.
     """
     out = []
-    comp_entries = [e for e in timeline.entries if e.kind == KIND_COMPENSATION]
-    for k, window in enumerate(timeline.uptime_windows()):
-        a, b = CHSH_WINDOW_SETTINGS[k % 4]
-        effective = PolTransform(
-            window.controller_transform.rotation @ window.transform.rotation
-        )
-        rates = port_rates(src, chain, a, b, effective)
-        counts = rng.poisson(rates * sched_cfg.measure_window_s)
-        session = comp_entries[k].session
+    for session, window in zip(timeline.sessions(), timeline.uptime_windows()):
+        effective = window.controller_transform.compose(window.transform)
+        mean = port_rates(src, chain, *window.setting, effective) * sched_cfg.measure_window_s
         out.append(
             WindowCounts(
                 window_start_s=window.start_s,
-                setting_index=k % 4,
-                counts=counts,
+                setting=window.setting,
+                counts=mean if noiseless else rng.poisson(mean),
                 duration_s=sched_cfg.measure_window_s,
-                post_timeout=session.outcome == "timeout",
+                post_timeout=session.outcome == OUTCOME_TIMEOUT,
                 min_ref_fidelity=session.min_fidelity_after,
                 compensation_time_s=session.duration_s,
             )

@@ -23,7 +23,7 @@ from polarlink.analysis import (
     write_fringe_csv,
 )
 from polarlink.polmath import AnalyzerSetting
-from polarlink.scheduler import WindowCounts
+from polarlink.scheduler import CHSH_WINDOW_SETTINGS, WindowCounts
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -136,7 +136,7 @@ class TestChshFromVisibilities:
 def make_window(idx, counts, start=0.0, post_timeout=False, min_f=0.995):
     return WindowCounts(
         window_start_s=start,
-        setting_index=idx,
+        setting=CHSH_WINDOW_SETTINGS[idx],
         counts=np.asarray(counts),
         duration_s=2.0,
         post_timeout=post_timeout,

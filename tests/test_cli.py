@@ -52,7 +52,8 @@ def longrun_cfg(duration=600.0, rate=DAY_RATE, stabilized=True, seed=11):
     }
 
 
-# (scenario, field path, bad value): each run must exit 2 naming the field
+# (scenario, field path, bad value): each run must exit 2 naming the field.
+# A field starting with "--" is a command-line flag.
 BAD_FIELDS = [
     ("probe", "channel.max_step_s", 0),
     ("probe", "channel.max_step_s", -0.1),
@@ -73,6 +74,11 @@ BAD_FIELDS = [
     ("probe", "probe.sample_dt_s", 0),
     ("probe", "seed", "abc"),
     ("probe", "seed", 1.5),
+    ("probe", "seed", -3),
+    ("probe", "--seed", -3),
+    ("probe", "duration_s", 0),
+    ("probe", "channel.schedule.bursts[0].multiplier", -100.0),
+    ("probe", "channel.schedule.bursts[0].duration_s", -10.0),
     ("fringe", "apc.timeout_s", "abc"),
     ("fringe", "source.visibility", "abc"),
     ("fringe", "detection.dark_rate", "abc"),
@@ -145,14 +151,23 @@ class TestConfigHandling:
             "fringe": fringe_cfg(),
             "calibrate": {"scenario": "calibrate", "calibrate": {"n_seeds": 5}},
         }[scenario]
-        *parents, key = field.split(".")
-        node = data
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[key] = value
+        flags = []
+        if field.startswith("--"):
+            flags = [field, value]
+        else:
+            *parents, key = field.split(".")
+            node = data
+            for part in parents:
+                name, _, index = part.partition("[")
+                if index:  # "bursts[0]": one valid burst, then its field is set
+                    node = node.setdefault(name, [{"start_s": 5.0, "duration_s": 10.0}])
+                    node = node[int(index.rstrip("]"))]
+                else:
+                    node = node.setdefault(part, {})
+            node[key] = value
         cfg = write_cfg(tmp_path, data)
         out = tmp_path / "o"
-        assert run([scenario, "--config", cfg, "--out", out]) == 2
+        assert run([scenario, "--config", cfg, "--out", out, *flags]) == 2
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
@@ -239,21 +254,36 @@ class TestFringe:
         assert chsh["S"] == pytest.approx(2 * np.sqrt(2) * 0.8, abs=2e-3)
 
     def test_burst_produces_corrected_output(self, tmp_path, capsys):
-        assert run(
-            [
-                "fringe",
-                "--config",
-                f"{CONFIG_DIR}/fringe_burst.yaml",
-                "--out",
-                tmp_path / "out",
-            ]
-        ) == 0
         out = tmp_path / "out"
-        assert (out / "chsh_corrected.json").exists()
+        assert run(["fringe", "--config", f"{CONFIG_DIR}/fringe_burst.yaml", "--out", out]) == 0
         corrected = json.loads((out / "chsh_corrected.json").read_text())
-        plain = json.loads((out / "chsh.json").read_text())
         assert corrected["corrected"] is True
-        assert corrected["S"] > plain["S"]
+
+    def test_correction_raises_s_on_most_timed_out_seeds(self, tmp_path, capsys):
+        # Dropping the post-timeout points raises S on average, but not at
+        # every seed: Poisson noise decides single cases.
+        out = tmp_path / "out"
+        config = f"{CONFIG_DIR}/fringe_burst.yaml"
+        assert run(["fringe", "--config", config, "--seed", 7, "--seeds", 30, "--out", out]) == 0
+        raised = []
+        for run_dir in sorted(out.glob("seed_*")):
+            if (run_dir / "chsh_corrected.json").exists():
+                corrected = json.loads((run_dir / "chsh_corrected.json").read_text())
+                plain = json.loads((run_dir / "chsh.json").read_text())
+                raised.append(corrected["S"] > plain["S"])
+        assert len(raised) >= 10
+        assert sum(raised) > len(raised) / 2
+
+    def test_noise_does_not_change_the_channel_trajectory(self, tmp_path, capsys):
+        with open(f"{CONFIG_DIR}/fringe_burst.yaml") as f:
+            data = yaml.safe_load(f)
+        noisy = write_cfg(tmp_path, data, "noisy.yaml")
+        data["fringe"] = {"noiseless": True}
+        noiseless = write_cfg(tmp_path, data, "noiseless.yaml")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["fringe", "--config", noisy, "--out", a]) == 0
+        assert run(["fringe", "--config", noiseless, "--out", b]) == 0
+        assert (a / "sessions.csv").read_bytes() == (b / "sessions.csv").read_bytes()
 
 
 class TestLongrun:

@@ -1,11 +1,13 @@
 """Timeline construction, uptime accounting and window count sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
-from polarlink.apc import ApcConfig, Controller
+from polarlink.apc import OUTCOME_SKIPPED, OUTCOME_TIMEOUT, ApcConfig, Controller
 from polarlink.channel import DAY_RATE, NIGHT_RATE, DriftSchedule, FiberChannel
-from polarlink.polmath import PolTransform, TwoQubitPolState
+from polarlink.polmath import AnalyzerSetting, PolTransform, TwoQubitPolState
 from polarlink.scheduler import (
     CHSH_WINDOW_SETTINGS,
     KIND_COMPENSATION,
@@ -14,7 +16,6 @@ from polarlink.scheduler import (
     SchedulerConfig,
     SchedulerError,
     TimelineEntry,
-    compensation_fraction,
     run_link,
     simulate_window_counts,
     uptime_fraction,
@@ -23,12 +24,16 @@ from polarlink.scheduler import (
 from polarlink.source import DetectionChain, PairSource, port_rates
 
 
-def make_link(rate, seed, duration, stabilized=True):
+def make_link(rate, seed, duration, stabilized=True, plan=None):
     ch = FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
     ctrl = Controller()
     cfg = SchedulerConfig(stabilized=stabilized)
-    tl = run_link(ch, ctrl, ApcConfig(), cfg, duration, np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed + 1)
+    tl = run_link(ch, ctrl, ApcConfig(), cfg, duration, rng, plan=plan)
     return tl, ch, ctrl, cfg
+
+
+SRC = PairSource(state=TwoQubitPolState(0.8))
 
 
 class TestConfigAndTimeline:
@@ -63,8 +68,7 @@ class TestRunLink:
         tl, _, _, cfg = make_link(0.0, 1, 100.0)
         ideal = cfg.uptime_window_s / (cfg.uptime_window_s + ApcConfig().cycle_time_s)
         assert uptime_fraction(tl) == pytest.approx(ideal, abs=1e-6)
-        assert compensation_fraction(tl) == pytest.approx(1 - ideal, abs=1e-6)
-        assert all(s.outcome == "skipped" for s in tl.sessions())
+        assert all(s.outcome == OUTCOME_SKIPPED for s in tl.sessions())
 
     def test_unstabilized_controller_never_moves(self):
         _, _, ctrl, _ = make_link(DAY_RATE, 2, 120.0, stabilized=False)
@@ -89,41 +93,66 @@ class TestRunLink:
 
         assert spans(5) == spans(5)
 
+    def test_finite_plan_stops_when_it_runs_out(self):
+        plan = [(AnalyzerSetting(0.0), AnalyzerSetting(a)) for a in (0.0, 30.0, 60.0)]
+        tl, _, _, _ = make_link(DAY_RATE, 11, math.inf, plan=plan)
+        assert [w.setting for w in tl.uptime_windows()] == plan
+        assert len(tl.sessions()) == len(plan)
+
+    def test_duration_cuts_a_long_plan(self):
+        plan = [CHSH_WINDOW_SETTINGS[0]] * 100
+        tl, _, _, _ = make_link(0.0, 12, 10.0, plan=plan)
+        # quiet channel: each session + window lasts 3.12 s, so 4 pairs cover 10 s
+        assert len(tl.uptime_windows()) == 4
+        assert tl.span() >= 10.0
+
 
 class TestWindowCounts:
     def test_settings_cycle_through_four(self):
+        # no plan: the windows repeat the four CHSH pairs
         tl, _, _, cfg = make_link(0.0, 6, 60.0)
-        src = PairSource(state=TwoQubitPolState(0.8))
         chain = DetectionChain(idler_transmittance=10 ** (-2.1))
-        counts = simulate_window_counts(tl, src, chain, cfg, np.random.default_rng(6))
-        assert [w.setting_index for w in counts[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
+        counts = simulate_window_counts(tl, SRC, chain, cfg, np.random.default_rng(6))
+        settings = [w.setting for w in counts]
+        assert settings == [CHSH_WINDOW_SETTINGS[k % 4] for k in range(len(counts))]
+        assert settings == [w.setting for w in tl.uptime_windows()]
         assert len(counts) == len(tl.uptime_windows())
 
     def test_counts_match_rate_budget(self):
         # static, compensated-perfect link: pooled counts agree with the
         # analytic port rates within 5 sigma
         tl, _, _, cfg = make_link(0.0, 7, 600.0)
-        src = PairSource(state=TwoQubitPolState(0.8))
         chain = DetectionChain(idler_transmittance=10 ** (-2.1))
-        counts = simulate_window_counts(tl, src, chain, cfg, np.random.default_rng(7))
-        for idx in range(4):
-            group = [w for w in counts if w.setting_index == idx]
+        counts = simulate_window_counts(tl, SRC, chain, cfg, np.random.default_rng(7))
+        for a, b in CHSH_WINDOW_SETTINGS:
+            group = [w for w in counts if w.setting == (a, b)]
             total = np.sum([w.counts for w in group], axis=0)
-            a, b = CHSH_WINDOW_SETTINGS[idx]
-            rates = port_rates(src, chain, a, b, PolTransform.identity())
+            rates = port_rates(SRC, chain, a, b, PolTransform.identity())
             expected = rates * cfg.measure_window_s * len(group)
             sigma = np.sqrt(np.maximum(expected, 1.0))
             assert np.all(np.abs(total - expected) < 5 * sigma)
 
+    def test_noiseless_counts_are_exact_means(self):
+        plan = [(AnalyzerSetting(45.0), AnalyzerSetting(a)) for a in (0.0, 50.0, 100.0)]
+        tl, _, _, cfg = make_link(DAY_RATE, 13, math.inf, plan=plan)
+        chain = DetectionChain(idler_transmittance=10 ** (-2.1))
+        rng = np.random.default_rng(13)
+        state = rng.bit_generator.state
+        counts = simulate_window_counts(tl, SRC, chain, cfg, rng, noiseless=True)
+        assert rng.bit_generator.state == state  # no draws
+        for w, window in zip(counts, tl.uptime_windows()):
+            effective = window.controller_transform.compose(window.transform)
+            expected = port_rates(SRC, chain, *window.setting, effective) * cfg.measure_window_s
+            assert np.array_equal(w.counts, expected)
+
     def test_window_metadata(self):
         tl, _, _, cfg = make_link(DAY_RATE, 8, 60.0)
-        src = PairSource(state=TwoQubitPolState(0.8))
         chain = DetectionChain(idler_transmittance=1.0)
-        counts = simulate_window_counts(tl, src, chain, cfg, np.random.default_rng(8))
+        counts = simulate_window_counts(tl, SRC, chain, cfg, np.random.default_rng(8))
         sessions = tl.sessions()
         for w, s in zip(counts, sessions):
             assert w.duration_s == cfg.measure_window_s
-            assert w.post_timeout == (s.outcome == "timeout")
+            assert w.post_timeout == (s.outcome == OUTCOME_TIMEOUT)
             assert w.min_ref_fidelity == s.min_fidelity_after
             assert w.compensation_time_s == s.duration_s
 
