@@ -19,7 +19,6 @@ from .polmath import AnalyzerSetting
 from .scheduler import CHSH_WINDOW_SETTINGS, WindowCounts
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
-CLASSICAL_BOUND = 2.0
 
 
 class FitError(ValueError):
@@ -63,11 +62,6 @@ class ChshResult:
     sigma_s: float
     visibilities: tuple
     corrected: bool = False
-
-    @property
-    def violation(self) -> bool:
-        """True when S exceeds the classical bound by more than 2 sigma."""
-        return self.s_value - CLASSICAL_BOUND > 2.0 * self.sigma_s
 
 
 def _fit_points(points) -> FitResult:
@@ -225,40 +219,19 @@ def write_fringe_csv(path, datasets) -> None:
                 )
 
 
-def read_fringe_csv(path) -> list[FringeDataset]:
-    groups: dict[float, list[FringePoint]] = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            basis = float(row["nist_basis_deg"])
-            groups.setdefault(basis, []).append(
-                FringePoint(
-                    umd_angle_deg=float(row["umd_angle_deg"]),
-                    count=float(row["counts"]),
-                    duration_s=float(row["duration_s"]),
-                    post_timeout=bool(int(row["post_timeout_flag"])),
-                )
-            )
-    return [
-        FringeDataset(AnalyzerSetting(basis), tuple(points))
-        for basis, points in sorted(groups.items())
-    ]
-
-
-def chsh_result_to_dict(result: ChshResult, basis_labels=("H", "D", "V", "A")) -> dict:
+def chsh_result_to_dict(result: ChshResult) -> dict:
     return {
         "S": result.s_value,
         "sigma_S": result.sigma_s,
         "visibilities": [
             {"basis": label, "V": f.visibility, "sigma": f.sigma_v}
-            for label, f in zip(basis_labels, result.visibilities)
+            for label, f in zip(("H", "D", "V", "A"), result.visibilities)
         ],
         "corrected": result.corrected,
     }
 
 
-def write_chsh_json(path, result: ChshResult, **extra) -> None:
-    payload = chsh_result_to_dict(result)
-    payload.update(extra)
+def write_chsh_json(path, result: ChshResult) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(chsh_result_to_dict(result), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -33,7 +33,6 @@ class ReferenceSequence:
     """Ordered reference SOPs injected during a compensation cycle."""
 
     states: tuple = CARDINAL_STATES
-    dwell_s: float = 0.02
 
     def __post_init__(self):
         if len(self.states) != 6:
@@ -72,12 +71,6 @@ class Controller:
         )
         return PolTransform(m)
 
-    @classmethod
-    def fitting(cls, target: PolTransform) -> "Controller":
-        """Controller whose transform equals ``target`` (last retarder at 0)."""
-        angles = _ScipyRotation.from_matrix(target.rotation).as_euler("xzx")
-        return cls(np.array([*angles, 0.0]))
-
 
 @dataclass(frozen=True)
 class ApcConfig:
@@ -89,10 +82,15 @@ class ApcConfig:
     cycle_time_s: float = 0.12
 
     def __post_init__(self):
-        if not 0.0 < self.check_threshold <= self.target_threshold < 1.0:
-            raise ApcError("need 0 < check_threshold <= target_threshold < 1")
-        if self.timeout_s <= 0 or self.cycle_time_s <= 0:
-            raise ApcError("timeout_s and cycle_time_s must be > 0")
+        if not 0.0 < self.check_threshold <= self.target_threshold:
+            raise ApcError(
+                f"check_threshold must be in (0, target_threshold], got {self.check_threshold!r}"
+            )
+        if not self.target_threshold < 1.0:
+            raise ApcError(f"target_threshold must be < 1, got {self.target_threshold!r}")
+        for name in ("timeout_s", "step_size", "fd_delta", "cycle_time_s"):
+            if getattr(self, name) <= 0:
+                raise ApcError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

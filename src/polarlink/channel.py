@@ -50,9 +50,6 @@ class Burst:
             if getattr(self, name) < 0:
                 raise ChannelError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
-    def active(self, t: float) -> bool:
-        return self.start_s <= t < self.start_s + self.duration_s
-
 
 @dataclass(frozen=True)
 class DriftSchedule:
@@ -130,12 +127,6 @@ class FiberChannel:
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)
 
-    def step(self, dt: float) -> None:
-        """Advance the walk by a single step of duration dt."""
-        if dt <= 0:
-            raise ChannelError("dt must be > 0")
-        self._walk(np.array([dt]))
-
     def advance(self, duration: float) -> None:
         """Advance by ``duration``, subdividing into steps of at most max_step_s."""
         if duration <= 0:
@@ -200,36 +191,24 @@ def _probe_grid(duration: float, sample_dt: float, max_step_s: float):
     return max(1, int(np.ceil(sample_dt / max_step_s))), int(round(duration / sample_dt))
 
 
-def probe_crossing_times(
-    schedule: DriftSchedule,
-    rngs,
-    duration: float,
-    sample_dt: float,
-    threshold: float,
-) -> np.ndarray:
-    """First time each channel's H-probe fidelity drops below ``threshold``.
+def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: float):
+    """s1 of each channel's H-probe output at its samples, a chunk at a time.
 
-    Element j is ``first_crossing_time`` of the trace that
+    Yields (index of the chunk's first sample after t = 0, s1 array of shape
+    (samples, channels)).  Column j takes the draws of ``rngs[j]`` that
     ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
-    gives, or NaN where that is None, from the same draws of ``rngs[j]``.
-    Rather than each channel's 3x3 rotation it walks the probe's Stokes
-    vector, one numpy step for the whole batch, and it stops once every
-    channel has crossed.
+    takes.  Rather than each channel's 3x3 rotation it walks the probe's
+    Stokes vector, one numpy step for the whole batch.
     """
     substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
     n_steps = n_samples * substeps
     dts = np.full(n_steps, sample_dt / substeps)
     scale = _step_scales(schedule, 0.0, dts)
-    times = sample_dt * np.arange(n_samples + 1)
-    # The output of the identity transform at t = 0 is H itself, fidelity 1.
     n = len(rngs)
-    crossing = np.full(n, times[0] if 1.0 < threshold else np.nan)
     vx, vy, vz = np.ones(n), np.zeros(n), np.zeros(n)
     chunk = substeps * max(1, _CHUNK_STEPS // substeps)
     draws = np.empty((n, chunk, 4))
     for start in range(0, n_steps, chunk):
-        if not np.isnan(crossing).any():
-            break
         m = min(chunk, n_steps - start)
         for j, rng in enumerate(rngs):
             rng.standard_normal(out=draws[j, :m])
@@ -251,10 +230,34 @@ def probe_crossing_times(
             )
             if (i + 1) % substeps == 0:
                 sampled_x[i // substeps] = vx
+        yield start // substeps, sampled_x
+
+
+def probe_crossing_times(
+    schedule: DriftSchedule,
+    rngs,
+    duration: float,
+    sample_dt: float,
+    threshold: float,
+) -> np.ndarray:
+    """First time each channel's H-probe fidelity drops below ``threshold``.
+
+    Element j is ``first_crossing_time`` of the trace that
+    ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
+    gives, or NaN where that is None, from the same draws of ``rngs[j]``.
+    The walk stops once every channel has crossed.
+    """
+    _, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
+    times = sample_dt * np.arange(n_samples + 1)
+    # The output of the identity transform at t = 0 is H itself, fidelity 1.
+    crossing = np.full(len(rngs), times[0] if 1.0 < threshold else np.nan)
+    for first, s1 in _probe_s1_chunks(schedule, rngs, duration, sample_dt):
         # Fidelity against the initial output H is 0.5 * (1 + s1).
-        below = 0.5 * (1.0 + sampled_x) < threshold
+        below = 0.5 * (1.0 + s1) < threshold
         new = below.any(axis=0) & np.isnan(crossing)
-        crossing[new] = times[1 + start // substeps + below.argmax(axis=0)[new]]
+        crossing[new] = times[1 + first + below.argmax(axis=0)[new]]
+        if not np.isnan(crossing).any():
+            break
     return crossing
 
 

@@ -253,7 +253,8 @@ def build_link(cfg: dict, rng: np.random.Generator) -> tuple:
         try:
             built.append(build(cfg[block]))
         except (PolarizationError, SourceError, ApcError, SchedulerError) as e:
-            raise ConfigError(f"{block}: {e}") from e
+            # Their messages start with the name of the offending field.
+            raise ConfigError(f"{block}.{e}") from e
     return tuple(built)
 
 

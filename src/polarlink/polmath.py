@@ -62,11 +62,6 @@ class StokesVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.s1, self.s2, self.s3])
 
-    @classmethod
-    def from_array(cls, v) -> "StokesVector":
-        v = np.asarray(v, dtype=float)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
 
 # The six cardinal states: H, V, D, A, right/left circular.
 H = StokesVector(1, 0, 0)
@@ -100,25 +95,9 @@ class PolTransform:
         return cls(np.eye(3))
 
     @classmethod
-    def from_axis_angle(cls, axis, angle_rad: float) -> "PolTransform":
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        return cls(_ScipyRotation.from_rotvec(axis * angle_rad).as_matrix())
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "PolTransform":
         """Rotation drawn uniformly (Haar) over SO(3)."""
         return cls(_ScipyRotation.random(random_state=rng).as_matrix())
-
-    def apply(self, s: StokesVector) -> StokesVector:
-        return StokesVector.from_array(self.rotation @ s.as_array())
-
-    def compose(self, other: "PolTransform") -> "PolTransform":
-        """self after other: (self @ other).apply(s) == self.apply(other.apply(s))."""
-        return PolTransform(self.rotation @ other.rotation)
-
-    def inverse(self) -> "PolTransform":
-        return PolTransform(self.rotation.T)
 
     def as_rotvec(self) -> np.ndarray:
         return _ScipyRotation.from_matrix(self.rotation).as_rotvec()
@@ -158,14 +137,6 @@ class AnalyzerSetting:
 
     def orthogonal(self) -> "AnalyzerSetting":
         return AnalyzerSetting(self.angle_deg + 90.0)
-
-
-def sop_fidelity(a: StokesVector, b: StokesVector) -> float:
-    """Overlap fidelity of two pure SOPs: F = (1 + a.b)/2."""
-    if abs(a.norm() - 1.0) > _NORM_TOL or abs(b.norm() - 1.0) > _NORM_TOL:
-        raise PolarizationError("sop_fidelity requires normalized Stokes vectors")
-    f = 0.5 * (1.0 + float(a.as_array() @ b.as_array()))
-    return min(max(f, 0.0), 1.0)
 
 
 def su2_from_transform(t: PolTransform) -> np.ndarray:
@@ -225,43 +196,9 @@ def coincidence_prob_stokes(
     return min(max(p, 0.0), 1.0)
 
 
-def correlation(
-    state: TwoQubitPolState,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    idler_channel: PolTransform | None = None,
-) -> float:
-    """Correlation E(a, b) built from the four projector-pair probabilities."""
-    a_perp = a.orthogonal()
-    b_perp = b.orthogonal()
-    return (
-        coincidence_prob_stokes(state, a, b, idler_channel)
-        + coincidence_prob_stokes(state, a_perp, b_perp, idler_channel)
-        - coincidence_prob_stokes(state, a, b_perp, idler_channel)
-        - coincidence_prob_stokes(state, a_perp, b, idler_channel)
-    )
-
-
 CANONICAL_CHSH_ANGLES = (
     AnalyzerSetting(0.0),
     AnalyzerSetting(45.0),
     AnalyzerSetting(22.5),
     AnalyzerSetting(67.5),
 )
-
-
-def chsh_expected(
-    state: TwoQubitPolState,
-    idler_channel: PolTransform | None,
-    a: AnalyzerSetting,
-    a_prime: AnalyzerSetting,
-    b: AnalyzerSetting,
-    b_prime: AnalyzerSetting,
-) -> float:
-    """CHSH parameter S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    return (
-        correlation(state, a, b, idler_channel)
-        - correlation(state, a, b_prime, idler_channel)
-        + correlation(state, a_prime, b, idler_channel)
-        + correlation(state, a_prime, b_prime, idler_channel)
-    )

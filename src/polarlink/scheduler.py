@@ -31,7 +31,9 @@ class SchedulerConfig:
 
     def __post_init__(self):
         if not 0.0 < self.measure_window_s <= self.uptime_window_s:
-            raise SchedulerError("need 0 < measure_window <= uptime_window")
+            raise SchedulerError(
+                f"measure_window_s must be in (0, uptime_window_s], got {self.measure_window_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,9 @@ class TimelineEntry:
     end_s: float
     kind: str
     session: SessionRecord | None = None
-    # An uptime window's (signal, idler) analyzer pair and snapshots at its
-    # start; its counts are evaluated against controller-after-channel then.
-    transform: PolTransform | None = None
-    controller_transform: PolTransform | None = None
+    # An uptime window's (signal, idler) analyzer pair and the idler transform,
+    # controller after channel, at its start, against which its counts are taken.
+    idler_transform: PolTransform | None = None
     setting: tuple | None = None
 
 
@@ -99,17 +100,11 @@ def run_link(
             TimelineEntry(record.start_time_s, ch.sim_time, KIND_COMPENSATION, session=record)
         )
         window_start = ch.sim_time
-        snapshot = ch.transform
-        ctrl_snapshot = ctrl.to_transform()
+        idler = PolTransform(ctrl.to_transform().rotation @ ch.transform.rotation)
         ch.advance(sched_cfg.uptime_window_s)
         entries.append(
             TimelineEntry(
-                window_start,
-                ch.sim_time,
-                KIND_UPTIME,
-                transform=snapshot,
-                controller_transform=ctrl_snapshot,
-                setting=setting,
+                window_start, ch.sim_time, KIND_UPTIME, idler_transform=idler, setting=setting
             )
         )
     return LinkTimeline(tuple(entries))
@@ -159,13 +154,13 @@ def simulate_window_counts(
 ) -> list[WindowCounts]:
     """Four-port counts of every uptime window at its analyzer pair.
 
-    Counts are Poisson samples, or their exact means when ``noiseless``.  The
-    effective idler transform is controller-after-channel at the window start.
+    Counts are Poisson samples, or their exact means when ``noiseless``, at
+    each window's ``idler_transform``.
     """
     out = []
     for session, window in zip(timeline.sessions(), timeline.uptime_windows()):
-        effective = window.controller_transform.compose(window.transform)
-        mean = port_rates(src, chain, *window.setting, effective) * sched_cfg.measure_window_s
+        rates = port_rates(src, chain, *window.setting, window.idler_transform)
+        mean = rates * sched_cfg.measure_window_s
         out.append(
             WindowCounts(
                 window_start_s=window.start_s,

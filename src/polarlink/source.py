@@ -7,7 +7,6 @@ analyzer setting, used by the scheduler and analysis pipeline) and tag-level
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,6 @@ class TimeTagStream:
     """Sorted arrival times for one detector channel."""
 
     times: np.ndarray
-    channel_id: str = "ch0"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -68,9 +66,6 @@ class TimeTagStream:
         if t.size > 1 and np.any(np.diff(t) < 0):
             raise SourceError("time tags must be non-decreasing")
         object.__setattr__(self, "times", t)
-
-    def shifted(self, delta: float) -> "TimeTagStream":
-        return TimeTagStream(self.times + delta, self.channel_id)
 
 
 def singles_rates(src: PairSource, chain: DetectionChain) -> tuple[float, float]:
@@ -136,25 +131,12 @@ def port_rates(
     )
 
 
-def sample_counts(rate: float, duration: float, rng: np.random.Generator) -> int:
-    """Poisson count with mean rate * duration."""
-    if rate < 0:
-        raise SourceError("rate must be >= 0")
-    if duration <= 0:
-        raise SourceError("duration must be > 0")
-    if rate == 0:
-        return 0
-    return int(rng.poisson(rate * duration))
-
-
-def generate_timetags(
-    rate: float, duration: float, rng: np.random.Generator, channel_id: str = "ch0"
-) -> TimeTagStream:
+def generate_timetags(rate: float, duration: float, rng: np.random.Generator) -> TimeTagStream:
     """Homogeneous Poisson process: exponential inter-arrival times."""
     if rate < 0 or duration <= 0:
         raise SourceError("rate must be >= 0 and duration > 0")
     if rate == 0:
-        return TimeTagStream(np.empty(0), channel_id)
+        return TimeTagStream(np.empty(0))
     n_guess = int(rate * duration + 10 * np.sqrt(rate * duration) + 10)
     tags = np.cumsum(rng.exponential(1.0 / rate, size=n_guess))
     while tags.size and tags[-1] < duration:
@@ -162,7 +144,7 @@ def generate_timetags(
         tags = np.concatenate([tags, extra])
     tags = tags[tags < duration]
     tags = np.round(tags / TIME_RESOLUTION) * TIME_RESOLUTION
-    return TimeTagStream(np.sort(tags), channel_id)
+    return TimeTagStream(np.sort(tags))
 
 
 def find_coincidences(
@@ -184,30 +166,3 @@ def find_coincidences(
             signal.times, idler.times - relative_delay, window / 2.0
         )
     )
-
-
-def write_timetags_csv(path, *streams: TimeTagStream) -> None:
-    """Two-column export (channel_id, time_ps), merged in time order."""
-    rows = []
-    for s in streams:
-        rows.extend((s.channel_id, int(round(t / TIME_RESOLUTION))) for t in s.times)
-    rows.sort(key=lambda r: (r[1], r[0]))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["channel_id", "time_ps"])
-        writer.writerows(rows)
-
-
-def read_timetags_csv(path) -> dict[str, TimeTagStream]:
-    """Inverse of ``write_timetags_csv``: one stream per channel_id."""
-    by_channel: dict[str, list[float]] = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            by_channel.setdefault(row["channel_id"], []).append(
-                int(row["time_ps"]) * TIME_RESOLUTION
-            )
-    return {
-        cid: TimeTagStream(np.sort(np.array(times)), cid)
-        for cid, times in by_channel.items()
-    }

@@ -5,15 +5,17 @@ import pytest
 
 from polarlink.channel import (
     DAY_RATE,
+    MAX_STEP_S,
     NIGHT_RATE,
     Burst,
     ChannelError,
     DriftSchedule,
     FiberChannel,
+    _probe_s1_chunks,
     first_crossing_time,
     probe_crossing_times,
 )
-from polarlink.polmath import StokesVector, sop_fidelity
+from polarlink.polmath import StokesVector
 
 H = StokesVector(1, 0, 0)
 
@@ -71,13 +73,16 @@ class TestStep:
     def test_zero_rate_leaves_transform(self):
         ch = make_channel(0.0, 1)
         before = ch.transform.rotation.copy()
-        ch.step(5.0)
+        ch.advance(5.0)
         assert np.array_equal(ch.transform.rotation, before)
         assert ch.sim_time == pytest.approx(5.0)
 
     def test_rejects_nonpositive_dt(self):
+        ch = make_channel(0.1, 1)
+        ch.advance(0.0)  # a zero duration takes no step
+        assert ch.sim_time == 0.0
         with pytest.raises(ChannelError):
-            make_channel(0.1, 1).step(0.0)
+            ch.advance(-0.1)
 
     @pytest.mark.parametrize("max_step_s", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_max_step(self, max_step_s):
@@ -88,7 +93,7 @@ class TestStep:
         def run(seed):
             ch = make_channel(DAY_RATE, seed)
             for _ in range(50):
-                ch.step(0.1)
+                ch.advance(0.1)
             return ch.transform.rotation
 
         assert np.array_equal(run(3), run(3))
@@ -117,7 +122,7 @@ class TestStep:
         for seed in range(400):
             ch = make_channel(DAY_RATE, seed)
             ch.advance(10.0)
-            imgs.append(ch.transform.apply(H).as_array())
+            imgs.append(ch.transform.rotation @ H.as_array())
         mean = np.mean(imgs, axis=0)
         assert abs(mean[1]) < 0.05 and abs(mean[2]) < 0.05
         assert mean[0] > 0.1  # still correlated with the input at t=10 s
@@ -129,7 +134,8 @@ class TestStep:
             ch = make_channel(DAY_RATE, seed)
             for j, dt in enumerate([5.0, 5.0, 5.0, 5.0]):
                 ch.advance(dt)
-                fids[seed, j] = sop_fidelity(H, ch.transform.apply(H))
+                h_out = ch.transform.rotation @ H.as_array()
+                fids[seed, j] = 0.5 * (1 + H.as_array() @ h_out)
         means = fids.mean(axis=0)
         sem = fids.std(axis=0, ddof=1) / np.sqrt(fids.shape[0])
         for j in range(3):
@@ -156,10 +162,10 @@ class TestProbeTrace:
         ch1 = make_channel(DAY_RATE, 7)
         _, s, _ = ch1.probe_trace(H, 5.0, 0.1)
         ch2 = make_channel(DAY_RATE, 7)
-        outs = [ch2.transform.apply(H).as_array()]
+        outs = [ch2.transform.rotation @ H.as_array()]
         for _ in range(50):
-            ch2.step(0.1)
-            outs.append(ch2.transform.apply(H).as_array())
+            ch2.advance(0.1)
+            outs.append(ch2.transform.rotation @ H.as_array())
         assert np.allclose(s, outs, atol=1e-12)
 
     def test_rejects_bad_args(self):
@@ -195,3 +201,58 @@ class TestProbeCrossingTimes:
             assert np.isnan(got).all()
         if rate == 1.0:
             assert np.nanmax(got) < 5.0
+
+
+class TestDriftOracle:
+    """The walk's first moment, which any correct implementation must match.
+
+    A step by an angle ~ N(0, r dt) about a uniform axis has mean rotation
+    (1/3 + (2/3) exp(-r dt / 2)) I, and independent steps multiply, so the mean
+    rotation after the walk is the product of that factor over its steps.
+    """
+
+    # day/night cycle with a burst; no boundary falls on a step start
+    SCHEDULE = DriftSchedule.day_night(
+        day_rate=0.05,
+        night_rate=0.05 / 500,
+        day_start_s=1.234,
+        night_start_s=5.432,
+        period_s=8.0,
+        bursts=[Burst(3.21, 0.9, 20.0)],
+    )
+    N_SEEDS = 1000
+
+    def mean_factor(self, step_starts, dts):
+        rates = self.SCHEDULE.rate_at(step_starts)
+        return np.prod(1.0 / 3.0 + (2.0 / 3.0) * np.exp(-rates * dts / 2.0))
+
+    def test_advance_mean_rotation(self):
+        durations = [2.35, 1.0, 3.3, 1.35]
+        finals = np.empty((self.N_SEEDS, 3, 3))
+        for seed in range(self.N_SEEDS):
+            ch = FiberChannel(self.SCHEDULE, np.random.default_rng(seed))
+            for d in durations:
+                ch.advance(d)
+            finals[seed] = ch.transform.rotation
+        starts, dts, t = [], [], 0.0
+        for d in durations:
+            n = int(np.ceil(d / MAX_STEP_S))
+            starts.extend(t + d / n * np.arange(n))
+            dts.extend([d / n] * n)
+            t += d
+        expected = self.mean_factor(np.array(starts), np.array(dts)) * np.eye(3)
+        assert 0.5 < expected[0, 0] < 0.8  # the burst and the day both count
+        sem = finals.std(axis=0, ddof=1) / np.sqrt(self.N_SEEDS)
+        assert np.all(np.abs(finals.mean(axis=0) - expected) < 4 * sem)
+        eye = np.broadcast_to(np.eye(3), finals.shape)
+        assert np.allclose(finals @ finals.transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.det(finals), 1.0, rtol=0, atol=1e-12)
+
+    def test_probe_vector_walk_mean_s1(self):
+        duration, sample_dt = 8.0, 0.1
+        rngs = [np.random.default_rng(seed) for seed in range(self.N_SEEDS)]
+        *_, (_, s1) = _probe_s1_chunks(self.SCHEDULE, rngs, duration, sample_dt)
+        n = int(round(duration / sample_dt))
+        expected = self.mean_factor(sample_dt * np.arange(n), np.full(n, sample_dt))
+        sem = s1[-1].std(ddof=1) / np.sqrt(self.N_SEEDS)
+        assert abs(s1[-1].mean() - expected) < 4 * sem

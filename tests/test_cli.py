@@ -80,6 +80,12 @@ BAD_FIELDS = [
     ("probe", "channel.schedule.bursts[0].multiplier", -100.0),
     ("probe", "channel.schedule.bursts[0].duration_s", -10.0),
     ("fringe", "apc.timeout_s", "abc"),
+    ("fringe", "apc.fd_delta", 0.0),
+    ("fringe", "apc.fd_delta", -0.02),
+    ("fringe", "apc.step_size", 0.0),
+    ("fringe", "apc.timeout_s", 0.0),
+    ("fringe", "apc.cycle_time_s", 0.0),
+    ("fringe", "apc.check_threshold", 0.0),
     ("fringe", "source.visibility", "abc"),
     ("fringe", "detection.dark_rate", "abc"),
     ("fringe", "scheduler.uptime_window_s", "abc"),

@@ -8,6 +8,7 @@ that still runs stays cheap.
 """
 
 import copy
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 import yaml
 
 from polarlink import cli
+from polarlink.apc import ApcConfig
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 # (scenario, path, value): shortened runs, the same code paths
@@ -44,6 +46,9 @@ MUTATIONS = {
 # Range checks sit with each field, so negate and zero run on every leaf.
 PER_PAIR = 2
 EVERY_LEAF = ("negate", "zero")
+# No shipped config spells out its apc block, so negate and zero also run on
+# every APC default, set explicitly in a copy of this config.
+APC_CONFIG = "fringe_burst"
 
 
 def load_shortened(path):
@@ -108,6 +113,12 @@ def mutants(per_pair=PER_PAIR, seed=2024):
                 yield f"{config.stem}:{label}:{name}", base["scenario"], mutate(
                     base, path, mutation
                 )
+    base = load_shortened(next(c for c in CONFIGS if c.stem == APC_CONFIG))
+    base["apc"] = {f.name: f.default for f in dataclasses.fields(ApcConfig)}
+    for key in base["apc"]:
+        for name in EVERY_LEAF:
+            mutant = mutate(base, ("apc", key), MUTATIONS[name])
+            yield f"{APC_CONFIG}:apc.{key}:{name}", base["scenario"], mutant
 
 
 def test_draw_covers_every_mutation_on_every_config():

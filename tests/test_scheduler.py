@@ -82,8 +82,7 @@ class TestRunLink:
     def test_snapshots_present_on_uptime_windows(self):
         tl, _, _, _ = make_link(DAY_RATE, 4, 30.0)
         for w in tl.uptime_windows():
-            assert isinstance(w.transform, PolTransform)
-            assert isinstance(w.controller_transform, PolTransform)
+            assert isinstance(w.idler_transform, PolTransform)
             assert w.session is None
 
     def test_deterministic(self):
@@ -141,9 +140,8 @@ class TestWindowCounts:
         counts = simulate_window_counts(tl, SRC, chain, cfg, rng, noiseless=True)
         assert rng.bit_generator.state == state  # no draws
         for w, window in zip(counts, tl.uptime_windows()):
-            effective = window.controller_transform.compose(window.transform)
-            expected = port_rates(SRC, chain, *window.setting, effective) * cfg.measure_window_s
-            assert np.array_equal(w.counts, expected)
+            rates = port_rates(SRC, chain, *window.setting, window.idler_transform)
+            assert np.array_equal(w.counts, rates * cfg.measure_window_s)
 
     def test_window_metadata(self):
         tl, _, _, cfg = make_link(DAY_RATE, 8, 60.0)

@@ -1,4 +1,4 @@
-"""Pair source rates, Poisson sampling, time tags and coincidences."""
+"""Pair source rates, time tags and coincidences."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,6 @@ from polarlink.source import (
     find_coincidences,
     generate_timetags,
     port_rates,
-    read_timetags_csv,
-    sample_counts,
-    write_timetags_csv,
 )
 from tests.test_kernels import brute_force_match
 
@@ -77,24 +74,6 @@ class TestExpectedRate:
             assert rates.sum() - 4.0 * acc == pytest.approx(2.0 * budget, rel=1e-9)
 
 
-class TestSampleCounts:
-    def test_zero_rate(self):
-        assert sample_counts(0.0, 10.0, np.random.default_rng(0)) == 0
-
-    def test_large_mean_within_5_sigma(self):
-        n = sample_counts(1e6, 1.0, np.random.default_rng(1))
-        assert abs(n - 1e6) < 5e3
-
-    def test_poisson_variance(self):
-        rng = np.random.default_rng(2)
-        samples = [sample_counts(100.0, 1.0, rng) for _ in range(10_000)]
-        assert np.var(samples) == pytest.approx(100.0, rel=0.1)
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(SourceError):
-            sample_counts(-1.0, 1.0, np.random.default_rng(0))
-
-
 class TestTimeTags:
     def test_stream_rejects_unsorted(self):
         with pytest.raises(SourceError):
@@ -105,16 +84,6 @@ class TestTimeTags:
         assert abs(len(s.times) - 1e4) < 5 * np.sqrt(1e4)
         assert np.all(np.diff(s.times) >= 0)
         assert s.times[-1] < 1.0
-
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        sig = generate_timetags(1e5, 0.01, rng, channel_id="signal")
-        idl = generate_timetags(8e4, 0.01, rng, channel_id="idler")
-        path = tmp_path / "tags.csv"
-        write_timetags_csv(path, sig, idl)
-        back = read_timetags_csv(path)
-        assert np.allclose(back["signal"].times, sig.times, atol=1e-12)
-        assert np.allclose(back["idler"].times, idl.times, atol=1e-12)
 
 
 class TestFindCoincidences:
@@ -156,12 +125,14 @@ class TestFindCoincidences:
         a = TimeTagStream(np.sort(rng.uniform(0, 1e-4, 300)))
         b = TimeTagStream(np.sort(rng.uniform(0, 1e-4, 300)))
         n0 = find_coincidences(a, b, 1e-6, 2e-7)
-        n1 = find_coincidences(a.shifted(0.5), b.shifted(0.5), 1e-6, 2e-7)
+        n1 = find_coincidences(
+            TimeTagStream(a.times + 0.5), TimeTagStream(b.times + 0.5), 1e-6, 2e-7
+        )
         assert n0 == n1
 
     def test_recovers_delay(self):
         rng = np.random.default_rng(8)
         a = generate_timetags(1e5, 1e-2, rng)
-        b = a.shifted(3.7e-6)
+        b = TimeTagStream(a.times + 3.7e-6)
         assert find_coincidences(a, b, 1.6e-9, relative_delay=3.7e-6) == len(a.times)
         assert find_coincidences(a, b, 1.6e-9, relative_delay=0.0) < len(a.times) / 10
