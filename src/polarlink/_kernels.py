@@ -36,11 +36,7 @@ def rotation_walk(rotation, axes, angles, sample_stride=0):
         rotation = _axis_angle_matrix(axes[i], angles[i]) @ rotation
         if sample_stride > 0 and (i + 1) % sample_stride == 0:
             samples.append(rotation.copy())
-    if sample_stride > 0:
-        out = np.array(samples).reshape(len(samples), 3, 3)
-    else:
-        out = np.empty((0, 3, 3))
-    return rotation, out
+    return rotation, np.array(samples).reshape(len(samples), 3, 3)
 
 
 def greedy_match(ref_times, tag_times, half_window):

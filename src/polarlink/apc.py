@@ -8,13 +8,13 @@ fidelity clears the target threshold or the session times out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .channel import FiberChannel
-from .polmath import CARDINAL_STATES, PolTransform
+from .polmath import CARDINAL_STATES, PolTransform, quaternion_matrix
 
 OUTCOME_SKIPPED = "skipped"
 OUTCOME_CONVERGED = "converged"
@@ -64,12 +64,22 @@ class Controller:
         self.params = p
 
     def to_transform(self) -> PolTransform:
-        p = self.params
-        m = (
-            _ScipyRotation.from_euler("xzx", p[:3]).as_matrix()
-            @ _ScipyRotation.from_euler("z", p[3]).as_matrix()
-        )
-        return PolTransform(m)
+        # Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos.
+        s = [math.sin(a / 2) for a in self.params]
+        c = [math.cos(a / 2) for a in self.params]
+        q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+        q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
+        return PolTransform(quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3]))
+
+
+def _compose_quat(p, q) -> tuple:
+    """Quaternion of rotation ``q`` then ``p``, term for term as tests/test_rotations.py pins."""
+    return (
+        p[3] * q[0] + q[3] * p[0] + (p[1] * q[2] - p[2] * q[1]),
+        p[3] * q[1] + q[3] * p[1] + (p[2] * q[0] - p[0] * q[2]),
+        p[3] * q[2] + q[3] * p[2] + (p[0] * q[1] - p[1] * q[0]),
+        p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2],
+    )
 
 
 @dataclass(frozen=True)

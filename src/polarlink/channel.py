@@ -25,6 +25,7 @@ BURST_MULTIPLIER = 100.0
 
 DEFAULT_LOSS_DB = 21.0  # 18 dB fiber + 3 dB connectors/components
 MAX_STEP_S = 0.1  # longest single step of the walk
+MAX_WALK_STEPS = 10**6  # most steps of one walk: an advance, a probe or a calibration trace
 
 # Steps drawn per seed at a time by probe_crossing_times, so that its memory
 # does not grow with the length of the walk.  At 200 seeds, 25 steps keep the
@@ -64,18 +65,20 @@ class DriftSchedule:
     bursts: tuple = ()
 
     def __post_init__(self):
-        starts = [s for s, _ in self.segments]
-        if not starts or starts[0] != 0.0:
-            raise ChannelError("first segment must start at t=0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ChannelError("segment start times must be strictly increasing")
-        if any(r < 0 for _, r in self.segments):
-            raise ChannelError("rates must be >= 0")
-        if starts[-1] >= self.period_s:
-            raise ChannelError("segment starts must lie within the period")
+        if not self.segments or self.segments[0][0] != 0.0:
+            raise ChannelError("segments[0].start_s must be 0")
+        if not self.period_s > 0:
+            raise ChannelError(f"period_s must be > 0, got {self.period_s!r}")
+        for i, (start, rate) in enumerate(self.segments):
+            if rate < 0:
+                raise ChannelError(f"segments[{i}].rate must be >= 0, got {rate!r}")
+            if i and not self.segments[i - 1][0] < start < self.period_s:
+                raise ChannelError(f"segments[{i}].start_s must be in (previous start, period_s)")
 
     @classmethod
     def constant(cls, rate: float, bursts=()) -> "DriftSchedule":
+        if rate < 0:
+            raise ChannelError(f"rate must be >= 0, got {rate!r}")
         return cls(segments=((0.0, rate),), bursts=tuple(bursts))
 
     @classmethod
@@ -88,6 +91,13 @@ class DriftSchedule:
         period_s: float = 86400.0,
         bursts=(),
     ) -> "DriftSchedule":
+        for name, rate in (("day_rate", day_rate), ("night_rate", night_rate)):
+            if rate < 0:
+                raise ChannelError(f"{name} must be >= 0, got {rate!r}")
+        if not 0.0 <= day_start_s < night_start_s:
+            raise ChannelError("day_start_s must lie in [0, night_start_s)")
+        if not night_start_s < period_s:
+            raise ChannelError("period_s must be > night_start_s")
         segments = [(0.0, night_rate), (day_start_s, day_rate), (night_start_s, night_rate)]
         if day_start_s == 0.0:
             segments = [(0.0, day_rate), (night_start_s, night_rate)]
@@ -97,8 +107,7 @@ class DriftSchedule:
         """Diffusion rate at time(s) t, burst multipliers included."""
         t = np.asarray(t, dtype=float)
         phase = np.mod(t, self.period_s)
-        starts = np.array([s for s, _ in self.segments])
-        rates = np.array([r for _, r in self.segments])
+        starts, rates = np.array(self.segments).T
         idx = np.searchsorted(starts, phase, side="right") - 1
         out = rates[idx]
         for b in self.bursts:
@@ -129,12 +138,11 @@ class FiberChannel:
 
     def advance(self, duration: float) -> None:
         """Advance by ``duration``, subdividing into steps of at most max_step_s."""
-        if duration <= 0:
-            if duration < 0:
-                raise ChannelError("duration must be >= 0")
-            return
-        n = max(1, int(np.ceil(duration / self.max_step_s)))
-        self._walk(np.full(n, duration / n))
+        if not duration >= 0:
+            raise ChannelError(f"duration must be >= 0, got {duration!r}")
+        if duration > 0:
+            n = _walk_steps(duration, self.max_step_s)
+            self._walk(np.full(n, duration / n))
 
     def _walk(self, dts: np.ndarray, sample_stride: int = 0) -> np.ndarray:
         scale = _step_scales(self.schedule, self.sim_time, dts)
@@ -184,11 +192,20 @@ def _axes_and_angles(draws: np.ndarray, scale: np.ndarray):
     return axes / norms, draws[..., 3] * scale
 
 
+def _walk_steps(duration: float, step_s: float) -> int:
+    """Steps of at most ``step_s`` that cover ``duration``, if MAX_WALK_STEPS allows."""
+    if not duration / step_s <= MAX_WALK_STEPS:
+        raise ChannelError(f"{duration:g} s in {step_s:g} s steps is over {MAX_WALK_STEPS:,} steps")
+    return max(1, int(np.ceil(duration / step_s)))
+
+
 def _probe_grid(duration: float, sample_dt: float, max_step_s: float):
     """(walk steps per sample, number of samples) of a probe trace."""
     if duration <= 0 or sample_dt <= 0:
         raise ChannelError("duration and sample_dt must be > 0")
-    return max(1, int(np.ceil(sample_dt / max_step_s))), int(round(duration / sample_dt))
+    substeps = _walk_steps(sample_dt, max_step_s)
+    _walk_steps(duration, sample_dt / substeps)  # the whole trace
+    return substeps, int(round(duration / sample_dt))
 
 
 def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: float):

@@ -230,8 +230,8 @@ def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
         else:
             segments = tuple((s["start_s"] / c, s["rate"]) for s in sched["segments"])
             schedule = DriftSchedule(segments, sched["period_s"] / c, tuple(bursts))
-    except ChannelError as e:
-        raise ConfigError(f"channel.schedule: {e}") from e
+    except ChannelError as e:  # its messages start with the field name
+        raise ConfigError(f"channel.schedule.{e}") from e
     try:
         return FiberChannel(schedule, rng, loss_db=block["loss_db"], max_step_s=block["max_step_s"])
     except ChannelError as e:
@@ -441,18 +441,23 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     return payload
 
 
+# Each scenario's command and the config fields that set how long its channel walks are.
 _COMMANDS = {
-    "probe": cmd_probe,
-    "fringe": cmd_fringe,
-    "longrun": cmd_longrun,
-    "calibrate": cmd_calibrate,
+    "probe": (cmd_probe, "duration_s, probe.sample_dt_s or channel.max_step_s"),
+    "fringe": (cmd_fringe, "apc.cycle_time_s, scheduler.uptime_window_s or channel.max_step_s"),
+    "longrun": (cmd_longrun, "apc.cycle_time_s, scheduler.uptime_window_s or channel.max_step_s"),
+    "calibrate": (cmd_calibrate, "calibrate.target_time_s"),
 }
 
 
 def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
     cfg = resolve_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[scenario](cfg, seed, out)
+    command, walk_fields = _COMMANDS[scenario]
+    try:
+        return command(cfg, seed, out)
+    except ChannelError as e:  # build_channel reports the others as ConfigError
+        raise ConfigError(f"{walk_fields} makes a walk too long: {e}") from e
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 _NORM_TOL = 1e-6
 _MATRIX_TOL = 1e-9
@@ -96,11 +95,23 @@ class PolTransform:
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "PolTransform":
-        """Rotation drawn uniformly (Haar) over SO(3)."""
-        return cls(_ScipyRotation.random(random_state=rng).as_matrix())
+        """Rotation drawn uniformly (Haar) over SO(3), from a normalized Gaussian quaternion."""
+        x, y, z, w = rng.normal(size=4)
+        n = np.sqrt(x * x + y * y + z * z + w * w)
+        return cls(quaternion_matrix(x / n, y / n, z / n, w / n))
 
-    def as_rotvec(self) -> np.ndarray:
-        return _ScipyRotation.from_matrix(self.rotation).as_rotvec()
+
+def quaternion_matrix(x, y, z, w) -> np.ndarray:
+    """Matrix of the unit quaternion (x, y, z, w), term for term as tests/test_rotations.py pins."""
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array(
+        [
+            [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -143,15 +154,16 @@ def su2_from_transform(t: PolTransform) -> np.ndarray:
     """Jones-space unitary whose Pauli conjugation reproduces the Stokes rotation.
 
     With the (sigma_z, sigma_x, sigma_y) ordering, U (n . sigma) U^dagger
-    equals (R n) . sigma for U = exp(-i angle/2 axis . sigma).
+    equals (R n) . sigma for U = w I - i (x, y, z) . sigma, the quaternion
+    q = (x, y, z, w) of R read off the row of 4 q q^T with the largest diagonal.
     """
-    rotvec = t.as_rotvec()
-    angle = np.linalg.norm(rotvec)
-    if angle < 1e-15:
-        return np.eye(2, dtype=complex)
-    axis = rotvec / angle
-    n_sigma = np.tensordot(axis, _PAULI, axes=1)
-    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * n_sigma
+    r = t.rotation
+    tr = np.trace(r)
+    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    k = np.block([[r + r.T + (1 - tr) * np.eye(3), v[:, None]], [v, 1 + tr]])
+    j = np.argmax(np.diag(k))
+    x, y, z, w = k[j] / (2 * np.sqrt(k[j, j]))
+    return w * np.eye(2) - 1j * np.tensordot([x, y, z], _PAULI, axes=1)
 
 
 def coincidence_prob(

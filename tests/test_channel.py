@@ -6,12 +6,14 @@ import pytest
 from polarlink.channel import (
     DAY_RATE,
     MAX_STEP_S,
+    MAX_WALK_STEPS,
     NIGHT_RATE,
     Burst,
     ChannelError,
     DriftSchedule,
     FiberChannel,
     _probe_s1_chunks,
+    _walk_steps,
     first_crossing_time,
     probe_crossing_times,
 )
@@ -83,6 +85,16 @@ class TestStep:
         assert ch.sim_time == 0.0
         with pytest.raises(ChannelError):
             ch.advance(-0.1)
+
+    def test_walk_length_cap(self):
+        # a walk of exactly MAX_WALK_STEPS steps is allowed, a longer one is not
+        assert _walk_steps(float(MAX_WALK_STEPS), 1.0) == MAX_WALK_STEPS
+        with pytest.raises(ChannelError, match="steps"):
+            _walk_steps(float(MAX_WALK_STEPS + 1), 1.0)
+        ch = make_channel(0.1, 1, max_step_s=1.0e-300)
+        with pytest.raises(ChannelError):
+            ch.advance(0.1)
+        assert ch.sim_time == 0.0
 
     @pytest.mark.parametrize("max_step_s", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_max_step(self, max_step_s):

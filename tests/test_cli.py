@@ -115,6 +115,61 @@ BAD_FIELD_IDS = [
 ]
 
 
+def segments(*starts, rate=DAY_RATE):
+    return {"kind": "segments", "segments": [{"start_s": s, "rate": rate} for s in starts]}
+
+
+# (schedule block, field path): each out-of-range schedule value exits 2
+# naming the path of that value.
+BAD_SCHEDULES = [
+    ({"kind": "day_night", "day_rate": -1.0}, "channel.schedule.day_rate"),
+    ({"kind": "day_night", "night_rate": -1.0}, "channel.schedule.night_rate"),
+    ({"kind": "constant", "rate": -1}, "channel.schedule.rate"),
+    ({"kind": "day_night", "day_start_s": 70000.0}, "channel.schedule.day_start_s"),
+    ({"kind": "day_night", "day_start_s": -1.0}, "channel.schedule.day_start_s"),
+    ({"kind": "day_night", "period_s": -5.0}, "channel.schedule.period_s"),
+    (segments(0.0, 90000.0), "channel.schedule.segments[1].start_s"),
+    (segments(0.0, 500.0, 100.0), "channel.schedule.segments[2].start_s"),
+    (segments(5.0), "channel.schedule.segments[0].start_s"),
+    (segments(0.0, 100.0, rate=-1.0), "channel.schedule.segments[0].rate"),
+    ({**segments(0.0), "period_s": -5.0}, "channel.schedule.period_s"),
+]
+
+# (scenario, {field path: value}, path the message names): walks longer than
+# channel.MAX_WALK_STEPS exit 2 before anything is allocated for them.
+LONG_WALKS = [
+    ("probe", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
+    ("fringe", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
+    ("longrun", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
+    ("fringe", {"scheduler.uptime_window_s": 1.0e12}, "scheduler.uptime_window_s"),
+    ("probe", {"duration_s": 1.0e20}, "duration_s"),
+    ("probe", {"duration_s": 1.0e300, "probe.sample_dt_s": 1.0e-300}, "probe.sample_dt_s"),
+    ("calibrate", {"calibrate.target_time_s": 1.0e300}, "calibrate.target_time_s"),
+]
+
+
+def scenario_cfg(scenario, values):
+    """A small valid config of ``scenario`` with each {field path: value} set."""
+    data = {
+        "probe": probe_cfg(),
+        "fringe": fringe_cfg(),
+        "longrun": longrun_cfg(),
+        "calibrate": {"scenario": "calibrate", "calibrate": {"n_seeds": 5}},
+    }[scenario]
+    for field, value in values.items():
+        *parents, key = field.split(".")
+        node = data
+        for part in parents:
+            name, _, index = part.partition("[")
+            if index:  # "bursts[0]": one valid burst, then its field is set
+                node = node.setdefault(name, [{"start_s": 5.0, "duration_s": 10.0}])
+                node = node[int(index.rstrip("]"))]
+            else:
+                node = node.setdefault(part, {})
+        node[key] = value
+    return data
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 
@@ -152,25 +207,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("scenario,field,value", BAD_FIELDS, ids=BAD_FIELD_IDS)
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, scenario, field, value):
-        data = {
-            "probe": probe_cfg(),
-            "fringe": fringe_cfg(),
-            "calibrate": {"scenario": "calibrate", "calibrate": {"n_seeds": 5}},
-        }[scenario]
-        flags = []
-        if field.startswith("--"):
-            flags = [field, value]
-        else:
-            *parents, key = field.split(".")
-            node = data
-            for part in parents:
-                name, _, index = part.partition("[")
-                if index:  # "bursts[0]": one valid burst, then its field is set
-                    node = node.setdefault(name, [{"start_s": 5.0, "duration_s": 10.0}])
-                    node = node[int(index.rstrip("]"))]
-                else:
-                    node = node.setdefault(part, {})
-            node[key] = value
+        flags = [field, value] if field.startswith("--") else []
+        data = scenario_cfg(scenario, {} if flags else {field: value})
         cfg = write_cfg(tmp_path, data)
         out = tmp_path / "o"
         assert run([scenario, "--config", cfg, "--out", out, *flags]) == 2
@@ -178,6 +216,26 @@ class TestConfigHandling:
         assert field in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "schedule,field", BAD_SCHEDULES, ids=[f"{f}-{i}" for i, (_, f) in enumerate(BAD_SCHEDULES)]
+    )
+    def test_bad_schedule_range_names_its_field(self, tmp_path, capsys, schedule, field):
+        cfg = write_cfg(tmp_path, probe_cfg(channel={"schedule": schedule}))
+        assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field} must" in err
+
+    @pytest.mark.parametrize(
+        "scenario,values,field", LONG_WALKS, ids=[f"{s}-{'-'.join(v)}" for s, v, _ in LONG_WALKS]
+    )
+    def test_walk_too_long_exits_2(self, tmp_path, capsys, scenario, values, field):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, scenario_cfg(scenario, values))
+        assert run([scenario, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "walk too long" in err
+        assert not any(out.iterdir())
 
 
 class TestSummaryConfig:

@@ -1,0 +1,96 @@
+"""The numpy rotations against scipy's, and the package without scipy.
+
+scipy is a test-only dependency: the controller matrix and the Haar draw are
+pinned to scipy's ``Rotation`` bit for bit, so every seed gives the outputs it
+gave when the package computed them with scipy.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.spatial.transform import Rotation
+
+import polarlink
+from polarlink.apc import Controller
+from polarlink.polmath import _PAULI, PolTransform, su2_from_transform
+
+
+def scipy_controller(p):
+    retarders = Rotation.from_euler("xzx", p[:3]).as_matrix()
+    return retarders @ Rotation.from_euler("z", p[3]).as_matrix()
+
+
+def test_controller_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    # half large angles (several turns), half near the zero start of a descent
+    params = np.vstack([rng.normal(0.0, 3.0, (5000, 4)), rng.uniform(-0.1, 0.1, (5000, 4))])
+    for p in [np.zeros(4), *params]:
+        assert np.array_equal(Controller(p).to_transform().rotation, scipy_controller(p)), p
+
+
+def test_haar_draw_matches_scipy_bit_for_bit():
+    for seed in range(1000):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        r = PolTransform.random(ours).rotation
+        # positional: older scipy names the generator random_state, newer rng
+        assert np.array_equal(r, Rotation.random(None, theirs).as_matrix()), seed
+        # the same draws were taken, so the generators continue alike
+        assert np.array_equal(ours.normal(size=4), theirs.normal(size=4)), seed
+
+
+def half_turn(axis):
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+SU2_CASES = {
+    "identity": np.eye(3),
+    "half_turn_x": half_turn([1, 0, 0]),
+    "half_turn_y": half_turn([0, 1, 0]),
+    "half_turn_z": half_turn([0, 0, 1]),
+    "half_turn_xy": half_turn([1, 1, 0]),
+}
+
+
+def pauli(v):
+    return np.tensordot(v, _PAULI, axes=1)
+
+
+def assert_lift(r):
+    u = su2_from_transform(PolTransform(r))
+    assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    for n in np.eye(3):
+        # U (n . sigma) U^dagger = (R n) . sigma
+        assert np.abs(u @ pauli(n) @ u.conj().T - pauli(r @ n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", SU2_CASES)
+def test_su2_lift_at_identity_and_half_turns(name):
+    assert_lift(SU2_CASES[name])
+
+
+def test_su2_lift_of_haar_draws():
+    rng = np.random.default_rng(77)
+    for _ in range(2000):
+        assert_lift(PolTransform.random(rng).rotation)
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy stays installed for the tests; None in sys.modules blocks its import
+    config = Path(__file__).resolve().parents[1] / "configs" / "fringe_burst.yaml"
+    argv = ["fringe", "--config", str(config), "--out", str(tmp_path)]
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['scipy'] = None",
+            f"sys.path.insert(0, {str(Path(polarlink.__file__).parents[1])!r})",
+            "from polarlink import cli",
+            f"sys.exit(cli.main({argv!r}))",
+        ]
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "chsh.json").exists()
