@@ -3,19 +3,23 @@
 import numpy as np
 
 
-def _axis_angle_matrix(axis, angle):
-    """Rodrigues rotation matrix for a unit axis."""
-    x, y, z = axis
-    c = np.cos(angle)
-    s = np.sin(angle)
+def _axis_angle_matrices(axes, angles):
+    """Rodrigues rotation matrices, shape (n, 3, 3), for n unit axes and angles."""
+    x, y, z = axes.T
+    c = np.cos(angles)
+    s = np.sin(angles)
     t = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
-            [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
-            [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
-        ]
-    )
+    m = np.empty((angles.shape[0], 3, 3))
+    m[:, 0, 0] = c + x * x * t
+    m[:, 0, 1] = x * y * t - z * s
+    m[:, 0, 2] = x * z * t + y * s
+    m[:, 1, 0] = y * x * t + z * s
+    m[:, 1, 1] = c + y * y * t
+    m[:, 1, 2] = y * z * t - x * s
+    m[:, 2, 0] = z * x * t - y * s
+    m[:, 2, 1] = z * y * t + x * s
+    m[:, 2, 2] = c + z * z * t
+    return m
 
 
 def rotation_walk(rotation, axes, angles, sample_stride=0):
@@ -28,15 +32,15 @@ def rotation_walk(rotation, axes, angles, sample_stride=0):
     Returns (final_rotation, samples) where samples has shape (k, 3, 3).
     """
     rotation = np.array(rotation, dtype=np.float64)
-    axes = np.asarray(axes, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
     n = angles.shape[0]
-    samples = []
+    steps = _axis_angle_matrices(np.asarray(axes, dtype=np.float64), angles)
+    samples = np.empty((n // sample_stride if sample_stride > 0 else 0, 3, 3))
     for i in range(n):
-        rotation = _axis_angle_matrix(axes[i], angles[i]) @ rotation
+        rotation = steps[i] @ rotation
         if sample_stride > 0 and (i + 1) % sample_stride == 0:
-            samples.append(rotation.copy())
-    return rotation, np.array(samples).reshape(len(samples), 3, 3)
+            samples[i // sample_stride] = rotation
+    return rotation, samples
 
 
 def greedy_match(ref_times, tag_times, half_window):

@@ -8,6 +8,7 @@ fidelity clears the target threshold or the session times out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,29 +48,47 @@ class ReferenceSequence:
         return self._matrix
 
 
+@functools.cache
+def _cardinal_refs() -> ReferenceSequence:
+    """The default reference sequence, built once rather than on every session.
+
+    Built on first use, not at import: its rank check (an SVD) costs about
+    1 MB of memory, which runs that hold no session need not pay.
+    """
+    return ReferenceSequence()
+
+
 @dataclass
 class Controller:
     """Four-retarder in-line controller: rotations about alternating s1/s3 axes.
 
     The x-z-x-z angle parameterization is surjective onto SO(3) with one
     redundant degree of freedom, which avoids gimbal lock during descent.
+    ``params`` is held as a read-only copy, so the matrix that
+    ``to_transform`` caches stays valid until ``params`` is set again.
     """
 
     params: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
-    def __post_init__(self):
-        p = np.asarray(self.params, dtype=float)
-        if p.shape != (4,):
-            raise ApcError("controller needs exactly 4 retarder angles")
-        self.params = p
+    def __setattr__(self, name, value):
+        if name == "params":
+            value = np.array(value, dtype=float)
+            if value.shape != (4,):
+                raise ApcError("controller needs exactly 4 retarder angles")
+            value.flags.writeable = False
+            super().__setattr__("_transform", None)
+        super().__setattr__(name, value)
 
     def to_transform(self) -> PolTransform:
-        # Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos.
-        s = [math.sin(a / 2) for a in self.params]
-        c = [math.cos(a / 2) for a in self.params]
-        q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
-        q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
-        return PolTransform(quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3]))
+        if self._transform is None:
+            # Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos.
+            s = [math.sin(a / 2) for a in self.params]
+            c = [math.cos(a / 2) for a in self.params]
+            q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+            q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
+            r = quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3])
+            self._transform = PolTransform.trusted(r)
+        return self._transform
 
 
 def _compose_quat(p, q) -> tuple:
@@ -133,7 +152,7 @@ def cost(fidelities) -> float:
 
 
 def _cost_at(params: np.ndarray, channel_transform: PolTransform, refs: ReferenceSequence) -> float:
-    return cost(measure_fidelities(channel_transform, Controller(params.copy()), refs))
+    return cost(measure_fidelities(channel_transform, Controller(params), refs))
 
 
 def compensation_step(
@@ -162,7 +181,7 @@ def compensation_step(
         ) / (2.0 * cfg.fd_delta)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_TOL:
-        return Controller(params.copy())
+        return Controller(params)
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
         candidate = params - step * grad
@@ -189,7 +208,7 @@ def run_session(
     controller.
     """
     if refs is None:
-        refs = ReferenceSequence()
+        refs = _cardinal_refs()
     start = ch.sim_time
     fids = measure_fidelities(ch.transform, ctrl, refs)
     ch.advance(cfg.cycle_time_s)

@@ -74,6 +74,10 @@ class DriftSchedule:
                 raise ChannelError(f"segments[{i}].rate must be >= 0, got {rate!r}")
             if i and not self.segments[i - 1][0] < start < self.period_s:
                 raise ChannelError(f"segments[{i}].start_s must be in (previous start, period_s)")
+        # Held for rate_at, which every walk calls.
+        starts, rates = np.array(self.segments).T
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_rates", rates)
 
     @classmethod
     def constant(cls, rate: float, bursts=()) -> "DriftSchedule":
@@ -107,9 +111,8 @@ class DriftSchedule:
         """Diffusion rate at time(s) t, burst multipliers included."""
         t = np.asarray(t, dtype=float)
         phase = np.mod(t, self.period_s)
-        starts, rates = np.array(self.segments).T
-        idx = np.searchsorted(starts, phase, side="right") - 1
-        out = rates[idx]
+        idx = np.searchsorted(self._starts, phase, side="right") - 1
+        out = self._rates[idx]
         for b in self.bursts:
             mask = (t >= b.start_s) & (t < b.start_s + b.duration_s)
             out = np.where(mask, out * b.multiplier, out)
@@ -150,7 +153,7 @@ class FiberChannel:
         final, samples = _kernels.rotation_walk(
             self.transform.rotation, axes, angles, sample_stride
         )
-        self.transform = PolTransform(final)
+        self.transform = PolTransform.trusted(final)
         self.sim_time += float(np.sum(dts))
         return samples
 

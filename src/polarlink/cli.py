@@ -303,7 +303,13 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     rng = np.random.default_rng(seed)
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
     duration = math.inf if plan is not None else _resolved_duration(cfg)
-    timeline = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
+    try:
+        timeline = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
+    except SchedulerError as e:  # the window cap; the settings were checked in build_link
+        raise ConfigError(
+            "duration_s, time_compression, scheduler.uptime_window_s or apc.cycle_time_s"
+            f" make too many windows: {e}"
+        ) from e
     return timeline, simulate_window_counts(timeline, src, chain, sched_cfg, rng, noiseless)
 
 

@@ -90,6 +90,18 @@ class PolTransform:
         object.__setattr__(self, "rotation", r)
 
     @classmethod
+    def trusted(cls, r: np.ndarray) -> "PolTransform":
+        """Wrap a float 3x3 rotation that the package built itself, unchecked.
+
+        Skips the orthogonality and determinant checks of the constructor, for
+        products of rotations only: the channel walk's result, the controller
+        matrix and a window's idler transform.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "rotation", r)
+        return t
+
+    @classmethod
     def identity(cls) -> "PolTransform":
         return cls(np.eye(3))
 

@@ -18,6 +18,9 @@ from .source import DetectionChain, PairSource, port_rates
 KIND_COMPENSATION = "compensation"
 KIND_UPTIME = "uptime"
 
+# Most windows of one duration-limited link; each is kept as a TimelineEntry.
+MAX_WINDOWS = 10**5
+
 
 class SchedulerError(ValueError):
     """Invalid scheduler configuration or timeline."""
@@ -87,9 +90,18 @@ def run_link(
     default CHSH_WINDOW_SETTINGS over and over; the link also stops when it
     runs out.  With stabilized=False the sessions still measure fidelities
     (one check cycle, for logging) but never actuate the controller.
+
+    Without a plan, a ``duration`` that could hold more than MAX_WINDOWS
+    windows, each at least one check cycle plus the uptime window long, is
+    refused before the link starts.
     """
     if duration < 0:
         raise SchedulerError("duration must be >= 0")
+    shortest = sched_cfg.uptime_window_s + apc_cfg.cycle_time_s
+    if plan is None and not duration / shortest <= MAX_WINDOWS:
+        raise SchedulerError(
+            f"{duration:g} s in windows of at least {shortest:g} s is over {MAX_WINDOWS:,} windows"
+        )
     t0 = ch.sim_time
     entries = []
     for setting in itertools.cycle(CHSH_WINDOW_SETTINGS) if plan is None else plan:
@@ -100,7 +112,7 @@ def run_link(
             TimelineEntry(record.start_time_s, ch.sim_time, KIND_COMPENSATION, session=record)
         )
         window_start = ch.sim_time
-        idler = PolTransform(ctrl.to_transform().rotation @ ch.transform.rotation)
+        idler = PolTransform.trusted(ctrl.to_transform().rotation @ ch.transform.rotation)
         ch.advance(sched_cfg.uptime_window_s)
         entries.append(
             TimelineEntry(

@@ -55,6 +55,35 @@ class TestController:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ApcError):
             Controller(np.zeros(3))
+        with pytest.raises(ApcError):
+            Controller().params = np.zeros(5)
+
+    def test_cached_matrix_follows_every_params_assignment(self):
+        class Recording(Controller):
+            def to_transform(self):
+                t = super().to_transform()
+                seen.append((self.params, t.rotation))
+                return t
+
+        seen = []
+        ch = static_channel(seed=9)
+        ch.transform = PolTransform.random(np.random.default_rng(9))
+        ctrl = Recording()
+        rec = run_session(ch, ctrl, ApcConfig(), np.random.default_rng(9))
+        assert rec.iterations >= 2
+        assert len(seen) == 1 + rec.iterations  # the check cycle, then one per assignment
+        for params, rotation in seen:
+            assert np.array_equal(rotation, Controller(params).to_transform().rotation)
+        assert ctrl.to_transform() is ctrl.to_transform()
+
+    def test_params_cannot_change_under_the_cache(self):
+        ctrl = Controller(np.ones(4))
+        before = ctrl.to_transform().rotation
+        with pytest.raises(ValueError):
+            ctrl.params[0] = 0.0
+        ctrl.params = np.zeros(4)
+        assert not np.array_equal(ctrl.to_transform().rotation, before)
+        assert np.allclose(ctrl.to_transform().rotation, np.eye(3), atol=1e-12)
 
     def test_parameterization_reaches_random_rotations(self):
         # the x-z-x-z chain is surjective: a controller exists for any

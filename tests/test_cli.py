@@ -148,6 +148,18 @@ LONG_WALKS = [
 ]
 
 
+# {field path: value} of longruns that could hold more than scheduler.MAX_WINDOWS
+# windows: each exits 2 before the link starts, naming the fields that set it.
+TOO_MANY_WINDOWS = [
+    {"duration_s": 1.0e9},
+    {
+        "scheduler.uptime_window_s": 1.0e-3,
+        "scheduler.measure_window_s": 1.0e-3,
+        "apc.cycle_time_s": 1.0e-3,
+    },
+]
+
+
 def scenario_cfg(scenario, values):
     """A small valid config of ``scenario`` with each {field path: value} set."""
     data = {
@@ -235,6 +247,18 @@ class TestConfigHandling:
         assert run([scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert field in err and "walk too long" in err
+        assert not any(out.iterdir())
+
+
+    @pytest.mark.parametrize("values", TOO_MANY_WINDOWS, ids=["duration", "short-windows"])
+    def test_too_many_windows_exits_2(self, tmp_path, capsys, values):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, scenario_cfg("longrun", values))
+        assert run(["longrun", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        for field in ("duration_s", "time_compression", "uptime_window_s", "apc.cycle_time_s"):
+            assert field in err
+        assert "too many windows" in err and "Traceback" not in err
         assert not any(out.iterdir())
 
 

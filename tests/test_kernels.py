@@ -14,6 +14,27 @@ def _random_walk_inputs(seed, n):
     return axes, angles
 
 
+def per_step_walk(rotation, axes, angles, sample_stride=0):
+    """Oracle: the walk with one Rodrigues matrix built and applied per step."""
+    rotation = np.array(rotation, dtype=np.float64)
+    samples = []
+    for i, ((x, y, z), angle) in enumerate(zip(axes, angles)):
+        c = np.cos(angle)
+        s = np.sin(angle)
+        t = 1.0 - c
+        step = np.array(
+            [
+                [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
+                [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
+                [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
+            ]
+        )
+        rotation = step @ rotation
+        if sample_stride > 0 and (i + 1) % sample_stride == 0:
+            samples.append(rotation.copy())
+    return rotation, np.array(samples).reshape(len(samples), 3, 3)
+
+
 def brute_force_match(ref, tags, half_window):
     """O(n^2) oracle: same greedy-nearest semantics as ``greedy_match``."""
     used = [False] * len(ref)
@@ -49,6 +70,25 @@ class TestRotationWalk:
         r, samples = _kernels.rotation_walk(np.eye(3), axes, angles, sample_stride=50)
         assert samples.shape == (6, 3, 3)
         assert np.allclose(samples[-1], r)
+
+    def test_bit_equal_to_per_step_walk(self):
+        # 300 walks from random starts, with random lengths, step sizes and strides
+        rng = np.random.default_rng(20)
+        sampled = 0
+        for _ in range(300):
+            start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            n = int(rng.integers(0, 80))
+            axes = rng.standard_normal((n, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            angles = rng.normal(0.0, rng.choice([1e-4, 0.05, 1.0]), n)
+            stride = int(rng.integers(0, 8))
+            r, samples = _kernels.rotation_walk(start, axes, angles, stride)
+            r_oracle, samples_oracle = per_step_walk(start, axes, angles, stride)
+            assert np.array_equal(r, r_oracle)
+            assert samples.shape == samples_oracle.shape
+            assert np.array_equal(samples, samples_oracle)
+            sampled += len(samples)
+        assert sampled > 1000
 
 
 class TestGreedyMatch:

@@ -88,6 +88,10 @@ class TestPolTransform:
         with pytest.raises(PolarizationError):
             PolTransform(np.diag([1.0, 1.0, -1.0]))
 
+    def test_rejects_non_orthogonal_matrix(self):
+        with pytest.raises(PolarizationError, match="orthogonal"):
+            PolTransform(np.diag([1.0, 2.0, 0.5]))  # det 1, but a stretch
+
 
 class TestRandomTransform:
     def test_deterministic_for_fixed_seed(self):

@@ -7,6 +7,7 @@ import pytest
 
 from polarlink.apc import OUTCOME_SKIPPED, OUTCOME_TIMEOUT, ApcConfig, Controller
 from polarlink.channel import DAY_RATE, NIGHT_RATE, DriftSchedule, FiberChannel
+from polarlink import scheduler
 from polarlink.polmath import AnalyzerSetting, PolTransform, TwoQubitPolState
 from polarlink.scheduler import (
     CHSH_WINDOW_SETTINGS,
@@ -104,6 +105,18 @@ class TestRunLink:
         # quiet channel: each session + window lasts 3.12 s, so 4 pairs cover 10 s
         assert len(tl.uptime_windows()) == 4
         assert tl.span() >= 10.0
+
+    def test_window_cap(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_WINDOWS", 3)
+        shortest = SchedulerConfig().uptime_window_s + ApcConfig().cycle_time_s
+        tl, _, _, _ = make_link(0.0, 13, 3 * shortest)
+        assert len(tl.uptime_windows()) == 3
+        for duration in (3 * shortest * (1 + 1e-9), math.inf):
+            with pytest.raises(SchedulerError, match="over 3 windows"):
+                make_link(0.0, 13, duration)
+        # a plan bounds the link itself
+        tl, _, _, _ = make_link(0.0, 13, math.inf, plan=[CHSH_WINDOW_SETTINGS[0]] * 5)
+        assert len(tl.uptime_windows()) == 5
 
 
 class TestWindowCounts:
