@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polmath import AnalyzerSetting
-from .scheduler import CHSH_WINDOW_SETTINGS, WindowCounts
+from .scheduler import CHSH_WINDOW_SETTINGS, Window
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -154,8 +154,9 @@ def _window_correlation(counts: np.ndarray) -> tuple[float, float]:
     return e, sigma
 
 
-def longrun_series(windows: list[WindowCounts]) -> list[SeriesPoint]:
-    """One S estimate per group of four consecutive uptime windows."""
+def longrun_series(windows: list[Window], counts: list[np.ndarray]) -> list[SeriesPoint]:
+    """One S estimate per group of four consecutive windows; ``counts`` holds
+    each window's (pass/pass, pass/fail, fail/pass, fail/fail) counts."""
     out = []
     n_groups = len(windows) // 4
     for g in range(n_groups):
@@ -165,17 +166,17 @@ def longrun_series(windows: list[WindowCounts]) -> list[SeriesPoint]:
         for k, w in enumerate(group):
             if w.setting != CHSH_WINDOW_SETTINGS[k]:
                 raise FitError("windows are not aligned to 4-window CHSH groups")
-            es[k], sig = _window_correlation(w.counts)
+            es[k], sig = _window_correlation(counts[4 * g + k])
             variances[k] = sig * sig
         s = float(_CHSH_SIGNS @ es)
         sigma_s = float(np.sqrt(variances.sum()))
         out.append(
             SeriesPoint(
-                time_s=group[0].window_start_s,
-                min_ref_fidelity=min(w.min_ref_fidelity for w in group),
+                time_s=group[0].start_s,
+                min_ref_fidelity=min(w.session.min_fidelity_after for w in group),
                 s_value=s,
                 sigma_s=sigma_s,
-                compensation_time_s=sum(w.compensation_time_s for w in group),
+                compensation_time_s=sum(w.session.duration_s for w in group),
                 post_timeout=any(w.post_timeout for w in group),
             )
         )

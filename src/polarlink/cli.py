@@ -48,6 +48,13 @@ SCENARIOS = ("probe", "fringe", "longrun", "calibrate")
 NIST_BASES = (("H", 0.0), ("D", 45.0), ("V", 90.0), ("A", 135.0))
 UMD_SWEEP_DEG = tuple(float(a) for a in range(0, 181, 10))
 
+# Largest mean count a window may have: numpy's Poisson draw refuses means
+# above about 9.2e18, and this leaves room for rounding in the port rates.
+MAX_WINDOW_MEAN = 1e18
+# Most calibration seeds; each holds a generator and a walk row in every
+# bisection step (about 50 MB and 0.4 s a step at 2,000 seeds).
+MAX_CALIBRATE_SEEDS = 10**4
+
 
 class ConfigError(ValueError):
     """Invalid configuration value; message carries the field path."""
@@ -303,24 +310,36 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     rng = np.random.default_rng(seed)
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
     duration = math.inf if plan is not None else _resolved_duration(cfg)
+    # A port's coincidence probability is at most 1/2, so no window's mean
+    # count exceeds this.
+    pairs = src.local_pair_rate * chain.idler_transmittance
+    pairs *= chain.signal_efficiency * chain.idler_efficiency
+    largest_mean = (pairs + source.accidental_rate(src, chain)) * sched_cfg.measure_window_s
+    if not noiseless and not largest_mean <= MAX_WINDOW_MEAN:
+        raise ConfigError(
+            "source.local_pair_rate, detection.dark_rate, detection.coincidence_window or"
+            f" scheduler.measure_window_s make a window's mean count up to {largest_mean:.3g},"
+            f" over the {MAX_WINDOW_MEAN:.0e} that can be drawn"
+        )
     try:
-        timeline = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
+        windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
     except SchedulerError as e:  # the window cap; the settings were checked in build_link
         raise ConfigError(
             "duration_s, time_compression, scheduler.uptime_window_s or apc.cycle_time_s"
             f" make too many windows: {e}"
         ) from e
-    return timeline, simulate_window_counts(timeline, src, chain, sched_cfg, rng, noiseless)
+    return windows, simulate_window_counts(windows, src, chain, sched_cfg, rng, noiseless)
 
 
 def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
     bases = [AnalyzerSetting(basis_deg) for _, basis_deg in NIST_BASES]
     plan = [(basis, AnalyzerSetting(angle)) for basis in bases for angle in UMD_SWEEP_DEG]
-    timeline, windows = _measure(cfg, seed, plan, cfg["fringe"]["noiseless"])
+    windows, counts = _measure(cfg, seed, plan, cfg["fringe"]["noiseless"])
+    duration = cfg["scheduler"]["measure_window_s"]
     # Pass/pass counts at the sweep's own angles (AnalyzerSetting reads 180 as 0).
     points = [
-        analysis.FringePoint(angle, w.counts[0].item(), w.duration_s, w.post_timeout)
-        for angle, w in zip(UMD_SWEEP_DEG * len(bases), windows)
+        analysis.FringePoint(angle, c[0].item(), duration, w.post_timeout)
+        for angle, w, c in zip(UMD_SWEEP_DEG * len(bases), windows, counts)
     ]
     n = len(UMD_SWEEP_DEG)
     datasets = [
@@ -328,7 +347,7 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
         for i, basis in enumerate(bases)
     ]
     analysis.write_fringe_csv(out / "fringe.csv", datasets)
-    write_sessions_csv(out / "sessions.csv", timeline.sessions())
+    write_sessions_csv(out / "sessions.csv", [w.session for w in windows])
     fits = [analysis.fit_fringe(d) for d in datasets]
     result = analysis.chsh_from_visibilities(fits)
     analysis.write_chsh_json(out / "chsh.json", result)
@@ -344,16 +363,17 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
 
 
 def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
-    timeline, windows = _measure(cfg, seed)
+    windows, counts = _measure(cfg, seed)
     summary: dict = {"scenario": "longrun", "stabilized": cfg["scheduler"]["stabilized"]}
-    if not timeline.entries:
+    if not windows:
         for name in ("timeline.csv", "series.csv", "sessions.csv"):
             (out / name).write_text("")
         _write_summary(out / "summary.json", cfg, seed, summary)
         return summary
-    series = analysis.longrun_series(windows)
-    write_timeline_csv(out / "timeline.csv", timeline)
-    write_sessions_csv(out / "sessions.csv", timeline.sessions())
+    series = analysis.longrun_series(windows, counts)
+    sessions = [w.session for w in windows]
+    write_timeline_csv(out / "timeline.csv", windows)
+    write_sessions_csv(out / "sessions.csv", sessions)
     with open(out / "series.csv", "w", newline="") as f:
         f.write("t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout\n")
         for p in series:
@@ -361,8 +381,8 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
                 f"{p.time_s:.6f},{p.min_ref_fidelity:.9f},{p.s_value:.6f},"
                 f"{p.sigma_s:.6f},{p.compensation_time_s:.6f},{int(p.post_timeout)}\n"
             )
-    outcomes = [r.outcome for r in timeline.sessions()]
-    summary["uptime_fraction"] = uptime_fraction(timeline)
+    outcomes = [r.outcome for r in sessions]
+    summary["uptime_fraction"] = uptime_fraction(windows)
     summary["n_sessions"] = n = len(outcomes)
     for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
         summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
@@ -401,8 +421,10 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     settings = cfg["calibrate"]
     target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
     n_seeds = settings["n_seeds"]
-    if n_seeds < 1:
-        raise ConfigError(f"calibrate.n_seeds must be >= 1, got {n_seeds!r}")
+    if not 1 <= n_seeds <= MAX_CALIBRATE_SEEDS:
+        raise ConfigError(
+            f"calibrate.n_seeds must be in [1, {MAX_CALIBRATE_SEEDS:,}], got {n_seeds!r}"
+        )
     if not 0.0 < target_fidelity <= 1.0:
         raise ConfigError("calibrate.target_fidelity must be in (0, 1]")
     for key in ("target_time_s", "tolerance", "night_ratio"):
@@ -458,7 +480,10 @@ _COMMANDS = {
 
 def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
     cfg = resolve_config(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or no permission
+        raise ConfigError(f"--out: {e}") from e
     command, walk_fields = _COMMANDS[scenario]
     try:
         return command(cfg, seed, out)

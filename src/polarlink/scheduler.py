@@ -15,15 +15,12 @@ from .channel import FiberChannel
 from .polmath import CANONICAL_CHSH_ANGLES, PolTransform
 from .source import DetectionChain, PairSource, port_rates
 
-KIND_COMPENSATION = "compensation"
-KIND_UPTIME = "uptime"
-
-# Most windows of one duration-limited link; each is kept as a TimelineEntry.
+# Most windows of one duration-limited link; each is kept as a Window.
 MAX_WINDOWS = 10**5
 
 
 class SchedulerError(ValueError):
-    """Invalid scheduler configuration or timeline."""
+    """Invalid scheduler configuration or link duration."""
 
 
 @dataclass(frozen=True)
@@ -40,39 +37,25 @@ class SchedulerConfig:
 
 
 @dataclass(frozen=True)
-class TimelineEntry:
+class Window:
+    """One compensation session and the uptime window that follows it.
+
+    The window runs from ``start_s``, the end of the session, to ``end_s``;
+    ``setting`` is its (signal, idler) analyzer pair and ``idler_transform``
+    the idler transform, controller after channel, at its start, against
+    which its counts are taken.
+    """
+
+    session: SessionRecord
     start_s: float
     end_s: float
-    kind: str
-    session: SessionRecord | None = None
-    # An uptime window's (signal, idler) analyzer pair and the idler transform,
-    # controller after channel, at its start, against which its counts are taken.
-    idler_transform: PolTransform | None = None
-    setting: tuple | None = None
+    setting: tuple
+    idler_transform: PolTransform
 
-
-@dataclass(frozen=True)
-class LinkTimeline:
-    entries: tuple
-
-    def __post_init__(self):
-        prev_end = None
-        prev_kind = None
-        for e in self.entries:
-            if prev_end is not None and abs(e.start_s - prev_end) > 1e-9:
-                raise SchedulerError("timeline entries must be contiguous")
-            if e.kind == prev_kind:
-                raise SchedulerError("timeline kinds must strictly alternate")
-            prev_end, prev_kind = e.end_s, e.kind
-
-    def span(self) -> float:
-        return self.entries[-1].end_s - self.entries[0].start_s if self.entries else 0.0
-
-    def sessions(self) -> list[SessionRecord]:
-        return [e.session for e in self.entries if e.kind == KIND_COMPENSATION]
-
-    def uptime_windows(self) -> list[TimelineEntry]:
-        return [e for e in self.entries if e.kind == KIND_UPTIME]
+    @property
+    def post_timeout(self) -> bool:
+        """Whether the window follows a session that timed out."""
+        return self.session.outcome == OUTCOME_TIMEOUT
 
 
 def run_link(
@@ -83,7 +66,7 @@ def run_link(
     duration: float,
     rng: np.random.Generator,
     plan=None,
-) -> LinkTimeline:
+) -> list[Window]:
     """Alternate [compensation session -> uptime window] until ``duration``.
 
     ``plan`` yields the (signal, idler) analyzer pair of each window, by
@@ -103,47 +86,23 @@ def run_link(
             f"{duration:g} s in windows of at least {shortest:g} s is over {MAX_WINDOWS:,} windows"
         )
     t0 = ch.sim_time
-    entries = []
+    windows = []
     for setting in itertools.cycle(CHSH_WINDOW_SETTINGS) if plan is None else plan:
         if ch.sim_time - t0 >= duration:
             break
         record = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
-        entries.append(
-            TimelineEntry(record.start_time_s, ch.sim_time, KIND_COMPENSATION, session=record)
-        )
-        window_start = ch.sim_time
+        start = ch.sim_time
         idler = PolTransform.trusted(ctrl.to_transform().rotation @ ch.transform.rotation)
         ch.advance(sched_cfg.uptime_window_s)
-        entries.append(
-            TimelineEntry(
-                window_start, ch.sim_time, KIND_UPTIME, idler_transform=idler, setting=setting
-            )
-        )
-    return LinkTimeline(tuple(entries))
+        windows.append(Window(record, start, ch.sim_time, setting, idler))
+    return windows
 
 
-def uptime_fraction(timeline: LinkTimeline) -> float:
-    if not timeline.entries:
-        raise SchedulerError("uptime_fraction of an empty timeline")
-    up = sum(e.end_s - e.start_s for e in timeline.entries if e.kind == KIND_UPTIME)
-    return up / timeline.span()
-
-
-@dataclass(frozen=True)
-class WindowCounts:
-    """Port coincidence counts taken in one uptime window.
-
-    ``setting`` is the window's (signal, idler) analyzer pair; ``counts``
-    holds (pass/pass, pass/fail, fail/pass, fail/fail).
-    """
-
-    window_start_s: float
-    setting: tuple
-    counts: np.ndarray
-    duration_s: float
-    post_timeout: bool
-    min_ref_fidelity: float
-    compensation_time_s: float
+def uptime_fraction(windows: list[Window]) -> float:
+    if not windows:
+        raise SchedulerError("uptime_fraction of an empty link")
+    up = sum(w.end_s - w.start_s for w in windows)
+    return up / (windows[-1].end_s - windows[0].session.start_time_s)
 
 
 # Analyzer pairs (signal, idler) measured in windows 0..3 of each CHSH group,
@@ -157,41 +116,33 @@ CHSH_WINDOW_SETTINGS = (
 
 
 def simulate_window_counts(
-    timeline: LinkTimeline,
+    windows: list[Window],
     src: PairSource,
     chain: DetectionChain,
     sched_cfg: SchedulerConfig,
     rng: np.random.Generator,
     noiseless: bool = False,
-) -> list[WindowCounts]:
-    """Four-port counts of every uptime window at its analyzer pair.
+) -> list[np.ndarray]:
+    """Four-port counts (pass/pass, pass/fail, fail/pass, fail/fail) of every
+    window at its analyzer pair.
 
     Counts are Poisson samples, or their exact means when ``noiseless``, at
     each window's ``idler_transform``.
     """
     out = []
-    for session, window in zip(timeline.sessions(), timeline.uptime_windows()):
-        rates = port_rates(src, chain, *window.setting, window.idler_transform)
-        mean = rates * sched_cfg.measure_window_s
-        out.append(
-            WindowCounts(
-                window_start_s=window.start_s,
-                setting=window.setting,
-                counts=mean if noiseless else rng.poisson(mean),
-                duration_s=sched_cfg.measure_window_s,
-                post_timeout=session.outcome == OUTCOME_TIMEOUT,
-                min_ref_fidelity=session.min_fidelity_after,
-                compensation_time_s=session.duration_s,
-            )
-        )
+    for w in windows:
+        mean = port_rates(src, chain, *w.setting, w.idler_transform) * sched_cfg.measure_window_s
+        out.append(mean if noiseless else rng.poisson(mean))
     return out
 
 
-def write_timeline_csv(path, timeline: LinkTimeline) -> None:
+def write_timeline_csv(path, windows: list[Window]) -> None:
+    """A ``compensation`` row and an ``uptime`` row per window."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["start_s", "end_s", "kind", "outcome", "min_f_after"])
-        for e in timeline.entries:
-            outcome = e.session.outcome if e.session else ""
-            min_f = f"{e.session.min_fidelity_after:.9f}" if e.session else ""
-            writer.writerow([f"{e.start_s:.6f}", f"{e.end_s:.6f}", e.kind, outcome, min_f])
+        for w in windows:
+            s, start = w.session, f"{w.start_s:.6f}"
+            min_f = f"{s.min_fidelity_after:.9f}"
+            writer.writerow([f"{s.start_time_s:.6f}", start, "compensation", s.outcome, min_f])
+            writer.writerow([start, f"{w.end_s:.6f}", "uptime", "", ""])

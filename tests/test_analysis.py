@@ -21,8 +21,9 @@ from polarlink.analysis import (
     write_chsh_json,
     write_fringe_csv,
 )
-from polarlink.polmath import AnalyzerSetting
-from polarlink.scheduler import CHSH_WINDOW_SETTINGS, WindowCounts
+from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
+from polarlink.polmath import AnalyzerSetting, PolTransform
+from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -128,15 +129,17 @@ class TestChshFromVisibilities:
 
 
 def make_window(idx, counts, start=0.0, post_timeout=False, min_f=0.995):
-    return WindowCounts(
-        window_start_s=start,
-        setting=CHSH_WINDOW_SETTINGS[idx],
-        counts=np.asarray(counts),
-        duration_s=2.0,
-        post_timeout=post_timeout,
-        min_ref_fidelity=min_f,
-        compensation_time_s=0.12,
-    )
+    """The window at CHSH setting ``idx`` after a 0.12 s session, and its counts."""
+    outcome = OUTCOME_TIMEOUT if post_timeout else OUTCOME_CONVERGED
+    session = SessionRecord(outcome, 0.12, 0.9, min_f, 1, start - 0.12)
+    setting = CHSH_WINDOW_SETTINGS[idx]
+    return Window(session, start, start + 3.0, setting, PolTransform.identity()), np.asarray(counts)
+
+
+def series_of(group):
+    """longrun_series of (window, counts) pairs."""
+    windows, counts = zip(*group)
+    return longrun_series(list(windows), list(counts))
 
 
 def perfect_group(start=0.0, post_timeout=False):
@@ -154,7 +157,7 @@ def perfect_group(start=0.0, post_timeout=False):
 
 class TestLongrunSeries:
     def test_known_counts_give_tsirelson(self):
-        series = longrun_series(perfect_group())
+        series = series_of(perfect_group())
         assert len(series) == 1
         assert series[0].s_value == pytest.approx(TSIRELSON, abs=1e-3)
         assert series[0].sigma_s > 0
@@ -162,28 +165,31 @@ class TestLongrunSeries:
     def test_sign_pattern(self):
         # all four correlations +1 gives S = 1 - 1 + 1 + 1 = 2
         group = [make_window(k, [10, 0, 0, 10]) for k in range(4)]
-        series = longrun_series(group)
+        series = series_of(group)
         assert series[0].s_value == pytest.approx(2.0)
 
     def test_rejects_misaligned_groups(self):
         group = [make_window(k, [10, 0, 0, 10]) for k in (1, 2, 3, 0)]
         with pytest.raises(FitError):
-            longrun_series(group)
+            series_of(group)
 
     def test_partial_group_dropped(self):
         group = perfect_group() + [make_window(0, [10, 0, 0, 10])]
-        assert len(longrun_series(group)) == 1
+        assert len(series_of(group)) == 1
 
     def test_empty_window_contributes_zero(self):
         group = [make_window(k, [0, 0, 0, 0]) for k in range(4)]
-        series = longrun_series(group)
+        series = series_of(group)
         assert series[0].s_value == pytest.approx(0.0)
         assert series[0].sigma_s == pytest.approx(2.0)
 
     def test_metadata_aggregation(self):
-        group = perfect_group(start=7.0, post_timeout=True)
-        p = longrun_series(group)[0]
+        # one timed-out session with the lowest fidelity marks the whole group
+        group = perfect_group(start=7.0)
+        group[2] = make_window(2, group[2][1], start=7.0, post_timeout=True, min_f=0.97)
+        p = series_of(group)[0]
         assert p.time_s == pytest.approx(7.0)
+        assert p.min_ref_fidelity == 0.97
         assert p.post_timeout
         assert p.compensation_time_s == pytest.approx(4 * 0.12)
 
@@ -191,7 +197,7 @@ class TestLongrunSeries:
 class TestSummarizeLongrun:
     def test_statistics(self):
         windows = perfect_group(0.0) + perfect_group(12.0, post_timeout=True)
-        series = longrun_series(windows)
+        series = series_of(windows)
         s = summarize_longrun(series)
         assert s.n_groups == 2
         assert s.n_excluded == 1

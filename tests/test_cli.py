@@ -96,10 +96,14 @@ BAD_FIELDS = [
     ("fringe", "scheduler", "x"),
     ("fringe", "channel", "x"),
     ("fringe", "channel.schedule", "x"),
+    # a window mean over what numpy's Poisson draw accepts, refused before the walk
+    ("fringe", "source.local_pair_rate", 1.0e20),
+    ("longrun", "source.local_pair_rate", 1.0e20),
     ("calibrate", "calibrate.n_seeds", -1),
     ("calibrate", "calibrate.n_seeds", 0),
     ("calibrate", "calibrate.n_seeds", 2.5),
     ("calibrate", "calibrate.n_seeds", True),
+    ("calibrate", "calibrate.n_seeds", cli.MAX_CALIBRATE_SEEDS + 1),
     ("calibrate", "calibrate.tolerance", -1.0),
     ("calibrate", "calibrate.target_time_s", 0.0),
     ("calibrate", "calibrate.target_time_s", float("nan")),
@@ -250,6 +254,16 @@ class TestConfigHandling:
         assert not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_through_a_file_exits_2(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        cfg = write_cfg(tmp_path, probe_cfg(duration=1.0))
+        assert run(["probe", "--config", cfg, "--out", blocker / sub]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
+
     @pytest.mark.parametrize("values", TOO_MANY_WINDOWS, ids=["duration", "short-windows"])
     def test_too_many_windows_exits_2(self, tmp_path, capsys, values):
         out = tmp_path / "o"
@@ -340,6 +354,14 @@ class TestFringe:
         chsh = json.loads((out / "chsh.json").read_text())
         # exact up to the small accidental-coincidence floor in the rates
         assert chsh["S"] == pytest.approx(2 * np.sqrt(2) * 0.8, abs=2e-3)
+
+    def test_noiseless_scan_takes_any_pair_rate(self, tmp_path, capsys):
+        # exact means are not drawn, so no Poisson limit applies
+        data = fringe_cfg()
+        data["source"]["local_pair_rate"] = 1.0e20
+        data["fringe"] = {"noiseless": True}
+        cfg = write_cfg(tmp_path, data)
+        assert run(["fringe", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
     def test_burst_produces_corrected_output(self, tmp_path, capsys):
         out = tmp_path / "out"
