@@ -1,8 +1,12 @@
 """Benchmark the hot-loop kernels: the rotation walk and the tag matcher.
 
-Also times calibration's median crossing time (configs/calibrate.yaml sizes:
-200 seeds, 80 s walks sampled every 0.1 s) as one batched numpy walk against
-the per-seed ``FiberChannel.probe_trace`` loop it replaced.
+Also times one ``FiberChannel.advance`` call at the link's three walk lengths
+(a 0.12 s check cycle, a 0.96 s finite-difference block and a 3 s uptime
+window: 2, 10 and 30 steps) under the configs/longrun_stabilized.yaml
+schedule, so the fixed cost of a walk shows beside its per-step cost; and
+calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
+80 s walks sampled every 0.1 s) as one batched numpy walk against the
+per-seed ``FiberChannel.probe_trace`` loop it replaced.
 
 Run from the repository root:
 
@@ -15,8 +19,15 @@ import time
 import numpy as np
 
 from polarlink import _kernels
-from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel, first_crossing_time
-from polarlink.cli import median_crossing_time
+from polarlink.channel import (
+    DAY_RATE,
+    MAX_STEP_S,
+    DriftSchedule,
+    FiberChannel,
+    _walk_steps,
+    first_crossing_time,
+)
+from polarlink.cli import build_channel, load_config, median_crossing_time
 from polarlink.polmath import StokesVector
 
 
@@ -37,6 +48,17 @@ def bench_rotation_walk(n_steps, repeats):
     r0 = np.eye(3)
     stride = max(1, n_steps // 100)
     return timeit(lambda: _kernels.rotation_walk(r0, axes, angles, stride), repeats)
+
+
+def bench_advance(duration, calls, repeats):
+    """Seconds per ``FiberChannel.advance(duration)`` call, best of ``repeats``."""
+    channel = build_channel(load_config("configs/longrun_stabilized.yaml"), np.random.default_rng(0))
+
+    def walk():
+        for _ in range(calls):
+            channel.advance(duration)
+
+    return timeit(walk, repeats) / calls
 
 
 def bench_greedy_match(n_tags, repeats):
@@ -84,6 +106,10 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     report("rotation_walk", args.walk_steps, bench_rotation_walk(args.walk_steps, args.repeats))
+    for duration in (0.12, 0.96, 3.0):
+        seconds = bench_advance(duration, 1000, args.repeats)
+        steps = _walk_steps(duration, MAX_STEP_S)
+        print(f"{'advance':<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
     bench_median_crossing(200, args.repeats)
 

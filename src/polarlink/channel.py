@@ -9,7 +9,10 @@ in dB; there is no polarization-dependent loss.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +77,12 @@ class DriftSchedule:
                 raise ChannelError(f"segments[{i}].rate must be >= 0, got {rate!r}")
             if i and not self.segments[i - 1][0] < start < self.period_s:
                 raise ChannelError(f"segments[{i}].start_s must be in (previous start, period_s)")
-        # Held for rate_at, which every walk calls.
+        # Held for rate_at and constant_rate, one of which every walk calls.
         starts, rates = np.array(self.segments).T
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_rates", rates)
+        object.__setattr__(self, "_start_list", starts.tolist())
+        object.__setattr__(self, "_rate_list", rates.tolist())
 
     @classmethod
     def constant(cls, rate: float, bursts=()) -> "DriftSchedule":
@@ -118,6 +123,31 @@ class DriftSchedule:
             out = np.where(mask, out * b.multiplier, out)
         return out
 
+    def constant_rate(self, t0: float, t1: float):
+        """The rate ``rate_at`` gives at every time in [t0, t1], or None.
+
+        None unless t0 >= 0, [t0, t1] lies within one period and one segment,
+        and no burst starts or ends in (t0, t1]; then the rate is that of t0,
+        bit for bit.  Where it cannot tell, it returns None.
+        """
+        if not (0.0 <= t0 <= t1 and t1 - t0 < self.period_s):
+            return None
+        # For t >= 0, fmod is exact and equals rate_at's np.mod, so the phase
+        # grows with t within one period; an interval under a period long
+        # whose end phase is not below its start phase crosses no period.
+        phase0, phase1 = math.fmod(t0, self.period_s), math.fmod(t1, self.period_s)
+        seg = bisect_right(self._start_list, phase0)
+        if not (phase0 <= phase1 and bisect_right(self._start_list, phase1) == seg):
+            return None
+        rate = self._rate_list[seg - 1]
+        for b in self.bursts:
+            end = b.start_s + b.duration_s
+            if t0 < b.start_s <= t1 or t0 < end <= t1:
+                return None
+            if b.start_s <= t0 < end:
+                rate *= b.multiplier
+        return rate
+
 
 @dataclass
 class FiberChannel:
@@ -145,16 +175,17 @@ class FiberChannel:
             raise ChannelError(f"duration must be >= 0, got {duration!r}")
         if duration > 0:
             n = _walk_steps(duration, self.max_step_s)
-            self._walk(np.full(n, duration / n))
+            self._walk(n, duration / n)
 
-    def _walk(self, dts: np.ndarray, sample_stride: int = 0) -> np.ndarray:
-        scale = _step_scales(self.schedule, self.sim_time, dts)
-        axes, angles = _axes_and_angles(self.rng.standard_normal((len(dts), 4)), scale)
+    def _walk(self, n: int, dt: float, sample_stride: int = 0) -> np.ndarray:
+        """Walk ``n`` steps of ``dt`` seconds; the samples of ``rotation_walk``."""
+        scale = _step_scales(self.schedule, self.sim_time, n, dt)
+        axes, angles = _axes_and_angles(self.rng.standard_normal((n, 4)), scale)
         final, samples = _kernels.rotation_walk(
             self.transform.rotation, axes, angles, sample_stride
         )
         self.transform = PolTransform.trusted(final)
-        self.sim_time += float(np.sum(dts))
+        self.sim_time += _step_grid(n, dt)[1]
         return samples
 
     def probe_trace(self, input_sop: StokesVector, duration: float, sample_dt: float):
@@ -168,29 +199,48 @@ class FiberChannel:
         t0 = self.sim_time
         s_in = input_sop.as_array()
         first = self.transform.rotation @ s_in
-        dts = np.full(n_samples * substeps, sample_dt / substeps)
-        samples = self._walk(dts, sample_stride=substeps)
+        samples = self._walk(n_samples * substeps, sample_dt / substeps, substeps)
         outs = np.vstack([first, samples @ s_in])
         times = t0 + sample_dt * np.arange(n_samples + 1)
         fidelity = 0.5 * (1.0 + outs @ first)
         return times, outs, fidelity
 
 
-def _step_scales(schedule: DriftSchedule, t0: float, dts: np.ndarray) -> np.ndarray:
-    """sqrt(rate * dt) of consecutive walk steps of lengths ``dts`` from ``t0``."""
+@lru_cache(maxsize=64)
+def _step_grid(n: int, dt: float) -> tuple:
+    """(start time of the last step, total time) of ``n`` steps of ``dt``, from 0.
+
+    Each is summed as the walk of ``np.full(n, dt)`` steps sums it; scalars
+    only are kept, since one walk can have a million steps.
+    """
+    last_start = float(np.cumsum(np.full(n - 1, dt))[-1]) if n > 1 else 0.0
+    return last_start, float(np.sum(np.full(n, dt)))
+
+
+def _step_scales(schedule: DriftSchedule, t0: float, n: int, dt: float):
+    """sqrt(rate * dt) of ``n`` consecutive walk steps of ``dt`` from ``t0``.
+
+    One float where the rate stays constant over the walk, else one per step;
+    either way bit-equal to ``np.sqrt(schedule.rate_at(times) * dts)``.
+    """
+    rate = schedule.constant_rate(t0, t0 + _step_grid(n, dt)[0])
+    if rate is not None:
+        return np.sqrt(rate * dt)
+    dts = np.full(n, dt)
     times = t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))
     return np.sqrt(schedule.rate_at(times) * dts)
 
 
-def _axes_and_angles(draws: np.ndarray, scale: np.ndarray):
+def _axes_and_angles(draws: np.ndarray, scale):
     """Unit axes and angles of walk steps from one row of 4 normals per step.
 
     ``draws[..., :3]`` gives the axis direction (an all-zero row is left as a
     zero axis) and ``draws[..., 3] * scale`` the angle, where ``scale`` is
-    sqrt(rate * dt) of each step.
+    sqrt(rate * dt) of each step, or of all steps.
     """
     axes = draws[..., :3]
-    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    # What np.linalg.norm(axes, axis=-1, keepdims=True) computes, without its overhead.
+    norms = np.sqrt(np.add.reduce(axes * axes, axis=-1, keepdims=True))
     norms[norms == 0] = 1.0
     return axes / norms, draws[..., 3] * scale
 
@@ -199,7 +249,7 @@ def _walk_steps(duration: float, step_s: float) -> int:
     """Steps of at most ``step_s`` that cover ``duration``, if MAX_WALK_STEPS allows."""
     if not duration / step_s <= MAX_WALK_STEPS:
         raise ChannelError(f"{duration:g} s in {step_s:g} s steps is over {MAX_WALK_STEPS:,} steps")
-    return max(1, int(np.ceil(duration / step_s)))
+    return max(1, math.ceil(duration / step_s))
 
 
 def _probe_grid(duration: float, sample_dt: float, max_step_s: float):
@@ -222,8 +272,7 @@ def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: 
     """
     substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
     n_steps = n_samples * substeps
-    dts = np.full(n_steps, sample_dt / substeps)
-    scale = _step_scales(schedule, 0.0, dts)
+    scale = np.broadcast_to(_step_scales(schedule, 0.0, n_steps, sample_dt / substeps), n_steps)
     n = len(rngs)
     vx, vy, vz = np.ones(n), np.zeros(n), np.zeros(n)
     chunk = substeps * max(1, _CHUNK_STEPS // substeps)

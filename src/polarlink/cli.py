@@ -315,10 +315,16 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     pairs = src.local_pair_rate * chain.idler_transmittance
     pairs *= chain.signal_efficiency * chain.idler_efficiency
     largest_mean = (pairs + source.accidental_rate(src, chain)) * sched_cfg.measure_window_s
+    fields = (
+        "source.local_pair_rate, detection.dark_rate, detection.coincidence_window or"
+        " scheduler.measure_window_s"
+    )
+    # Noiseless counts are the means themselves, which need only be finite.
+    if not math.isfinite(largest_mean):
+        raise ConfigError(f"{fields} make a window's mean count overflow to {largest_mean}")
     if not noiseless and not largest_mean <= MAX_WINDOW_MEAN:
         raise ConfigError(
-            "source.local_pair_rate, detection.dark_rate, detection.coincidence_window or"
-            f" scheduler.measure_window_s make a window's mean count up to {largest_mean:.3g},"
+            f"{fields} make a window's mean count up to {largest_mean:.3g},"
             f" over the {MAX_WINDOW_MEAN:.0e} that can be drawn"
         )
     try:

@@ -13,6 +13,8 @@ from polarlink.channel import (
     DriftSchedule,
     FiberChannel,
     _probe_s1_chunks,
+    _step_grid,
+    _step_scales,
     _walk_steps,
     first_crossing_time,
     probe_crossing_times,
@@ -52,6 +54,80 @@ class TestDriftSchedule:
         assert sched.rate_at(9.9) == pytest.approx(0.5)
         assert sched.rate_at(12.0) == pytest.approx(50.0)
         assert sched.rate_at(15.0) == pytest.approx(0.5)
+
+
+# Segments at 0, 3 and 7 s of a 10 s period; the first two bursts overlap
+# and the third lies in the third period.  The rate differs on either side
+# of every edge, so a walk that crosses one has no single rate.
+EDGE_SCHEDULE = DriftSchedule(
+    segments=((0.0, 0.5), (3.0, 0.02), (7.0, 2.0)),
+    period_s=10.0,
+    bursts=(Burst(4.5, 3.0, 7.0), Burst(5.0, 1.0, 3.0), Burst(23.0, 0.25, 9.0)),
+)
+EDGES = sorted(
+    {k * 10.0 + s for k in range(4) for s in (0.0, 3.0, 7.0)}
+    | {e for b in EDGE_SCHEDULE.bursts for e in (b.start_s, b.start_s + b.duration_s)}
+)
+
+
+def reference_scales(schedule, t0, n, dt):
+    """sqrt(rate * dt) of each step, read off rate_at at every step start."""
+    dts = np.full(n, dt)
+    return np.sqrt(schedule.rate_at(t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))) * dts)
+
+
+def start_ending_on(edge, n, dt):
+    """A start whose walk of n steps of dt has its last step start on ``edge``."""
+    last = _step_grid(n, dt)[0]
+    t0 = edge - last
+    while t0 + last < edge:
+        t0 = np.nextafter(t0, np.inf)
+    while t0 + last > edge:
+        t0 = np.nextafter(t0, -np.inf)
+    return float(t0)
+
+
+class TestStepScales:
+    def test_step_grid_sums_as_the_walk_does(self):
+        for n, dt in [(1, 0.1), (2, 0.06), (10, 0.096), (30, 0.1), (1001, 0.07)]:
+            dts = np.full(n, dt)
+            last = np.cumsum(dts[:-1])[-1] if n > 1 else 0.0
+            assert _step_grid(n, dt) == (last, float(np.sum(dts)))
+
+    def test_bit_equal_to_rate_at_on_random_and_edge_walks(self):
+        rng = np.random.default_rng(10)
+        walks = []
+        for _ in range(1500):
+            n = int(rng.integers(1, 41))
+            dt = float(rng.choice([0.1, 0.06, 0.096, rng.uniform(1e-3, 0.5)]))
+            walks.append((float(rng.uniform(-1.0, 40.0)), n, dt))
+        for edge in EDGES:
+            for n, dt in [(1, 0.1), (2, 0.06), (10, 0.096), (30, 0.1), (7, 0.3)]:
+                ending = start_ending_on(edge, n, dt)
+                assert ending + _step_grid(n, dt)[0] == edge
+                walks.append((edge, n, dt))  # starts on the edge
+                walks.append((ending, n, dt))  # ends on it
+                walks.append((edge - dt * (n // 2) - 0.25 * dt, n, dt))  # straddles it
+                walks.append((float(np.nextafter(edge, -np.inf)), n, dt))
+        single_rate = 0
+        for t0, n, dt in walks:
+            scale = _step_scales(EDGE_SCHEDULE, t0, n, dt)
+            expected = reference_scales(EDGE_SCHEDULE, t0, n, dt)
+            assert np.array_equal(np.broadcast_to(scale, n), expected)
+            single_rate += np.ndim(scale) == 0
+        # both the one-float path and the per-step path are taken
+        assert 0.3 * len(walks) < single_rate < 0.9 * len(walks)
+
+    def test_single_rate_only_within_a_segment_period_and_burst_state(self):
+        assert EDGE_SCHEDULE.constant_rate(1.0, 2.9) == 0.5
+        assert EDGE_SCHEDULE.constant_rate(5.5, 5.9) == 0.02 * 7.0 * 3.0  # both bursts
+        assert EDGE_SCHEDULE.constant_rate(11.0, 12.0) == 0.5  # a later period
+        assert EDGE_SCHEDULE.constant_rate(3.0, 4.5) is None  # a burst starts at t1
+        assert EDGE_SCHEDULE.constant_rate(4.5, 4.9) == 0.02 * 7.0  # ... or at t0
+        assert EDGE_SCHEDULE.constant_rate(9.0, 10.0) is None  # the period wraps
+        assert EDGE_SCHEDULE.constant_rate(1.0, 11.0) is None  # a whole period
+        assert EDGE_SCHEDULE.constant_rate(-1.0, -0.5) is None  # before t = 0
+        assert EDGE_SCHEDULE.constant_rate(float("nan"), float("nan")) is None
 
 
 class TestTransmittance:

@@ -363,6 +363,25 @@ class TestFringe:
         cfg = write_cfg(tmp_path, data)
         assert run(["fringe", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [("source", "local_pair_rate", 1.0e200), ("detection", "dark_rate", 1.0e300)],
+        ids=["local_pair_rate", "dark_rate"],
+    )
+    def test_noiseless_scan_refuses_an_infinite_mean(self, tmp_path, capsys, block, key, value):
+        # rates whose window mean overflows to inf: exit 2 naming the rate
+        # fields, not a fit failure that blames the sweep angles
+        with open(f"{CONFIG_DIR}/fringe_burst.yaml") as f:
+            data = yaml.safe_load(f)
+        data["fringe"] = {"noiseless": True}
+        data.setdefault(block, {})[key] = value
+        cfg = write_cfg(tmp_path, data)
+        out = tmp_path / "o"
+        assert run(["fringe", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "source.local_pair_rate, detection.dark_rate" in err and "overflow" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_burst_produces_corrected_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["fringe", "--config", f"{CONFIG_DIR}/fringe_burst.yaml", "--out", out]) == 0

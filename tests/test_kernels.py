@@ -53,11 +53,49 @@ def brute_force_match(ref, tags, half_window):
     return count
 
 
+def nine_entry_matrices(axes, angles):
+    """Oracle: ``per_step_walk``'s nine Rodrigues expressions, one array each."""
+    x, y, z = axes.T
+    c = np.cos(angles)
+    s = np.sin(angles)
+    t = 1.0 - c
+    entries = [
+        [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
+        [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
+        [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
+    ]
+    return np.moveaxis(np.array(entries), -1, 0)
+
+
+class TestAxisAngleMatrices:
+    def test_bit_equal_to_nine_expressions(self):
+        rng = np.random.default_rng(21)
+        for n in [0, 1, 2, 10, 30, 800]:
+            axes = rng.standard_normal((n, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            angles = rng.normal(0.0, rng.choice([1e-9, 0.05, 1.0, 10.0]), n)
+            if n >= 10:
+                angles[:4] = [0.0, -0.0, 0.0, -0.0]  # a zero-rate walk: signed zero angles
+                axes[2:6] = 0.0  # the zero axis of an all-zero draw
+                axes[6] = [0.0, -0.0, 1.0]
+            m = _kernels._axis_angle_matrices(axes, angles)
+            expected = nine_entry_matrices(axes, angles)
+            assert m.shape == (n, 3, 3)
+            assert np.array_equal(m, expected)
+            assert np.array_equal(np.signbit(m), np.signbit(expected))
+
+
 class TestRotationWalk:
     def test_identity_on_empty_walk(self):
         r, samples = _kernels.rotation_walk(np.eye(3), np.empty((0, 3)), np.empty(0))
         assert np.allclose(r, np.eye(3))
         assert samples.shape == (0, 3, 3)
+
+    def test_unsampled_walk_shares_one_read_only_empty_array(self):
+        axes, angles = _random_walk_inputs(2, 5)
+        _, a = _kernels.rotation_walk(np.eye(3), axes, angles)
+        _, b = _kernels.rotation_walk(np.eye(3), axes[:2], angles[:2], 0)
+        assert a is b and a.shape == (0, 3, 3) and not a.flags.writeable
 
     def test_stays_orthogonal(self):
         axes, angles = _random_walk_inputs(0, 500)
