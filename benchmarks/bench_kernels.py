@@ -6,7 +6,11 @@ window: 2, 10 and 30 steps) under the configs/longrun_stabilized.yaml
 schedule, so the fixed cost of a walk shows beside its per-step cost; and
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 80 s walks sampled every 0.1 s) as one batched numpy walk against the
-per-seed ``FiberChannel.probe_trace`` loop it replaced.
+per-seed ``FiberChannel.probe_trace`` loop it replaced; and the window
+sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
+one batched ``simulate_window_counts`` call against a per-window
+``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
+or per-window counterpart.
 
 Run from the repository root:
 
@@ -14,6 +18,7 @@ Run from the repository root:
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -27,8 +32,17 @@ from polarlink.channel import (
     _walk_steps,
     first_crossing_time,
 )
-from polarlink.cli import build_channel, load_config, median_crossing_time
+from polarlink.apc import Controller
+from polarlink.cli import (
+    _resolved_duration,
+    build_channel,
+    build_link,
+    load_config,
+    median_crossing_time,
+)
 from polarlink.polmath import StokesVector
+from polarlink.scheduler import run_link, simulate_window_counts
+from polarlink.source import port_rates
 
 
 def timeit(fn, repeats):
@@ -84,14 +98,49 @@ def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sa
 
 def bench_median_crossing(n_seeds, repeats):
     args = (DAY_RATE, 0.95, n_seeds, 80.0, 3)
-    assert median_crossing_time(*args) == per_seed_median_crossing_time(*args), (
-        "batched and per-seed walks disagree"
-    )
+    if median_crossing_time(*args) != per_seed_median_crossing_time(*args):
+        sys.exit("batched and per-seed walks disagree")
     per_seed = timeit(lambda: per_seed_median_crossing_time(*args), repeats)
     batched = timeit(lambda: median_crossing_time(*args), repeats)
     print(
         f"{'median_crossing':<16} n={n_seeds:<9} per-seed {per_seed * 1e3:7.2f} ms"
         f"   batched {batched * 1e3:8.2f} ms   speedup {per_seed / batched:6.1f}x"
+    )
+
+
+def per_window_counts(windows, src, chain, sched_cfg, rng, noiseless=False):
+    """One ``port_rates`` call and one Poisson draw per window, as the sampler
+    ran before it was batched."""
+    out = []
+    for w in windows:
+        mean = port_rates(src, chain, *w.setting, w.idler_transform) * sched_cfg.measure_window_s
+        out.append(mean if noiseless else rng.poisson(mean))
+    return np.array(out).reshape(-1, 4)
+
+
+def bench_sampler(repeats):
+    """The window sampler over a 23 h stabilized link's windows."""
+    cfg = load_config("configs/longrun_stabilized.yaml")
+    rng = np.random.default_rng(11)
+    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg), rng)
+    state = rng.bit_generator.state
+
+    def sample(sampler, noiseless):
+        rng.bit_generator.state = state
+        return sampler(windows, src, chain, sched_cfg, rng, noiseless)
+
+    for noiseless in (True, False):
+        if not np.array_equal(
+            sample(simulate_window_counts, noiseless), sample(per_window_counts, noiseless)
+        ):
+            sys.exit(f"batched and per-window samplers disagree (noiseless={noiseless})")
+    n = len(windows)
+    per_window = timeit(lambda: sample(per_window_counts, False), repeats) / n
+    batched = timeit(lambda: sample(simulate_window_counts, False), repeats) / n
+    print(
+        f"{'window_counts':<16} n={n:<9} per-window {per_window * 1e6:6.2f} us/window"
+        f"   batched {batched * 1e6:6.2f} us/window   speedup {per_window / batched:6.1f}x"
     )
 
 
@@ -112,6 +161,7 @@ def main():
         print(f"{'advance':<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
     bench_median_crossing(200, args.repeats)
+    bench_sampler(args.repeats)
 
 
 if __name__ == "__main__":

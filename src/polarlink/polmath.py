@@ -161,6 +161,10 @@ class AnalyzerSetting:
     def orthogonal(self) -> "AnalyzerSetting":
         return AnalyzerSetting(self.angle_deg + 90.0)
 
+    def stokes_pair(self) -> np.ndarray:
+        """(2, 3): the Stokes vectors of this setting and of its orthogonal."""
+        return np.array([self.stokes(), self.orthogonal().stokes()])
+
 
 def su2_from_transform(t: PolTransform) -> np.ndarray:
     """Jones-space unitary whose Pauli conjugation reproduces the Stokes rotation.
@@ -211,13 +215,27 @@ def coincidence_prob_stokes(
 
     P = (1 + V * n_a . T . R^T n_b) / 4 where T is the |Phi+> correlation
     matrix for linear analyzers.  Agrees with ``coincidence_prob`` to 1e-9.
+    One row of ``coincidence_probs``.
     """
-    n_b = b.stokes()
-    if idler_channel is not None:
-        n_b = idler_channel.rotation.T @ n_b
-    corr = float(a.stokes() @ _PHI_PLUS_T @ n_b)
-    p = 0.25 * (1.0 + state.visibility * corr)
-    return min(max(p, 0.0), 1.0)
+    r = np.eye(3) if idler_channel is None else idler_channel.rotation
+    p = coincidence_probs(state.visibility, r[None], a.stokes_pair()[None], b.stokes_pair()[None])
+    return float(p[0, 0])
+
+
+def coincidence_probs(
+    visibility: float, rotations: np.ndarray, a_pairs: np.ndarray, b_pairs: np.ndarray
+) -> np.ndarray:
+    """Port coincidence probabilities of W windows in one whole-array pass.
+
+    ``rotations`` is the (W, 3, 3) stack of idler rotations, ``a_pairs`` and
+    ``b_pairs`` the (W, 2, 3) stacks of each window's signal and idler
+    ``AnalyzerSetting.stokes_pair``.  Returns (W, 4) probabilities in port
+    order (pp, pf, fp, ff), each (1 + V * n_a . T . R^T n_b) / 4 clipped to
+    [0, 1].
+    """
+    corr = (a_pairs @ _PHI_PLUS_T) @ (rotations.transpose(0, 2, 1) @ b_pairs.transpose(0, 2, 1))
+    p = 0.25 * (1.0 + visibility * corr.reshape(-1, 4))
+    return np.clip(p, 0.0, 1.0)
 
 
 CANONICAL_CHSH_ANGLES = (

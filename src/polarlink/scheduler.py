@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .apc import OUTCOME_TIMEOUT, ApcConfig, Controller, SessionRecord, run_session
 from .channel import FiberChannel
 from .polmath import CANONICAL_CHSH_ANGLES, PolTransform
-from .source import DetectionChain, PairSource, port_rates
+from .source import DetectionChain, PairSource, coincidence_rates
 
 # Most windows of one duration-limited link; each is kept as a Window.
 MAX_WINDOWS = 10**5
@@ -33,6 +34,13 @@ class SchedulerConfig:
         if not 0.0 < self.measure_window_s <= self.uptime_window_s:
             raise SchedulerError(
                 f"measure_window_s must be in (0, uptime_window_s], got {self.measure_window_s!r}"
+            )
+        # The fringe fit divides each rate's variance by the window's square,
+        # which must be a normal float: a zero or subnormal one loses the weights.
+        if self.measure_window_s**2 < sys.float_info.min:
+            raise SchedulerError(
+                f"measure_window_s must be at least about 1.5e-154 s (its square underflows),"
+                f" got {self.measure_window_s!r}"
             )
 
 
@@ -122,18 +130,25 @@ def simulate_window_counts(
     sched_cfg: SchedulerConfig,
     rng: np.random.Generator,
     noiseless: bool = False,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Four-port counts (pass/pass, pass/fail, fail/pass, fail/fail) of every
-    window at its analyzer pair.
+    window at its analyzer pair, one row per window: shape (W, 4).
 
     Counts are Poisson samples, or their exact means when ``noiseless``, at
-    each window's ``idler_transform``.
+    each window's ``idler_transform``.  All means come from one whole-array
+    pass and all counts from one ``rng.poisson`` call, which draws the same
+    stream as one call per window would.
     """
-    out = []
-    for w in windows:
-        mean = port_rates(src, chain, *w.setting, w.idler_transform) * sched_cfg.measure_window_s
-        out.append(mean if noiseless else rng.poisson(mean))
-    return out
+    # The reshapes give a link without windows (0, 3, 3) and (0, 2, 3) stacks.
+    rotations = np.array([w.idler_transform.rotation for w in windows]).reshape(-1, 3, 3)
+    # Each distinct analyzer setting's Stokes pair is built once.
+    index: dict = {}
+    signal = [index.setdefault(w.setting[0], len(index)) for w in windows]
+    idler = [index.setdefault(w.setting[1], len(index)) for w in windows]
+    pairs = np.array([s.stokes_pair() for s in index]).reshape(-1, 2, 3)
+    rates = coincidence_rates(src, chain, rotations, pairs[signal], pairs[idler])
+    means = rates * sched_cfg.measure_window_s
+    return means if noiseless else rng.poisson(means)
 
 
 def write_timeline_csv(path, windows: list[Window]) -> None:

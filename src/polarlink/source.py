@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .polmath import AnalyzerSetting, PolTransform, TwoQubitPolState, coincidence_prob_stokes
+from .polmath import AnalyzerSetting, PolTransform, TwoQubitPolState, coincidence_probs
 
 DEFAULT_PAIR_RATE = 2e5  # locally detected pairs/s
 DEFAULT_DETECTOR_EFFICIENCY = 0.70
@@ -87,29 +87,29 @@ def accidental_rate(src: PairSource, chain: DetectionChain) -> float:
     return r_s * r_i * chain.coincidence_window
 
 
-def expected_coincidence_rate(
+def coincidence_rates(
     src: PairSource,
     chain: DetectionChain,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    idler_transform: PolTransform | None = None,
-) -> float:
-    """Expected single-port coincidence rate at analyzer settings (a, b).
+    rotations: np.ndarray,
+    a_pairs: np.ndarray,
+    b_pairs: np.ndarray,
+) -> np.ndarray:
+    """Port coincidence rates (pp, pf, fp, ff) of W windows, shape (W, 4).
 
-    The factor 2 normalizes against the signal analyzer projection: summing
-    the idler's two output ports at matched bases recovers the full
-    transmitted-pair rate.  Accidentals are added on top.
+    The stacks are those of ``polmath.coincidence_probs``.  The factor 2
+    normalizes against the signal analyzer projection: summing the idler's
+    two output ports at matched bases recovers the full transmitted-pair
+    rate.  Accidentals are added on top.
     """
-    p = coincidence_prob_stokes(src.state, a, b, idler_transform)
-    rate = (
+    p = coincidence_probs(src.state.visibility, rotations, a_pairs, b_pairs)
+    prefactor = (
         src.local_pair_rate
         * chain.idler_transmittance
         * chain.signal_efficiency
         * chain.idler_efficiency
         * 2.0
-        * p
     )
-    return rate + accidental_rate(src, chain)
+    return prefactor * p + accidental_rate(src, chain)
 
 
 def port_rates(
@@ -119,16 +119,21 @@ def port_rates(
     b: AnalyzerSetting,
     idler_transform: PolTransform | None = None,
 ) -> np.ndarray:
-    """Rates for the four port combinations (pp, pf, fp, ff)."""
-    a_perp, b_perp = a.orthogonal(), b.orthogonal()
-    return np.array(
-        [
-            expected_coincidence_rate(src, chain, a, b, idler_transform),
-            expected_coincidence_rate(src, chain, a, b_perp, idler_transform),
-            expected_coincidence_rate(src, chain, a_perp, b, idler_transform),
-            expected_coincidence_rate(src, chain, a_perp, b_perp, idler_transform),
-        ]
-    )
+    """Rates for the four port combinations (pp, pf, fp, ff): one row of
+    ``coincidence_rates``."""
+    r = np.eye(3) if idler_transform is None else idler_transform.rotation
+    return coincidence_rates(src, chain, r[None], a.stokes_pair()[None], b.stokes_pair()[None])[0]
+
+
+def expected_coincidence_rate(
+    src: PairSource,
+    chain: DetectionChain,
+    a: AnalyzerSetting,
+    b: AnalyzerSetting,
+    idler_transform: PolTransform | None = None,
+) -> float:
+    """Expected single-port coincidence rate at analyzer settings (a, b)."""
+    return float(port_rates(src, chain, a, b, idler_transform)[0])
 
 
 def generate_timetags(rate: float, duration: float, rng: np.random.Generator) -> TimeTagStream:

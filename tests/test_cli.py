@@ -1,6 +1,7 @@
 """End-to-end scenario runs, config validation and determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,21 @@ class TestFringe:
         err = capsys.readouterr().err
         assert "source.local_pair_rate, detection.dark_rate" in err and "overflow" in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", [1.0e-300, 1.0e-160])
+    def test_vanishing_measure_window_exits_2_naming_it(self, tmp_path, capsys, value):
+        # a window whose square underflows (to zero, or to a subnormal) is
+        # refused by name, not fitted into a warning and a blame on the angles
+        with open(f"{CONFIG_DIR}/fringe_burst.yaml") as f:
+            data = yaml.safe_load(f)
+        data["scheduler"]["measure_window_s"] = value
+        cfg = write_cfg(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fringe", "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 2
+        assert "scheduler.measure_window_s" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_burst_produces_corrected_output(self, tmp_path, capsys):
         out = tmp_path / "out"

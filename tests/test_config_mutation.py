@@ -1,16 +1,18 @@
 """Mutated copies of the shipped configs exit cleanly, never with a traceback.
 
 Every leaf of every shipped config is deleted, renamed, retyped, made
-non-finite, negated or zeroed.  Each mutant runs in-process through
-``cli.main`` and must exit 0, 2 (bad config) or 3 (runtime error), with a
-message on stderr for 2 and 3.  The configs are shortened first so a mutant
-that still runs stays cheap.
+non-finite, negated, zeroed or set to a huge or a tiny magnitude.  Each
+mutant runs in-process through ``cli.main`` and must exit 0, 2 (bad config)
+or 3 (runtime error), with a message on stderr for 2 and 3, and without a
+``RuntimeWarning`` such as numpy's overflow or division by zero.  The configs
+are shortened first so a mutant that still runs stays cheap.
 """
 
 import copy
 import dataclasses
 import math
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,8 @@ MUTATIONS = {
     "-inf": -math.inf,
     "negate": NEGATE,
     "zero": 0,
+    "1e300": 1e300,
+    "1e-300": 1e-300,
 }
 # Type, non-finite, deleted and renamed values all meet the one config
 # resolver, so a seeded draw of leaves per (config, mutation) pair covers them.
@@ -131,12 +135,18 @@ def test_mutants_exit_cleanly(tmp_path, capsys):
     for i, (mid, scenario, cfg) in enumerate(mutants()):
         path = tmp_path / f"m{i}.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        try:
-            code = cli.main([scenario, "--config", str(path), "--out", str(tmp_path / f"o{i}")])
-        except Exception as e:  # a traceback is the failure this test looks for
-            failures.append(f"{mid}: {type(e).__name__}: {e}")
-            continue
+        # Warnings are recorded, not raised, so each mutant runs as it would.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main([scenario, "--config", str(path), "--out", str(tmp_path / f"o{i}")])
+            except Exception as e:  # a traceback is the failure this test looks for
+                failures.append(f"{mid}: {type(e).__name__}: {e}")
+                continue
         err = capsys.readouterr().err
+        for w in caught:
+            if issubclass(w.category, RuntimeWarning):
+                failures.append(f"{mid}: RuntimeWarning: {w.message}")
         if code not in (0, 2, 3):
             failures.append(f"{mid}: exit {code}")
         elif code != 0 and not err.strip():
