@@ -109,8 +109,8 @@ def bench_median_crossing(n_seeds, repeats):
 
 
 def per_window_counts(windows, src, chain, sched_cfg, rng, noiseless=False):
-    """One ``port_rates`` call and one Poisson draw per window, as the sampler
-    ran before it was batched."""
+    """The per-window loop the batched sampler replaced: one ``port_rates``
+    call and one Poisson draw per window."""
     out = []
     for w in windows:
         mean = port_rates(src, chain, *w.setting, w.idler_transform) * sched_cfg.measure_window_s
