@@ -1,21 +1,21 @@
 """Automated polarization compensation: reference states, cost, feedback loop.
 
-An injector cycles through six reference SOPs; the compensator measures their
-fidelities after the fiber, derives a scalar cost, and runs finite-difference
-gradient descent on a four-retarder polarization controller until the minimum
-fidelity clears the target threshold or the session times out.
+An injector cycles through the six cardinal SOPs (H, V, D, A, R, L); the
+compensator measures their fidelities after the fiber, derives a scalar cost,
+and runs finite-difference gradient descent on a four-retarder polarization
+controller until the minimum fidelity clears the target threshold or the
+session times out.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import FiberChannel
-from .polmath import CARDINAL_STATES, PolTransform, quaternion_matrix
+from .polmath import PolTransform, quaternion_matrix
 
 OUTCOME_SKIPPED = "skipped"
 OUTCOME_CONVERGED = "converged"
@@ -23,39 +23,13 @@ OUTCOME_TIMEOUT = "timeout"
 
 _GRADIENT_TOL = 1e-9
 _MAX_HALVINGS = 5
+# Most measurement cycles a session's timeout may span.  A session stops on
+# its clock, and a cycle too short to move the clock would never end it.
+MAX_SESSION_CYCLES = 10**6
 
 
 class ApcError(ValueError):
     """Invalid compensation configuration."""
-
-
-@dataclass(frozen=True)
-class ReferenceSequence:
-    """Ordered reference SOPs injected during a compensation cycle."""
-
-    states: tuple = CARDINAL_STATES
-
-    def __post_init__(self):
-        if len(self.states) != 6:
-            raise ApcError(f"expected 6 reference states, got {len(self.states)}")
-        matrix = np.array([s.as_array() for s in self.states])
-        if np.linalg.matrix_rank(matrix, tol=1e-9) != 3:
-            raise ApcError("reference states must span Stokes space (rank 3)")
-        object.__setattr__(self, "_matrix", matrix)
-
-    def as_matrix(self) -> np.ndarray:
-        """The 6x3 stack of reference Stokes vectors."""
-        return self._matrix
-
-
-@functools.cache
-def _cardinal_refs() -> ReferenceSequence:
-    """The default reference sequence, built once rather than on every session.
-
-    Built on first use, not at import: its rank check (an SVD) costs about
-    1 MB of memory, which runs that hold no session need not pay.
-    """
-    return ReferenceSequence()
 
 
 @dataclass
@@ -81,14 +55,17 @@ class Controller:
 
     def to_transform(self) -> PolTransform:
         if self._transform is None:
-            # Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos.
-            s = [math.sin(a / 2) for a in self.params]
-            c = [math.cos(a / 2) for a in self.params]
-            q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
-            q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
-            r = quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3])
-            self._transform = PolTransform.trusted(r)
+            self._transform = PolTransform.trusted(_controller_matrix(self.params))
         return self._transform
+
+
+def _controller_matrix(params) -> np.ndarray:
+    """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
+    s = [math.sin(a / 2) for a in params]
+    c = [math.cos(a / 2) for a in params]
+    q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+    q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
+    return quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3])
 
 
 def _compose_quat(p, q) -> tuple:
@@ -120,6 +97,11 @@ class ApcConfig:
         for name in ("timeout_s", "step_size", "fd_delta", "cycle_time_s"):
             if getattr(self, name) <= 0:
                 raise ApcError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.timeout_s / self.cycle_time_s <= MAX_SESSION_CYCLES:
+            raise ApcError(
+                f"timeout_s / cycle_time_s must be <= {MAX_SESSION_CYCLES:,} cycles, "
+                f"got {self.timeout_s:g} s / {self.cycle_time_s:g} s"
+            )
 
 
 @dataclass(frozen=True)
@@ -132,13 +114,14 @@ class SessionRecord:
     start_time_s: float = 0.0
 
 
-def measure_fidelities(
-    channel_transform: PolTransform, ctrl: Controller, refs: ReferenceSequence
-) -> np.ndarray:
-    """Fidelity of each reference state through channel then controller."""
-    composite = ctrl.to_transform().rotation @ channel_transform.rotation
-    m = refs.as_matrix()
-    return 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T))
+def measure_fidelities(channel_transform: PolTransform, ctrl: Controller) -> np.ndarray:
+    """Fidelity of each of the six ``CARDINAL_STATES`` through channel then controller."""
+    return _fidelities(ctrl.to_transform().rotation @ channel_transform.rotation)
+
+
+def _fidelities(composite: np.ndarray) -> np.ndarray:
+    """½(1 + s·Cs) for s = ±e_i is ½(1 + C_ii) for either sign, in ``CARDINAL_STATES`` order."""
+    return np.repeat(0.5 * (1.0 + np.diagonal(composite)), 2)
 
 
 def cost(fidelities) -> float:
@@ -151,14 +134,13 @@ def cost(fidelities) -> float:
     return float(1.0 - f.mean())
 
 
-def _cost_at(params: np.ndarray, channel_transform: PolTransform, refs: ReferenceSequence) -> float:
-    return cost(measure_fidelities(channel_transform, Controller(params), refs))
+def _cost_at(params: np.ndarray, channel_transform: PolTransform) -> float:
+    return cost(_fidelities(_controller_matrix(params) @ channel_transform.rotation))
 
 
 def compensation_step(
     channel_transform: PolTransform,
     ctrl: Controller,
-    refs: ReferenceSequence,
     cfg: ApcConfig,
     rng: np.random.Generator,
 ) -> Controller:
@@ -170,14 +152,14 @@ def compensation_step(
     is found the parameters get a small random kick to escape a saddle.
     """
     params = ctrl.params
-    base = _cost_at(params, channel_transform, refs)
+    base = _cost_at(params, channel_transform)
     grad = np.zeros(4)
     for k in range(4):
         delta = np.zeros(4)
         delta[k] = cfg.fd_delta
         grad[k] = (
-            _cost_at(params + delta, channel_transform, refs)
-            - _cost_at(params - delta, channel_transform, refs)
+            _cost_at(params + delta, channel_transform)
+            - _cost_at(params - delta, channel_transform)
         ) / (2.0 * cfg.fd_delta)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_TOL:
@@ -185,7 +167,7 @@ def compensation_step(
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
         candidate = params - step * grad
-        if _cost_at(candidate, channel_transform, refs) <= base:
+        if _cost_at(candidate, channel_transform) <= base:
             return Controller(candidate)
         step *= 0.5
     return Controller(params + rng.normal(0.0, cfg.fd_delta, size=4))
@@ -196,7 +178,6 @@ def run_session(
     ctrl: Controller,
     cfg: ApcConfig,
     rng: np.random.Generator,
-    refs: ReferenceSequence | None = None,
     actuate: bool = True,
 ) -> SessionRecord:
     """Run one compensation session, advancing the channel clock as it goes.
@@ -207,10 +188,8 @@ def run_session(
     (fidelities are still measured, for logging) and never moves the
     controller.
     """
-    if refs is None:
-        refs = _cardinal_refs()
     start = ch.sim_time
-    fids = measure_fidelities(ch.transform, ctrl, refs)
+    fids = measure_fidelities(ch.transform, ctrl)
     ch.advance(cfg.cycle_time_s)
     min_before = float(fids.min())
     if not actuate or min_before >= cfg.check_threshold:
@@ -225,10 +204,10 @@ def run_session(
     iterations = 0
     min_after = min_before
     while True:
-        stepped = compensation_step(ch.transform, ctrl, refs, cfg, rng)
+        stepped = compensation_step(ch.transform, ctrl, cfg, rng)
         ctrl.params = stepped.params
         ch.advance(8 * cfg.cycle_time_s)
-        fids = measure_fidelities(ch.transform, ctrl, refs)
+        fids = measure_fidelities(ch.transform, ctrl)
         ch.advance(cfg.cycle_time_s)
         iterations += 1
         min_after = float(fids.min())

@@ -11,7 +11,6 @@ from polarlink import _kernels, analysis, cli
 from polarlink.apc import (
     ApcConfig,
     Controller,
-    ReferenceSequence,
     run_session,
 )
 from polarlink.channel import DriftSchedule, FiberChannel
@@ -128,7 +127,6 @@ class TestAcceptance:
 
     def test_05_apc_convergence(self):
         cfg = ApcConfig()
-        refs = ReferenceSequence()
         composites = []
         converged = 0
         for seed in range(200):
@@ -136,7 +134,7 @@ class TestAcceptance:
             ch = FiberChannel(DriftSchedule.constant(0.0), rng)
             ch.transform = PolTransform.random(rng)
             ctrl = Controller()
-            rec = run_session(ch, ctrl, cfg, rng, refs=refs)
+            rec = run_session(ch, ctrl, cfg, rng)
             if rec.outcome == "converged" and rec.min_fidelity_after >= 0.99:
                 converged += 1
                 composites.append(ctrl.to_transform().rotation @ ch.transform.rotation)

@@ -5,13 +5,14 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from polarlink.apc import (
+    MAX_SESSION_CYCLES,
     OUTCOME_CONVERGED,
     OUTCOME_SKIPPED,
     OUTCOME_TIMEOUT,
     ApcConfig,
     ApcError,
     Controller,
-    ReferenceSequence,
+    _cost_at,
     compensation_step,
     cost,
     measure_fidelities,
@@ -29,22 +30,6 @@ def controller_for(rotation):
 
 def static_channel(seed=0, rate=0.0):
     return FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
-
-
-class TestReferenceSequence:
-    def test_default_is_six_cardinals(self):
-        refs = ReferenceSequence()
-        assert len(refs.states) == 6
-        assert refs.as_matrix().shape == (6, 3)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ApcError):
-            ReferenceSequence(states=CARDINAL_STATES[:4])
-
-    def test_rejects_degenerate_set(self):
-        h, v = CARDINAL_STATES[0], CARDINAL_STATES[1]
-        with pytest.raises(ApcError):
-            ReferenceSequence(states=(h, v, h, v, h, v))
 
 
 class TestController:
@@ -98,27 +83,37 @@ class TestController:
 
 class TestMeasureAndCost:
     def test_identity_gives_unit_fidelities(self):
-        fids = measure_fidelities(PolTransform.identity(), Controller(), ReferenceSequence())
+        fids = measure_fidelities(PolTransform.identity(), Controller())
         assert np.allclose(fids, 1.0, atol=1e-12)
         assert cost(fids) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_scalar_oracle(self):
-        # vectorized path must equal per-state (1 + s.Rs)/2 evaluation
+        # the diagonal formula must equal, bit for bit, the 6x3 matmul and
+        # einsum over the cardinal stack that it replaced, and to 1e-12 the
+        # per-state (1 + s.Rs)/2 evaluation
+        m = np.array([s.as_array() for s in CARDINAL_STATES])
         rng = np.random.default_rng(3)
-        refs = ReferenceSequence()
-        for _ in range(20):
-            chan = PolTransform.random(rng)
-            ctrl = Controller(rng.uniform(-np.pi, np.pi, 4))
-            fids = measure_fidelities(chan, ctrl, refs)
+        # identity and half-turns about each axis (signed zeros), controller angles of ±π
+        channels = [np.diag(d) for d in ([1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
+        signs = [(0, 0, 0, 0), (1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 0, 1)]
+        angles = [np.pi * np.array(p, dtype=float) for p in signs]
+        pairs = [(PolTransform(r), p) for r in channels for p in angles]
+        pairs += [(PolTransform.random(rng), rng.uniform(-np.pi, np.pi, 4)) for _ in range(10_000)]
+        for chan, params in pairs:
+            ctrl = Controller(params)
+            fids = measure_fidelities(chan, ctrl)
             composite = ctrl.to_transform().rotation @ chan.rotation
-            expected = [0.5 * (1 + s.as_array() @ composite @ s.as_array()) for s in refs.states]
-            assert np.allclose(fids, expected, atol=1e-12)
+            assert np.array_equal(fids, 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T)))
+            assert _cost_at(ctrl.params, chan) == cost(fids)
+        for chan, params in pairs[:40]:
+            composite = Controller(params).to_transform().rotation @ chan.rotation
+            expected = [0.5 * (1 + s @ composite @ s) for s in m]
+            assert np.allclose(measure_fidelities(chan, Controller(params)), expected, atol=1e-12)
 
     def test_cost_bounds(self):
         rng = np.random.default_rng(4)
-        refs = ReferenceSequence()
         for _ in range(50):
-            c = cost(measure_fidelities(PolTransform.random(rng), Controller(), refs))
+            c = cost(measure_fidelities(PolTransform.random(rng), Controller()))
             assert 0.0 <= c <= 1.0
 
 
@@ -131,18 +126,24 @@ class TestApcConfig:
         with pytest.raises(ApcError):
             ApcConfig(timeout_s=0.0)
 
+    def test_session_cycle_cap(self):
+        # a timeout may span MAX_SESSION_CYCLES cycles, not one more
+        ApcConfig(timeout_s=float(MAX_SESSION_CYCLES), cycle_time_s=1.0)
+        for timeout_s, cycle_time_s in [(MAX_SESSION_CYCLES + 1.0, 1.0), (55.0, 1.0e-300)]:
+            with pytest.raises(ApcError, match=r"^timeout_s / cycle_time_s must be <="):
+                ApcConfig(timeout_s=timeout_s, cycle_time_s=cycle_time_s)
+
 
 class TestCompensationStep:
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
-        refs = ReferenceSequence()
         cfg = ApcConfig()
         for _ in range(30):
             chan = PolTransform.random(rng)
             ctrl = Controller(rng.uniform(-np.pi, np.pi, 4))
-            before = cost(measure_fidelities(chan, ctrl, refs))
-            stepped = compensation_step(chan, ctrl, refs, cfg, rng)
-            after = cost(measure_fidelities(chan, stepped, refs))
+            before = cost(measure_fidelities(chan, ctrl))
+            stepped = compensation_step(chan, ctrl, cfg, rng)
+            after = cost(measure_fidelities(chan, stepped))
             # a random kick (stall escape) may increase cost slightly
             assert after <= before + 0.05
 
@@ -150,7 +151,7 @@ class TestCompensationStep:
         rng = np.random.default_rng(6)
         chan = PolTransform.random(rng)
         ctrl = controller_for(chan.rotation.T)
-        stepped = compensation_step(chan, ctrl, ReferenceSequence(), ApcConfig(), rng)
+        stepped = compensation_step(chan, ctrl, ApcConfig(), rng)
         assert np.allclose(stepped.params, ctrl.params, atol=1e-12)
 
 
@@ -180,7 +181,7 @@ class TestRunSession:
         rec = run_session(ch, ctrl, cfg, np.random.default_rng(9))
         assert rec.outcome == OUTCOME_CONVERGED
         assert rec.min_fidelity_after >= cfg.target_threshold
-        fids = measure_fidelities(ch.transform, ctrl, ReferenceSequence())
+        fids = measure_fidelities(ch.transform, ctrl)
         assert fids.min() >= cfg.target_threshold
 
     def test_duration_accounting(self):

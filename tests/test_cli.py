@@ -1,12 +1,16 @@
 """End-to-end scenario runs, config validation and determinism."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import polarlink
 from polarlink import cli
 from polarlink.apc import ApcConfig
 from polarlink.channel import DAY_RATE
@@ -275,6 +279,30 @@ class TestConfigHandling:
             assert field in err
         assert "too many windows" in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_cycles_that_cannot_move_the_clock_exit_2(self, tmp_path):
+        # 8e-300 s of iterations leaves a session's clock where it was, so its
+        # timeout could never fire; run in a child so a hang fails after 5 s
+        data = yaml.safe_load(Path(CONFIG_DIR, "fringe_burst.yaml").read_text())
+        threshold = 0.9999999999999999
+        data["apc"] = {
+            "cycle_time_s": 1.0e-300,
+            "check_threshold": threshold,
+            "target_threshold": threshold,
+        }
+        cfg, out = write_cfg(tmp_path, data), tmp_path / "o"
+        script = "\n".join(
+            [
+                "import sys",
+                f"sys.path.insert(0, {str(Path(polarlink.__file__).parents[1])!r})",
+                "from polarlink import cli",
+                f"sys.exit(cli.main(['fringe', '--config', {cfg!r}, '--out', {str(out)!r}]))",
+            ]
+        )
+        argv = [sys.executable, "-c", script]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 2
+        assert "apc.timeout_s / cycle_time_s" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestSummaryConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarlink import polmath as pm
-from polarlink.apc import Controller, ReferenceSequence, cost, measure_fidelities
+from polarlink.apc import Controller, cost, measure_fidelities
 from polarlink.polmath import (
     CANONICAL_CHSH_ANGLES,
     AnalyzerSetting,
@@ -31,7 +31,7 @@ class TestStokesVector:
 
 def fidelities(rotation):
     """SOP fidelity (1 + s.Rs)/2 of each cardinal state s through ``rotation``."""
-    return measure_fidelities(PolTransform(rotation), Controller(), ReferenceSequence())
+    return measure_fidelities(PolTransform(rotation), Controller())
 
 
 def rotation_about_s3(angle):
