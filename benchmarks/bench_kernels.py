@@ -1,9 +1,13 @@
 """Benchmark the hot-loop kernels: the rotation walk and the tag matcher.
 
-Also times one ``FiberChannel.advance`` call at the link's three walk lengths
-(a 0.12 s check cycle, a 0.96 s finite-difference block and a 3 s uptime
-window: 2, 10 and 30 steps) under the configs/longrun_stabilized.yaml
-schedule, so the fixed cost of a walk shows beside its per-step cost; and
+Also times one walk of the channel at the link's three advance lengths (a
+0.12 s check cycle, a 0.96 s finite-difference block and a 3 s uptime window:
+2, 10 and 30 steps) under the configs/longrun_stabilized.yaml schedule, as an
+``advance`` plus a ``transform`` read, since an advance alone may only queue
+its steps; so the fixed cost of a walk shows beside its per-step cost.  The
+"window" row times a check cycle and an uptime window as ``run_link`` runs
+them, one walk per window, and exits 1 if the rotations differ from those of
+one walk per advance.  Also times
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 80 s walks sampled every 0.1 s) as one batched numpy walk against the
 per-seed ``FiberChannel.probe_trace`` loop it replaced; and the window
@@ -29,6 +33,9 @@ from polarlink.channel import (
     MAX_STEP_S,
     DriftSchedule,
     FiberChannel,
+    _axes_and_angles,
+    _step_grid,
+    _step_scales,
     _walk_steps,
     first_crossing_time,
 )
@@ -64,15 +71,55 @@ def bench_rotation_walk(n_steps, repeats):
     return timeit(lambda: _kernels.rotation_walk(r0, axes, angles, stride), repeats)
 
 
+def longrun_channel(seed=0):
+    return build_channel(load_config("configs/longrun_stabilized.yaml"), np.random.default_rng(seed))
+
+
 def bench_advance(duration, calls, repeats):
-    """Seconds per ``FiberChannel.advance(duration)`` call, best of ``repeats``."""
-    channel = build_channel(load_config("configs/longrun_stabilized.yaml"), np.random.default_rng(0))
+    """Seconds per ``advance(duration)`` plus ``transform`` read (one walk), best of ``repeats``."""
+    channel = longrun_channel()
 
     def walk():
         for _ in range(calls):
             channel.advance(duration)
+            channel.transform
 
     return timeit(walk, repeats) / calls
+
+
+def eager_window_rotations(legs, windows, seed=0):
+    """Channel rotation at the start of each leg of ``windows`` windows, one walk per leg."""
+    channel = longrun_channel(seed)
+    rotation, t, rng, out = np.eye(3), channel.sim_time, channel.rng, []
+    for _ in range(windows):
+        for duration in legs:
+            out.append(rotation)
+            n = _walk_steps(duration, MAX_STEP_S)
+            scale = _step_scales(channel.schedule, t, n, duration / n)
+            axes, angles = _axes_and_angles(rng.standard_normal((n, 4)), scale)
+            rotation, _ = _kernels.rotation_walk(rotation, axes, angles)
+            t += _step_grid(n, duration / n)[1]
+    return out + [rotation]
+
+
+def bench_window(calls, repeats, cycle_s=0.12, uptime_s=3.0):
+    """Seconds per check cycle plus uptime window, as ``run_link`` advances the channel."""
+    channel = longrun_channel()
+    starts = []
+    for _ in range(calls):
+        starts.append(channel.advance(cycle_s).rotation)
+        starts.append(channel.advance(uptime_s).rotation)
+    starts.append(channel.transform.rotation)
+    if not all(map(np.array_equal, starts, eager_window_rotations((cycle_s, uptime_s), calls))):
+        sys.exit("queued and per-advance walks disagree")
+    channel = longrun_channel()
+
+    def windows():
+        for _ in range(calls):
+            channel.advance(cycle_s)
+            channel.advance(uptime_s)
+
+    return timeit(windows, repeats) / calls
 
 
 def bench_greedy_match(n_tags, repeats):
@@ -159,6 +206,9 @@ def main():
         seconds = bench_advance(duration, 1000, args.repeats)
         steps = _walk_steps(duration, MAX_STEP_S)
         print(f"{'advance':<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
+    steps = _walk_steps(0.12, MAX_STEP_S) + _walk_steps(3.0, MAX_STEP_S)
+    seconds = bench_window(1000, args.repeats)
+    print(f"{'window':<16} n={steps:<9} 0.12 s + 3 s  {seconds * 1e6:7.1f} us per window")
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
     bench_median_crossing(200, args.repeats)
     bench_sampler(args.repeats)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -23,8 +25,8 @@ OUTCOME_TIMEOUT = "timeout"
 
 _GRADIENT_TOL = 1e-9
 _MAX_HALVINGS = 5
-# Most measurement cycles a session's timeout may span.  A session stops on
-# its clock, and a cycle too short to move the clock would never end it.
+# Most measurement cycles a session's timeout may span: a session that never
+# converges runs that many at most.
 MAX_SESSION_CYCLES = 10**6
 
 
@@ -61,6 +63,7 @@ class Controller:
 
 def _controller_matrix(params) -> np.ndarray:
     """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
+    params = params.tolist()
     s = [math.sin(a / 2) for a in params]
     c = [math.cos(a / 2) for a in params]
     q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
@@ -128,14 +131,19 @@ def cost(fidelities) -> float:
     """Feedback error signal: 1 - mean fidelity.
 
     The mean gives a smooth gradient; convergence is gated separately on the
-    minimum fidelity against the target threshold.
+    minimum fidelity against the target threshold.  It is summed left to
+    right, which is the order of ``np.mean`` for six elements, so the cost is
+    ``1 - np.mean(fidelities)`` bit for bit (not ``sum()``, which compensates
+    from Python 3.12 on).
     """
-    f = np.asarray(fidelities, dtype=float)
-    return float(1.0 - f.mean())
+    return float(1.0 - reduce(add, fidelities) / len(fidelities))
 
 
 def _cost_at(params: np.ndarray, channel_transform: PolTransform) -> float:
-    return cost(_fidelities(_controller_matrix(params) @ channel_transform.rotation))
+    """``cost(measure_fidelities(channel_transform, Controller(params)))``, in Python floats."""
+    c0, c1, c2 = (_controller_matrix(params) @ channel_transform.rotation).diagonal().tolist()
+    f0, f1, f2 = 0.5 * (1.0 + c0), 0.5 * (1.0 + c1), 0.5 * (1.0 + c2)
+    return cost((f0, f0, f1, f1, f2, f2))
 
 
 def compensation_step(
@@ -184,13 +192,15 @@ def run_session(
 
     Session duration is cycle_time * (1 + 9 * iterations): one check cycle
     plus, per iteration, eight finite-difference cycles and one re-measure
-    cycle.  With ``actuate`` false the session only performs the check cycle
-    (fidelities are still measured, for logging) and never moves the
-    controller.
+    cycle.  Each measurement reads the channel at the start of its cycle.
+    A session times out once that count of cycles spans ``timeout_s``,
+    counted rather than read off the channel clock, which a cycle far below
+    the clock's resolution would not move.  With ``actuate`` false the
+    session only performs the check cycle (fidelities are still measured,
+    for logging) and never moves the controller.
     """
     start = ch.sim_time
-    fids = measure_fidelities(ch.transform, ctrl)
-    ch.advance(cfg.cycle_time_s)
+    fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
     min_before = float(fids.min())
     if not actuate or min_before >= cfg.check_threshold:
         return SessionRecord(
@@ -207,14 +217,13 @@ def run_session(
         stepped = compensation_step(ch.transform, ctrl, cfg, rng)
         ctrl.params = stepped.params
         ch.advance(8 * cfg.cycle_time_s)
-        fids = measure_fidelities(ch.transform, ctrl)
-        ch.advance(cfg.cycle_time_s)
+        fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
         iterations += 1
         min_after = float(fids.min())
         if min_after >= cfg.target_threshold:
             outcome = OUTCOME_CONVERGED
             break
-        if ch.sim_time - start >= cfg.timeout_s:
+        if (1 + 9 * iterations) * cfg.cycle_time_s >= cfg.timeout_s:
             outcome = OUTCOME_TIMEOUT
             break
     return SessionRecord(

@@ -28,7 +28,7 @@ BURST_MULTIPLIER = 100.0
 
 DEFAULT_LOSS_DB = 21.0  # 18 dB fiber + 3 dB connectors/components
 MAX_STEP_S = 0.1  # longest single step of the walk
-MAX_WALK_STEPS = 10**6  # most steps of one walk: an advance, a probe or a calibration trace
+MAX_WALK_STEPS = 10**6  # most steps of one advance, probe trace or calibration trace
 
 # Steps drawn per seed at a time by probe_crossing_times, so that its memory
 # does not grow with the length of the walk.  At 200 seeds, 25 steps keep the
@@ -151,14 +151,22 @@ class DriftSchedule:
 
 @dataclass
 class FiberChannel:
-    """Single-owner mutable channel state: accumulated rotation plus clock."""
+    """Single-owner mutable channel state: accumulated rotation plus clock.
+
+    ``advance`` draws its steps and moves the clock at once, but queues the
+    steps: the next advance composes them together with its own in one walk,
+    and so does the next read of ``transform``.  Every draw comes in the
+    order, and every rotation with the bits, of one walk per advance.
+    """
 
     schedule: DriftSchedule
     rng: np.random.Generator
     loss_db: float = DEFAULT_LOSS_DB
-    transform: PolTransform = field(default_factory=PolTransform.identity)
     sim_time: float = 0.0
     max_step_s: float = MAX_STEP_S
+    _transform: PolTransform = field(default_factory=PolTransform.identity, init=False, repr=False)
+    # (draws, step scales) of the last advance while its steps are not composed
+    _queued: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.loss_db < 0:
@@ -166,26 +174,62 @@ class FiberChannel:
         if not (np.isfinite(self.max_step_s) and self.max_step_s > 0):
             raise ChannelError(f"max_step_s must be finite and > 0, got {self.max_step_s!r}")
 
+    @property
+    def transform(self) -> PolTransform:
+        """The channel's transform at ``sim_time``."""
+        if self._queued is not None:
+            draws, scale = self._queued
+            self._queued = None
+            self._walk(draws, scale)
+        return self._transform
+
+    @transform.setter
+    def transform(self, value: PolTransform) -> None:
+        self._queued = None
+        self._transform = value
+
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)
 
-    def advance(self, duration: float) -> None:
-        """Advance by ``duration``, subdividing into steps of at most max_step_s."""
+    def advance(self, duration: float) -> PolTransform:
+        """Advance by ``duration`` in steps of at most max_step_s; the transform at its start.
+
+        With steps of an earlier advance queued, one walk composes those and
+        this advance's steps, and the transform at its start is the walk's
+        one sample, taken after the queued steps; else this advance's steps
+        are queued.
+        """
         if not duration >= 0:
             raise ChannelError(f"duration must be >= 0, got {duration!r}")
-        if duration > 0:
-            n = _walk_steps(duration, self.max_step_s)
-            self._walk(n, duration / n)
+        if duration == 0:
+            return self.transform
+        n = _walk_steps(duration, self.max_step_s)
+        draws, scale = self._draw(n, duration / n)
+        if self._queued is None:
+            self._queued = (draws, scale)
+            return self._transform
+        queued, queued_scale = self._queued
+        self._queued = None
+        m = len(queued)
+        scales = np.empty(m + n)
+        scales[:m] = queued_scale
+        scales[m:] = scale
+        return PolTransform.trusted(self._walk(np.concatenate((queued, draws)), scales, m)[0])
 
-    def _walk(self, n: int, dt: float, sample_stride: int = 0) -> np.ndarray:
-        """Walk ``n`` steps of ``dt`` seconds; the samples of ``rotation_walk``."""
+    def _draw(self, n: int, dt: float):
+        """Draws and step scales of ``n`` steps of ``dt`` seconds; moves the clock past them."""
         scale = _step_scales(self.schedule, self.sim_time, n, dt)
-        axes, angles = _axes_and_angles(self.rng.standard_normal((n, 4)), scale)
-        final, samples = _kernels.rotation_walk(
-            self.transform.rotation, axes, angles, sample_stride
-        )
-        self.transform = PolTransform.trusted(final)
+        draws = self.rng.standard_normal((n, 4))
         self.sim_time += _step_grid(n, dt)[1]
+        return draws, scale
+
+    def _walk(self, draws: np.ndarray, scale, sample_stride: int = 0) -> np.ndarray:
+        """Compose drawn steps onto the transform; the samples of ``rotation_walk``."""
+        axes, angles = _axes_and_angles(draws, scale)
+        final, samples = _kernels.rotation_walk(
+            self._transform.rotation, axes, angles, sample_stride
+        )
+        self._transform = PolTransform.trusted(final)
         return samples
 
     def probe_trace(self, input_sop: StokesVector, duration: float, sample_dt: float):
@@ -199,7 +243,7 @@ class FiberChannel:
         t0 = self.sim_time
         s_in = input_sop.as_array()
         first = self.transform.rotation @ s_in
-        samples = self._walk(n_samples * substeps, sample_dt / substeps, substeps)
+        samples = self._walk(*self._draw(n_samples * substeps, sample_dt / substeps), substeps)
         outs = np.vstack([first, samples @ s_in])
         times = t0 + sample_dt * np.arange(n_samples + 1)
         fidelity = 0.5 * (1.0 + outs @ first)

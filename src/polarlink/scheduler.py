@@ -100,8 +100,8 @@ def run_link(
             break
         record = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
         start = ch.sim_time
-        idler = PolTransform.trusted(ctrl.to_transform().rotation @ ch.transform.rotation)
-        ch.advance(sched_cfg.uptime_window_s)
+        channel = ch.advance(sched_cfg.uptime_window_s)
+        idler = PolTransform.trusted(ctrl.to_transform().rotation @ channel.rotation)
         windows.append(Window(record, start, ch.sim_time, setting, idler))
     return windows
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from polarlink import apc
 from polarlink.apc import (
     MAX_SESSION_CYCLES,
     OUTCOME_CONVERGED,
@@ -105,10 +106,25 @@ class TestMeasureAndCost:
             composite = ctrl.to_transform().rotation @ chan.rotation
             assert np.array_equal(fids, 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T)))
             assert _cost_at(ctrl.params, chan) == cost(fids)
+            old_cost = 1 - np.repeat(0.5 * (1 + np.diagonal(composite)), 2).mean()
+            assert _cost_at(ctrl.params, chan) == old_cost
         for chan, params in pairs[:40]:
             composite = Controller(params).to_transform().rotation @ chan.rotation
             expected = [0.5 * (1 + s @ composite @ s) for s in m]
             assert np.allclose(measure_fidelities(chan, Controller(params)), expected, atol=1e-12)
+
+    def test_cost_is_numpy_mean_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        vectors = [np.ones(6), np.zeros(6), np.full(6, -0.0), np.array([0.0, -0.0] * 3)]
+        # fidelities of all-ones, all-zeros and signed-zero diagonals
+        for d in ([1.0, 1, 1], [0.0, 0, 0], [-0.0, 0.0, -0.0], [-1.0, -1, -1]):
+            vectors.append(np.repeat(0.5 * (1.0 + np.array(d)), 2))
+        vectors += list(rng.uniform(0.0, 1.0, (5000, 6)))
+        vectors += list(1.0 - rng.uniform(0.0, 1.0, (5000, 6)) ** 8)  # near 1, as in sessions
+        vectors += list(np.repeat(rng.uniform(0.0, 1.0, (2000, 3)), 2, axis=1))
+        for f in vectors:
+            expected = 1.0 - np.mean(f)
+            assert cost(f) == expected and cost(f.tolist()) == expected
 
     def test_cost_bounds(self):
         rng = np.random.default_rng(4)
@@ -210,6 +226,29 @@ class TestRunSession:
                 assert rec.duration_s >= cfg.timeout_s
                 assert rec.duration_s <= cfg.timeout_s + 9 * cfg.cycle_time_s + 1e-9
         assert OUTCOME_TIMEOUT in outcomes
+
+    def test_timeout_counts_cycles_where_the_clock_cannot_move(self, monkeypatch):
+        # at 1e13 s a cycle of 1e-4 s is under half an ulp of the clock, which
+        # stays put; the session still times out after its 100 cycles
+        steps = []
+        real_step = apc.compensation_step
+
+        def bounded_step(*args):
+            steps.append(1)
+            if len(steps) > 1000:
+                raise AssertionError("the session did not time out")
+            return real_step(*args)
+
+        monkeypatch.setattr(apc, "compensation_step", bounded_step)
+        threshold = 0.9999999999999999
+        cfg = ApcConfig(threshold, threshold, timeout_s=0.01, cycle_time_s=1.0e-4)
+        sched = DriftSchedule.constant(DAY_RATE)
+        ch = FiberChannel(sched, np.random.default_rng(5), sim_time=1.0e13)
+        ch.transform = PolTransform.random(np.random.default_rng(5))
+        rec = run_session(ch, Controller(), cfg, np.random.default_rng(5))
+        assert ch.sim_time == 1.0e13 and rec.duration_s == 0.0
+        assert rec.outcome == OUTCOME_TIMEOUT
+        assert rec.iterations == len(steps) == 11  # 1 + 9 * 11 = 100 cycles
 
     def test_deterministic(self):
         def run(seed):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polarlink import _kernels
 from polarlink.channel import (
     DAY_RATE,
     MAX_STEP_S,
@@ -12,6 +13,7 @@ from polarlink.channel import (
     ChannelError,
     DriftSchedule,
     FiberChannel,
+    _axes_and_angles,
     _probe_s1_chunks,
     _step_grid,
     _step_scales,
@@ -19,7 +21,8 @@ from polarlink.channel import (
     first_crossing_time,
     probe_crossing_times,
 )
-from polarlink.polmath import StokesVector
+from polarlink.cli import build_channel, load_config
+from polarlink.polmath import PolTransform, StokesVector
 
 H = StokesVector(1, 0, 0)
 
@@ -228,6 +231,79 @@ class TestStep:
         sem = fids.std(axis=0, ddof=1) / np.sqrt(fids.shape[0])
         for j in range(3):
             assert means[j + 1] <= means[j] + 3 * (sem[j] + sem[j + 1])
+
+
+class EagerChannel:
+    """One ``rotation_walk`` per advance, composed at once: the oracle of the queued walk."""
+
+    def __init__(self, schedule, rng, sim_time):
+        self.schedule, self.rng, self.sim_time = schedule, rng, sim_time
+        self.rotation = np.eye(3)
+
+    def advance(self, duration):
+        start = self.rotation
+        if duration > 0:
+            n = _walk_steps(duration, MAX_STEP_S)
+            scale = reference_scales(self.schedule, self.sim_time, n, duration / n)
+            axes, angles = _axes_and_angles(self.rng.standard_normal((n, 4)), scale)
+            self.rotation, _ = _kernels.rotation_walk(self.rotation, axes, angles)
+            self.sim_time += float(np.sum(np.full(n, duration / n)))
+        return start
+
+
+class TestQueuedWalk:
+    # The compressed 23 h schedule: day from 3,300 to 4,200 s of a 7,200 s
+    # period, bursts over [3,500, 3,620) and [4,166.67, 4,286.67) s.
+    SCHEDULE = build_channel(
+        load_config("configs/longrun_stabilized.yaml"), np.random.default_rng(0)
+    ).schedule
+    EDGES = (0.0, 3300.0, 3500.0, 3620.0, 4200.0, 50000.0 / 12, 50000.0 / 12 + 120.0, 7200.0)
+    DURATIONS = (0.0, 0.03, 0.1, 0.12, 0.96, 3.0, 7.45, 25.0)
+
+    def test_bit_equal_to_one_walk_per_advance(self):
+        pick = np.random.default_rng(12)
+        reads = returns = 0
+        for trial in range(240):
+            t0 = max(0.0, float(self.EDGES[trial % len(self.EDGES)] - pick.uniform(0.0, 12.0)))
+            ch = FiberChannel(self.SCHEDULE, np.random.default_rng(trial), sim_time=t0)
+            oracle = EagerChannel(self.SCHEDULE, np.random.default_rng(trial), t0)
+            for _ in range(int(pick.integers(1, 12))):
+                op = pick.random()
+                if op < 0.6:
+                    if pick.random() < 0.7:
+                        d = float(pick.choice(self.DURATIONS))
+                    else:
+                        d = float(pick.uniform(0.0, 4.0))
+                    start = ch.advance(d)
+                    assert np.array_equal(start.rotation, oracle.advance(d))
+                    returns += 1
+                elif op < 0.8:
+                    assert np.array_equal(ch.transform.rotation, oracle.rotation)
+                    reads += 1
+                elif op < 0.95:  # another user of the channel's generator
+                    assert np.array_equal(ch.rng.normal(size=4), oracle.rng.normal(size=4))
+                else:
+                    new = PolTransform.random(pick)
+                    ch.transform, oracle.rotation = new, new.rotation
+                assert ch.sim_time == oracle.sim_time
+            assert np.array_equal(ch.transform.rotation, oracle.rotation)
+            assert ch.rng.standard_normal() == oracle.rng.standard_normal()
+        assert returns > 600 and reads > 200
+
+    def test_one_walk_per_two_advances(self, monkeypatch):
+        walks = []
+        real = _kernels.rotation_walk
+        monkeypatch.setattr(
+            _kernels, "rotation_walk", lambda *args: walks.append(len(args[2])) or real(*args)
+        )
+        ch = make_channel(DAY_RATE, 3)
+        for _ in range(3):
+            ch.advance(3.0)  # queued
+            ch.advance(0.12)  # composed with the queued steps
+        assert walks == [32, 32, 32]
+        ch.advance(0.96)
+        ch.transform  # a read composes what is queued
+        assert walks == [32, 32, 32, 10]
 
 
 class TestProbeTrace:
