@@ -9,8 +9,11 @@ its steps; so the fixed cost of a walk shows beside its per-step cost.  The
 them, one walk per window, and exits 1 if the rotations differ from those of
 one walk per advance.  Also times
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
-80 s walks sampled every 0.1 s) as one batched numpy walk against the
-per-seed ``FiberChannel.probe_trace`` loop it replaced; and the window
+80 s walks sampled every 0.1 s) as one batched numpy walk that stops once
+the median is fixed, against the same walk run until every seed has crossed
+and against the per-seed ``FiberChannel.probe_trace`` loop it replaced; it
+exits 1 if the three medians differ at any of three (rate, seed) pairs, one
+of them with a median of 80 s.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
@@ -38,6 +41,7 @@ from polarlink.channel import (
     _step_scales,
     _walk_steps,
     first_crossing_time,
+    probe_crossing_times,
 )
 from polarlink.apc import Controller
 from polarlink.cli import (
@@ -143,15 +147,33 @@ def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sa
     return float(np.median(times))
 
 
+def full_walk_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
+    """``median_crossing_time`` with the batched walk run until every seed has crossed."""
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
+    times = probe_crossing_times(
+        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after=len(rngs)
+    )
+    return float(np.median(np.where(np.isnan(times), max_time_s, times)))
+
+
 def bench_median_crossing(n_seeds, repeats):
+    # (rate, seed): the day rate at calibrate.yaml's seed; a rate at which about two
+    # thirds of the seeds cross within 80 s; and one at which under a third do, so
+    # that the median is 80 s
+    cases = ((DAY_RATE, 3), (DAY_RATE / 3, 4), (DAY_RATE / 6, 5))
+    for rate, seed in cases:
+        args = (rate, 0.95, n_seeds, 80.0, seed)
+        median = median_crossing_time(*args)
+        if not median == full_walk_median_crossing_time(*args) == per_seed_median_crossing_time(*args):
+            sys.exit(f"early-stopped, full and per-seed walks disagree at rate {rate:g}, seed {seed}")
     args = (DAY_RATE, 0.95, n_seeds, 80.0, 3)
-    if median_crossing_time(*args) != per_seed_median_crossing_time(*args):
-        sys.exit("batched and per-seed walks disagree")
     per_seed = timeit(lambda: per_seed_median_crossing_time(*args), repeats)
-    batched = timeit(lambda: median_crossing_time(*args), repeats)
+    full = timeit(lambda: full_walk_median_crossing_time(*args), repeats)
+    early = timeit(lambda: median_crossing_time(*args), repeats)
     print(
         f"{'median_crossing':<16} n={n_seeds:<9} per-seed {per_seed * 1e3:7.2f} ms"
-        f"   batched {batched * 1e3:8.2f} ms   speedup {per_seed / batched:6.1f}x"
+        f"   batched full walk {full * 1e3:7.2f} ms   stopped at the median {early * 1e3:7.2f} ms"
+        f"   speedup {per_seed / early:6.1f}x"
     )
 
 

@@ -352,14 +352,20 @@ def probe_crossing_times(
     duration: float,
     sample_dt: float,
     threshold: float,
+    stop_after: int | None = None,
 ) -> np.ndarray:
     """First time each channel's H-probe fidelity drops below ``threshold``.
 
     Element j is ``first_crossing_time`` of the trace that
     ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
     gives, or NaN where that is None, from the same draws of ``rngs[j]``.
-    The walk stops once every channel has crossed.
+    The walk stops once ``stop_after`` channels (default: all) have crossed;
+    a channel that has not crossed by then reads NaN.  Since the walk goes
+    forward in time, such a channel's crossing, if any, comes after every
+    crossing it returns.
     """
+    if stop_after is None:
+        stop_after = len(rngs)
     _, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
     times = sample_dt * np.arange(n_samples + 1)
     # The output of the identity transform at t = 0 is H itself, fidelity 1.
@@ -369,7 +375,7 @@ def probe_crossing_times(
         below = 0.5 * (1.0 + s1) < threshold
         new = below.any(axis=0) & np.isnan(crossing)
         crossing[new] = times[1 + first + below.argmax(axis=0)[new]]
-        if not np.isnan(crossing).any():
+        if np.count_nonzero(~np.isnan(crossing)) >= stop_after:
             break
     return crossing
 

@@ -415,10 +415,14 @@ def median_crossing_time(
     """Median first time the probe fidelity drops below ``threshold``.
 
     Seeds that never cross within ``max_time_s`` count as ``max_time_s``.
+    The walk stops once ``n_seeds // 2 + 1`` seeds have crossed.  A seed
+    still to cross then crosses later, or counts as ``max_time_s``, which
+    lies past every sample but the last; so the smallest ``n_seeds // 2 + 1``
+    times, and with them the median, are already fixed bit for bit.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
     times = probe_crossing_times(
-        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold
+        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, n_seeds // 2 + 1
     )
     return float(np.median(np.where(np.isnan(times), max_time_s, times)))
 
@@ -436,6 +440,12 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     for key in ("target_time_s", "tolerance", "night_ratio"):
         if settings[key] <= 0:
             raise ConfigError(f"calibrate.{key} must be > 0, got {settings[key]!r}")
+    # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
+    if not math.isfinite(1.0 / settings["night_ratio"]):
+        raise ConfigError(
+            f"calibrate.night_ratio is so small that night_rate overflows, "
+            f"got {settings['night_ratio']!r}"
+        )
     if target_fidelity == 1.0:
         day_rate, median = 0.0, target_time
     else:

@@ -21,7 +21,7 @@ from polarlink.channel import (
     first_crossing_time,
     probe_crossing_times,
 )
-from polarlink.cli import build_channel, load_config
+from polarlink.cli import build_channel, load_config, median_crossing_time
 from polarlink.polmath import PolTransform, StokesVector
 
 H = StokesVector(1, 0, 0)
@@ -365,6 +365,59 @@ class TestProbeCrossingTimes:
             assert np.isnan(got).all()
         if rate == 1.0:
             assert np.nanmax(got) < 5.0
+
+
+def seeded_rngs(seed, n):
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+class TestProbeCrossingTimesStopAfter:
+    """An early-stopped walk keeps every crossing it finds and the median of all."""
+
+    @pytest.mark.parametrize(
+        "rate,sample_dt",
+        [
+            (DAY_RATE, 0.1),
+            (DAY_RATE / 4, 0.1),  # about half cross within 80 s
+            (DAY_RATE / 6, 0.25),  # under a third cross; 3 walk steps per sample
+        ],
+    )
+    def test_crossed_entries_match_the_full_walk(self, rate, sample_dt):
+        sched = DriftSchedule.constant(rate)
+        n = 41
+        full = probe_crossing_times(sched, seeded_rngs(9, n), 80.0, sample_dt, 0.95)
+        for k in (1, 2, 20, 21, 22, n):
+            got = probe_crossing_times(sched, seeded_rngs(9, n), 80.0, sample_dt, 0.95, k)
+            crossed = ~np.isnan(got)
+            assert np.array_equal(got[crossed], full[crossed])
+            if crossed.sum() < k:  # the walk ran to its end
+                assert np.array_equal(got, full, equal_nan=True)
+            # a channel left NaN crosses after every crossed one, or never
+            rest = full[~crossed]
+            assert (np.isnan(rest) | (rest > got[crossed].max(initial=-1.0))).all()
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 7, 50])
+    @pytest.mark.parametrize(
+        "rate,sample_dt,threshold",
+        [
+            (DAY_RATE, 0.1, 0.95),
+            (DAY_RATE / 4, 0.1, 0.95),
+            (DAY_RATE / 6, 0.1, 0.95),
+            (DAY_RATE, 0.25, 0.95),  # sample_dt > max_step_s
+            (0.05, 0.3, 0.99),  # 80 s is not a whole number of samples
+            (1e-5, 0.1, 0.95),  # nothing crosses: the median is max_time_s
+        ],
+    )
+    def test_median_equals_the_full_walk_median(self, n_seeds, rate, sample_dt, threshold):
+        seed = 100 + n_seeds
+        full = probe_crossing_times(
+            DriftSchedule.constant(rate), seeded_rngs(seed, n_seeds), 80.0, sample_dt, threshold
+        )
+        expected = np.median(np.where(np.isnan(full), 80.0, full))
+        got = median_crossing_time(rate, threshold, n_seeds, 80.0, seed, sample_dt)
+        assert np.array_equal(got, expected)
+        if rate == 1e-5 or (rate == DAY_RATE / 6 and n_seeds == 50):
+            assert got == 80.0  # fewer than half cross, so the walk runs to its end
 
 
 class TestDriftOracle:

@@ -115,6 +115,8 @@ BAD_FIELDS = [
     ("calibrate", "calibrate.target_fidelity", "abc"),
     ("calibrate", "calibrate.target_fidelity", 1.5),
     ("calibrate", "calibrate.night_ratio", 0.0),
+    # day_rate / night_ratio overflows to inf
+    ("calibrate", "calibrate.night_ratio", 1.0e-320),
     ("calibrate", "calibrate.n_seed", 10),
 ]
 # test ids "<field>-<value>"; a list or mapping value is named "value<position>"
