@@ -163,9 +163,9 @@ def bench_median_crossing(n_seeds, repeats):
     cases = ((DAY_RATE, 3), (DAY_RATE / 3, 4), (DAY_RATE / 6, 5))
     for rate, seed in cases:
         args = (rate, 0.95, n_seeds, 80.0, seed)
-        median = median_crossing_time(*args)
-        if not median == full_walk_median_crossing_time(*args) == per_seed_median_crossing_time(*args):
-            sys.exit(f"early-stopped, full and per-seed walks disagree at rate {rate:g}, seed {seed}")
+        early, full = median_crossing_time(*args), full_walk_median_crossing_time(*args)
+        if not early == full == per_seed_median_crossing_time(*args):
+            sys.exit(f"early-stopped, full and per-seed walks disagree: rate {rate:g}, seed {seed}")
     args = (DAY_RATE, 0.95, n_seeds, 80.0, 3)
     per_seed = timeit(lambda: per_seed_median_crossing_time(*args), repeats)
     full = timeit(lambda: full_walk_median_crossing_time(*args), repeats)

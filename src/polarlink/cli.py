@@ -443,7 +443,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
     if not math.isfinite(1.0 / settings["night_ratio"]):
         raise ConfigError(
-            f"calibrate.night_ratio is so small that night_rate overflows, "
+            "calibrate.night_ratio is so small that night_rate overflows, "
             f"got {settings['night_ratio']!r}"
         )
     if target_fidelity == 1.0:
