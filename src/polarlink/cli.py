@@ -19,7 +19,7 @@ import yaml
 
 from . import __version__, analysis, apc, channel, source
 # run_session stays importable from cli, where perfbench's tracer wraps it.
-from .apc import ApcConfig, ApcError, Controller, run_session, write_sessions_csv  # noqa: F401
+from .apc import ApcConfig, Controller, run_session, write_sessions_csv  # noqa: F401
 from .channel import (
     Burst,
     ChannelError,
@@ -28,7 +28,7 @@ from .channel import (
     first_crossing_time,
     probe_crossing_times,
 )
-from .polmath import AnalyzerSetting, PolarizationError, StokesVector, TwoQubitPolState
+from .polmath import AnalyzerSetting, StokesVector, TwoQubitPolState
 from .scheduler import (
     SchedulerConfig,
     SchedulerError,
@@ -37,7 +37,7 @@ from .scheduler import (
     uptime_fraction,
     write_timeline_csv,
 )
-from .source import DetectionChain, PairSource, SourceError
+from .source import DetectionChain, PairSource
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -205,6 +205,106 @@ def load_config(path) -> dict:
     return resolve_config({} if cfg is None else cfg)
 
 
+def _require(ok: bool, field: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{field} must be {rule}, got {value!r}")
+
+
+def _check_ranges(cfg: dict, scenario: str) -> None:
+    """Refuse a resolved config with a value out of range, naming its field path.
+
+    Every range rule of the config lives here, and every run passes through
+    it before it makes anything, its run directory included; the objects
+    built from the config do not check their fields again.  Only
+    ``duration_s`` depends on the scenario.
+    """
+    c = cfg["time_compression"]
+    _require(c >= 1, "time_compression", ">= 1", c)
+    if scenario in ("probe", "longrun"):
+        duration = cfg["duration_s"]
+        if duration is None:
+            raise ConfigError("missing required config field: duration_s")
+        _require(duration >= 0, "duration_s", ">= 0", duration)
+        if scenario == "probe":
+            _require(duration > 0, "duration_s", "> 0 for a probe trace", duration)
+    block = cfg["channel"]
+    _require(block["loss_db"] >= 0, "channel.loss_db", ">= 0", block["loss_db"])
+    _require(block["max_step_s"] > 0, "channel.max_step_s", "> 0", block["max_step_s"])
+    # The schedule's time rules read each time as the channel gets it, divided
+    # by time_compression, so one that underflows there is refused; the
+    # message quotes it as written.
+    block, path = block["schedule"], "channel.schedule"
+    divided = " after dividing by time_compression"
+    for i, burst in enumerate(block["bursts"]):
+        for key in ("duration_s", "multiplier"):
+            _require(burst[key] >= 0, f"{path}.bursts[{i}].{key}", ">= 0", burst[key])
+    if block["kind"] == "constant":
+        _require(block["rate"] >= 0, f"{path}.rate", ">= 0", block["rate"])
+    elif block["kind"] == "day_night":
+        for key in ("day_rate", "night_rate"):
+            _require(block[key] >= 0, f"{path}.{key}", ">= 0", block[key])
+        day, night, period = (block[k] / c for k in ("day_start_s", "night_start_s", "period_s"))
+        rule = "in [0, night_start_s)" + divided
+        _require(0.0 <= day < night, f"{path}.day_start_s", rule, block["day_start_s"])
+        rule = "> night_start_s" + divided
+        _require(night < period, f"{path}.period_s", rule, block["period_s"])
+    else:
+        period = block["period_s"] / c
+        _require(period > 0, f"{path}.period_s", "> 0" + divided, block["period_s"])
+        segments = block["segments"]
+        _require(segments != [], f"{path}.segments", "a non-empty list", segments)
+        previous = None
+        for i, segment in enumerate(segments):
+            field, start = f"{path}.segments[{i}]", segment["start_s"] / c
+            _require(segment["rate"] >= 0, f"{field}.rate", ">= 0", segment["rate"])
+            if previous is None:
+                _require(start == 0.0, f"{field}.start_s", "0" + divided, segment["start_s"])
+            else:
+                rule = f"in (segments[{i - 1}].start_s, period_s)" + divided
+                _require(previous < start < period, f"{field}.start_s", rule, segment["start_s"])
+            previous = start
+    rate, visibility = cfg["source"]["local_pair_rate"], cfg["source"]["visibility"]
+    _require(rate > 0, "source.local_pair_rate", "> 0", rate)
+    _require(0.0 <= visibility <= 1.0, "source.visibility", "in [0, 1]", visibility)
+    block = cfg["detection"]
+    for key in ("signal_efficiency", "idler_efficiency"):
+        _require(0.0 <= block[key] <= 1.0, f"detection.{key}", "in [0, 1]", block[key])
+    _require(block["dark_rate"] >= 0, "detection.dark_rate", ">= 0", block["dark_rate"])
+    window = block["coincidence_window"]
+    _require(window > 0, "detection.coincidence_window", "> 0", window)
+    block = cfg["apc"]
+    check, target = block["check_threshold"], block["target_threshold"]
+    _require(0.0 < check <= target, "apc.check_threshold", "in (0, apc.target_threshold]", check)
+    _require(target < 1.0, "apc.target_threshold", "< 1", target)
+    for key in ("timeout_s", "step_size", "fd_delta", "cycle_time_s"):
+        _require(block[key] > 0, f"apc.{key}", "> 0", block[key])
+    cycles = block["timeout_s"] / block["cycle_time_s"]
+    rule = f"<= {apc.MAX_SESSION_CYCLES:,} cycles"
+    _require(cycles <= apc.MAX_SESSION_CYCLES, "apc.timeout_s / cycle_time_s", rule, cycles)
+    block = cfg["scheduler"]
+    window = block["measure_window_s"]
+    rule = "in (0, scheduler.uptime_window_s]"
+    _require(0.0 < window <= block["uptime_window_s"], "scheduler.measure_window_s", rule, window)
+    # The fringe fit divides each rate's variance by the window's square,
+    # which must be a normal float: a zero or subnormal one loses the weights.
+    rule = "at least about 1.5e-154 s (its square underflows)"
+    _require(window * window >= sys.float_info.min, "scheduler.measure_window_s", rule, window)
+    sample_dt = cfg["probe"]["sample_dt_s"]
+    _require(sample_dt > 0, "probe.sample_dt_s", "> 0", sample_dt)
+    block = cfg["calibrate"]
+    n_seeds = block["n_seeds"]
+    rule = f"in [1, {MAX_CALIBRATE_SEEDS:,}]"
+    _require(1 <= n_seeds <= MAX_CALIBRATE_SEEDS, "calibrate.n_seeds", rule, n_seeds)
+    fidelity = block["target_fidelity"]
+    _require(0.0 < fidelity <= 1.0, "calibrate.target_fidelity", "in (0, 1]", fidelity)
+    for key in ("target_time_s", "tolerance", "night_ratio"):
+        _require(block[key] > 0, f"calibrate.{key}", "> 0", block[key])
+    # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
+    ratio = block["night_ratio"]
+    rule = "large enough that 1 / night_ratio is finite"
+    _require(math.isfinite(1.0 / ratio), "calibrate.night_ratio", rule, ratio)
+
+
 def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
     """Build the channel, compressing the time axis of the drift cycle.
 
@@ -212,84 +312,60 @@ def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
     ``time_compression``; diffusion rates and burst durations are untouched,
     so per-session drift statistics match the uncompressed link.
     """
-    c = cfg["time_compression"]
-    if c < 1.0:
-        raise ConfigError("time_compression must be >= 1")
-    block, sched = cfg["channel"], cfg["channel"]["schedule"]
-    bursts = []
-    for i, b in enumerate(sched["bursts"]):
-        try:
-            bursts.append(Burst(b["start_s"] / c, b["duration_s"], b["multiplier"]))
-        except ChannelError as e:  # its messages start with the field name
-            raise ConfigError(f"channel.schedule.bursts[{i}].{e}") from e
-    try:
-        if sched["kind"] == "constant":
-            schedule = DriftSchedule.constant(sched["rate"], bursts=bursts)
-        elif sched["kind"] == "day_night":
-            schedule = DriftSchedule.day_night(
-                day_rate=sched["day_rate"],
-                night_rate=sched["night_rate"],
-                day_start_s=sched["day_start_s"] / c,
-                night_start_s=sched["night_start_s"] / c,
-                period_s=sched["period_s"] / c,
-                bursts=bursts,
-            )
-        else:
-            segments = tuple((s["start_s"] / c, s["rate"]) for s in sched["segments"])
-            schedule = DriftSchedule(segments, sched["period_s"] / c, tuple(bursts))
-    except ChannelError as e:  # its messages start with the field name
-        raise ConfigError(f"channel.schedule.{e}") from e
-    try:
-        return FiberChannel(schedule, rng, loss_db=block["loss_db"], max_step_s=block["max_step_s"])
-    except ChannelError as e:
-        # FiberChannel's messages start with the name of the offending field.
-        raise ConfigError(f"channel.{e}") from e
+    c, block = cfg["time_compression"], cfg["channel"]
+    sched = block["schedule"]
+    bursts = [Burst(b["start_s"] / c, b["duration_s"], b["multiplier"]) for b in sched["bursts"]]
+    if sched["kind"] == "constant":
+        schedule = DriftSchedule.constant(sched["rate"], bursts=bursts)
+    elif sched["kind"] == "day_night":
+        schedule = DriftSchedule.day_night(
+            day_rate=sched["day_rate"],
+            night_rate=sched["night_rate"],
+            day_start_s=sched["day_start_s"] / c,
+            night_start_s=sched["night_start_s"] / c,
+            period_s=sched["period_s"] / c,
+            bursts=bursts,
+        )
+    else:
+        segments = tuple((s["start_s"] / c, s["rate"]) for s in sched["segments"])
+        schedule = DriftSchedule(segments, sched["period_s"] / c, tuple(bursts))
+    return FiberChannel(schedule, rng, loss_db=block["loss_db"], max_step_s=block["max_step_s"])
 
 
 def build_link(cfg: dict, rng: np.random.Generator) -> tuple:
     """The channel, pair source, detection chain, APC and scheduler settings."""
     ch = build_channel(cfg, rng)
-    builders = {
-        "source": lambda b: PairSource(b["local_pair_rate"], TwoQubitPolState(b["visibility"])),
-        "detection": lambda b: DetectionChain(ch.transmittance(), **b),
-        "apc": lambda b: ApcConfig(**b),
-        "scheduler": lambda b: SchedulerConfig(**b),
-    }
-    built = [ch]
-    for block, build in builders.items():
-        try:
-            built.append(build(cfg[block]))
-        except (PolarizationError, SourceError, ApcError, SchedulerError) as e:
-            # Their messages start with the name of the offending field.
-            raise ConfigError(f"{block}.{e}") from e
-    return tuple(built)
+    src = cfg["source"]
+    return (
+        ch,
+        PairSource(src["local_pair_rate"], TwoQubitPolState(src["visibility"])),
+        DetectionChain(ch.transmittance(), **cfg["detection"]),
+        ApcConfig(**cfg["apc"]),
+        SchedulerConfig(**cfg["scheduler"]),
+    )
 
 
 def _resolved_duration(cfg: dict) -> float:
-    if cfg["duration_s"] is None:
-        raise ConfigError("missing required config field: duration_s")
-    if cfg["duration_s"] < 0:
-        raise ConfigError("duration_s must be >= 0")
+    """``duration_s`` on the compressed time axis."""
     return cfg["duration_s"] / cfg["time_compression"]
 
 
-def _write_summary(path: Path, cfg: dict, seed: int, payload: dict) -> None:
-    payload = {**payload, "config": cfg, "seed": seed, "polarlink_version": __version__}
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
+def _write_summary(path: Path, cfg: dict, seed: int, payload: dict) -> None:
+    _write_json(path, {**payload, "config": cfg, "seed": seed, "polarlink_version": __version__})
+
+
 def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
     ch = build_channel(cfg, rng)
-    duration = _resolved_duration(cfg)
-    if duration == 0:
-        raise ConfigError("duration_s must be > 0 for a probe trace")
-    sample_dt = cfg["probe"]["sample_dt_s"]
-    if sample_dt <= 0:
-        raise ConfigError(f"probe.sample_dt_s must be > 0, got {sample_dt!r}")
-    times, stokes, fidelity = ch.probe_trace(StokesVector(1, 0, 0), duration, sample_dt)
+    times, stokes, fidelity = ch.probe_trace(
+        StokesVector(1, 0, 0), _resolved_duration(cfg), cfg["probe"]["sample_dt_s"]
+    )
     with open(out / "probe.csv", "w", newline="") as f:
         f.write("t_s,s1,s2,s3,fidelity\n")
         for t, s, fid in zip(times, stokes, fidelity):
@@ -329,7 +405,7 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
         )
     try:
         windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
-    except SchedulerError as e:  # the window cap; the settings were checked in build_link
+    except SchedulerError as e:  # the window cap; the settings were checked in _check_ranges
         raise ConfigError(
             "duration_s, time_compression, scheduler.uptime_window_s or apc.cycle_time_s"
             f" make too many windows: {e}"
@@ -431,21 +507,6 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     settings = cfg["calibrate"]
     target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
     n_seeds = settings["n_seeds"]
-    if not 1 <= n_seeds <= MAX_CALIBRATE_SEEDS:
-        raise ConfigError(
-            f"calibrate.n_seeds must be in [1, {MAX_CALIBRATE_SEEDS:,}], got {n_seeds!r}"
-        )
-    if not 0.0 < target_fidelity <= 1.0:
-        raise ConfigError("calibrate.target_fidelity must be in (0, 1]")
-    for key in ("target_time_s", "tolerance", "night_ratio"):
-        if settings[key] <= 0:
-            raise ConfigError(f"calibrate.{key} must be > 0, got {settings[key]!r}")
-    # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
-    if not math.isfinite(1.0 / settings["night_ratio"]):
-        raise ConfigError(
-            "calibrate.night_ratio is so small that night_rate overflows, "
-            f"got {settings['night_ratio']!r}"
-        )
     if target_fidelity == 1.0:
         day_rate, median = 0.0, target_time
     else:
@@ -478,9 +539,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
         "achieved_median_s": median,
         "n_seeds": n_seeds,
     }
-    with open(out / "schedule.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "schedule.json", payload)
     _write_summary(out / "summary.json", cfg, seed, payload)
     return payload
 
@@ -496,6 +555,7 @@ _COMMANDS = {
 
 def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
     cfg = resolve_config(cfg)
+    _check_ranges(cfg, scenario)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # a file in the way, or no permission
@@ -503,7 +563,7 @@ def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
     command, walk_fields = _COMMANDS[scenario]
     try:
         return command(cfg, seed, out)
-    except ChannelError as e:  # build_channel reports the others as ConfigError
+    except ChannelError as e:  # the walk cap; _check_ranges refused the rest
         raise ConfigError(f"{walk_fields} makes a walk too long: {e}") from e
 
 
@@ -542,11 +602,9 @@ def main(argv=None) -> int:
             results = [_run_one(args.scenario, cfg, s, out / f"seed_{s:04d}") for s in seeds]
             aggregate = {"scenario": args.scenario, "seeds": seeds, "runs": results}
             out.mkdir(parents=True, exist_ok=True)
-            with open(out / "aggregate.json", "w") as f:
-                json.dump(aggregate, f, indent=2, sort_keys=True)
-                f.write("\n")
+            _write_json(out / "aggregate.json", aggregate)
             print(json.dumps({"scenario": args.scenario, "n_runs": len(results)}))
-    except (ConfigError, ChannelError, ApcError, SchedulerError, SourceError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (CalibrationError, analysis.FitError) as e:

@@ -132,10 +132,6 @@ class TwoQubitPolState:
 
     visibility: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise PolarizationError(f"visibility must be in [0, 1], got {self.visibility}")
-
     def density_matrix(self) -> np.ndarray:
         pure = np.outer(_PHI_PLUS, _PHI_PLUS.conj())
         return self.visibility * pure + (1.0 - self.visibility) * np.eye(4) / 4.0

@@ -21,17 +21,13 @@ TIME_RESOLUTION = 1e-12  # tag quantization, s
 
 
 class SourceError(ValueError):
-    """Invalid source/detection configuration or stream."""
+    """Invalid time-tag stream or tag-level argument."""
 
 
 @dataclass(frozen=True)
 class PairSource:
     local_pair_rate: float = DEFAULT_PAIR_RATE
     state: TwoQubitPolState = field(default_factory=lambda: TwoQubitPolState(1.0))
-
-    def __post_init__(self):
-        if self.local_pair_rate <= 0:
-            raise SourceError("local_pair_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -41,16 +37,6 @@ class DetectionChain:
     idler_efficiency: float = DEFAULT_DETECTOR_EFFICIENCY
     dark_rate: float = 0.0
     coincidence_window: float = DEFAULT_COINCIDENCE_WINDOW
-
-    def __post_init__(self):
-        for name in ("idler_transmittance", "signal_efficiency", "idler_efficiency"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise SourceError(f"{name} must be in [0, 1], got {v}")
-        if self.coincidence_window <= 0:
-            raise SourceError("coincidence_window must be > 0")
-        if self.dark_rate < 0:
-            raise SourceError("dark_rate must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from scipy.spatial.transform import Rotation
 
 from polarlink import apc
 from polarlink.apc import (
-    MAX_SESSION_CYCLES,
     OUTCOME_CONVERGED,
     OUTCOME_SKIPPED,
     OUTCOME_TIMEOUT,
@@ -133,23 +132,6 @@ class TestMeasureAndCost:
             assert 0.0 <= c <= 1.0
 
 
-class TestApcConfig:
-    def test_rejects_inverted_thresholds(self):
-        with pytest.raises(ApcError):
-            ApcConfig(check_threshold=0.995, target_threshold=0.99)
-
-    def test_rejects_nonpositive_timeout(self):
-        with pytest.raises(ApcError):
-            ApcConfig(timeout_s=0.0)
-
-    def test_session_cycle_cap(self):
-        # a timeout may span MAX_SESSION_CYCLES cycles, not one more
-        ApcConfig(timeout_s=float(MAX_SESSION_CYCLES), cycle_time_s=1.0)
-        for timeout_s, cycle_time_s in [(MAX_SESSION_CYCLES + 1.0, 1.0), (55.0, 1.0e-300)]:
-            with pytest.raises(ApcError, match=r"^timeout_s / cycle_time_s must be <="):
-                ApcConfig(timeout_s=timeout_s, cycle_time_s=cycle_time_s)
-
-
 class TestCompensationStep:
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
@@ -198,7 +180,7 @@ class TestRunSession:
         assert rec.outcome == OUTCOME_CONVERGED
         assert rec.min_fidelity_after >= cfg.target_threshold
         fids = measure_fidelities(ch.transform, ctrl)
-        assert fids.min() >= cfg.target_threshold
+        assert min(fids) >= cfg.target_threshold
 
     def test_duration_accounting(self):
         # duration = cycle_time * (1 + 9 * iterations) exactly

@@ -32,18 +32,6 @@ def make_channel(rate, seed, **kw):
 
 
 class TestDriftSchedule:
-    def test_rejects_nonzero_first_start(self):
-        with pytest.raises(ChannelError):
-            DriftSchedule(segments=((1.0, 0.1),))
-
-    def test_rejects_unsorted_segments(self):
-        with pytest.raises(ChannelError):
-            DriftSchedule(segments=((0.0, 0.1), (50.0, 0.2), (50.0, 0.3)), period_s=100.0)
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ChannelError):
-            DriftSchedule.constant(-1.0)
-
     def test_day_night_lookup(self):
         sched = DriftSchedule.day_night(day_rate=1.0, night_rate=0.01)
         assert sched.rate_at(0.0) == pytest.approx(0.01)
@@ -145,10 +133,6 @@ class TestTransmittance:
         ch = make_channel(0.0, 0, loss_db=3.0)
         assert ch.transmittance() == pytest.approx(0.5012, abs=1e-4)
 
-    def test_rejects_negative_loss(self):
-        with pytest.raises(ChannelError):
-            make_channel(0.0, 0, loss_db=-1.0)
-
 
 class TestStep:
     def test_zero_rate_leaves_transform(self):
@@ -174,11 +158,6 @@ class TestStep:
         with pytest.raises(ChannelError):
             ch.advance(0.1)
         assert ch.sim_time == 0.0
-
-    @pytest.mark.parametrize("max_step_s", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_bad_max_step(self, max_step_s):
-        with pytest.raises(ChannelError, match="max_step_s"):
-            make_channel(0.1, 1, max_step_s=max_step_s)
 
     def test_deterministic_trajectories(self):
         def run(seed):

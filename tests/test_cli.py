@@ -12,7 +12,7 @@ import yaml
 
 import polarlink
 from polarlink import cli
-from polarlink.apc import ApcConfig
+from polarlink.apc import MAX_SESSION_CYCLES, ApcConfig
 from polarlink.channel import DAY_RATE
 
 CONFIG_DIR = "configs"
@@ -57,12 +57,14 @@ def longrun_cfg(duration=600.0, rate=DAY_RATE, stabilized=True, seed=11):
     }
 
 
-# (scenario, field path, bad value): each run must exit 2 naming the field.
-# A field starting with "--" is a command-line flag.
+# (scenario, field path, bad value): each run must exit 2 naming the field,
+# before it makes its run directory.  A field starting with "--" is a
+# command-line flag.
 BAD_FIELDS = [
     ("probe", "channel.max_step_s", 0),
     ("probe", "channel.max_step_s", -0.1),
     ("probe", "channel.max_step_s", float("nan")),
+    ("probe", "channel.max_step_s", float("inf")),
     ("probe", "channel.max_step_s", "abc"),
     ("probe", "channel.loss_db", "abc"),
     ("probe", "channel.loss_db", float("inf")),
@@ -91,6 +93,16 @@ BAD_FIELDS = [
     ("fringe", "apc.timeout_s", 0.0),
     ("fringe", "apc.cycle_time_s", 0.0),
     ("fringe", "apc.check_threshold", 0.0),
+    ("fringe", "apc.check_threshold", 0.995),  # over apc.target_threshold
+    ("fringe", "apc.target_threshold", 1.0),
+    ("fringe", "source.visibility", 1.2),
+    ("fringe", "source.local_pair_rate", 0),
+    ("fringe", "detection.signal_efficiency", 1.5),
+    ("fringe", "detection.coincidence_window", 0),
+    ("fringe", "scheduler.measure_window_s", 4.0),  # over scheduler.uptime_window_s
+    ("fringe", "scheduler.uptime_window_s", 1.0),  # under scheduler.measure_window_s
+    # a square that overflows must not raise OverflowError
+    ("fringe", "scheduler.measure_window_s", 1.0e300),
     ("fringe", "source.visibility", "abc"),
     ("fringe", "detection.dark_rate", "abc"),
     ("fringe", "scheduler.uptime_window_s", "abc"),
@@ -101,9 +113,6 @@ BAD_FIELDS = [
     ("fringe", "scheduler", "x"),
     ("fringe", "channel", "x"),
     ("fringe", "channel.schedule", "x"),
-    # a window mean over what numpy's Poisson draw accepts, refused before the walk
-    ("fringe", "source.local_pair_rate", 1.0e20),
-    ("longrun", "source.local_pair_rate", 1.0e20),
     ("calibrate", "calibrate.n_seeds", -1),
     ("calibrate", "calibrate.n_seeds", 0),
     ("calibrate", "calibrate.n_seeds", 2.5),
@@ -141,6 +150,7 @@ BAD_SCHEDULES = [
     ({"kind": "day_night", "period_s": -5.0}, "channel.schedule.period_s"),
     (segments(0.0, 90000.0), "channel.schedule.segments[1].start_s"),
     (segments(0.0, 500.0, 100.0), "channel.schedule.segments[2].start_s"),
+    (segments(0.0, 50.0, 50.0), "channel.schedule.segments[2].start_s"),
     (segments(5.0), "channel.schedule.segments[0].start_s"),
     (segments(0.0, 100.0, rate=-1.0), "channel.schedule.segments[0].rate"),
     ({**segments(0.0), "period_s": -5.0}, "channel.schedule.period_s"),
@@ -238,16 +248,53 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "schedule,field", BAD_SCHEDULES, ids=[f"{f}-{i}" for i, (_, f) in enumerate(BAD_SCHEDULES)]
     )
     def test_bad_schedule_range_names_its_field(self, tmp_path, capsys, schedule, field):
         cfg = write_cfg(tmp_path, probe_cfg(channel={"schedule": schedule}))
-        assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        out = tmp_path / "o"
+        assert run(["probe", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {field} must" in err
+        assert f"config error: {field} must" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_schedule_times_are_checked_compressed(self, tmp_path, capsys):
+        # a period > 0 as written, but 0 once divided by time_compression
+        schedule = {**segments(0.0), "period_s": 5.0e-324}
+        data = probe_cfg(channel={"schedule": schedule}, time_compression=10.0)
+        out = tmp_path / "o"
+        assert run(["probe", "--config", write_cfg(tmp_path, data), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "config error: channel.schedule.period_s must be > 0 after dividing by"
+            " time_compression, got 5e-324"
+        ) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["fringe", "longrun"])
+    def test_window_mean_over_the_poisson_limit_exits_2(self, tmp_path, capsys, scenario):
+        # refused once the link is built, before the walk: the run directory stays empty
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, scenario_cfg(scenario, {"source.local_pair_rate": 1.0e20}))
+        assert run([scenario, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "source.local_pair_rate" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_session_cycle_cap(self, tmp_path, capsys):
+        # a timeout may span apc.MAX_SESSION_CYCLES cycles, not one more
+        values = {"apc.cycle_time_s": 1.0, "apc.timeout_s": float(MAX_SESSION_CYCLES)}
+        cfg = write_cfg(tmp_path, scenario_cfg("fringe", values))
+        assert run(["fringe", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        values["apc.timeout_s"] += 1.0
+        cfg, out = write_cfg(tmp_path, scenario_cfg("fringe", values)), tmp_path / "b"
+        assert run(["fringe", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"apc.timeout_s / cycle_time_s must be <= {MAX_SESSION_CYCLES:,} cycles" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario,values,field", LONG_WALKS, ids=[f"{s}-{'-'.join(v)}" for s, v, _ in LONG_WALKS]

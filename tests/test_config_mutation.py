@@ -47,7 +47,8 @@ MUTATIONS = {
 }
 # Type, non-finite, deleted and renamed values all meet the one config
 # resolver, so a seeded draw of leaves per (config, mutation) pair covers them.
-# Range checks sit with each field, so negate and zero run on every leaf.
+# Range rules differ from field to field (all of them in cli._check_ranges),
+# so negate and zero run on every leaf.
 PER_PAIR = 2
 EVERY_LEAF = ("negate", "zero")
 # No shipped config spells out its apc block, so negate and zero also run on

@@ -115,10 +115,6 @@ class TestTwoQubitPolState:
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
-    def test_rejects_bad_visibility(self):
-        with pytest.raises(PolarizationError):
-            TwoQubitPolState(1.2)
-
 
 class TestAnalyzerSetting:
     def test_angle_reduced_mod_180(self):

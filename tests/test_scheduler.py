@@ -34,12 +34,6 @@ def make_link(rate, seed, duration, stabilized=True, plan=None):
 SRC = PairSource(state=TwoQubitPolState(0.8))
 
 
-class TestConfigAndTimeline:
-    def test_rejects_measure_longer_than_uptime(self):
-        with pytest.raises(SchedulerError):
-            SchedulerConfig(uptime_window_s=1.0, measure_window_s=2.0)
-
-
 class TestRunLink:
     @pytest.mark.parametrize(
         "rate,seed", [(0.0, 20), (NIGHT_RATE, 21), (DAY_RATE, 22)], ids=["quiet", "night", "day"]
