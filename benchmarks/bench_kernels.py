@@ -1,13 +1,16 @@
 """Benchmark the hot-loop kernels: the rotation walk and the tag matcher.
 
-Also times one walk of the channel at the link's three advance lengths (a
-0.12 s check cycle, a 0.96 s finite-difference block and a 3 s uptime window:
-2, 10 and 30 steps) under the configs/longrun_stabilized.yaml schedule, as an
-``advance`` plus a ``transform`` read, since an advance alone may only queue
-its steps; so the fixed cost of a walk shows beside its per-step cost.  The
-"window" row times a check cycle and an uptime window as ``run_link`` runs
-them, one walk per window, and exits 1 if the rotations differ from those of
-one walk per advance.  Also times
+Also times one ``advance`` of the channel, one quaternion walk, at the link's
+three advance lengths (a 0.12 s check cycle, a 0.96 s finite-difference block
+and a 3 s uptime window: 2, 10 and 30 steps) under the
+configs/longrun_stabilized.yaml schedule, so the fixed cost of a walk shows
+beside its per-step cost.  The "window" row times a check cycle and an uptime
+window as ``run_link`` runs them; it exits 1 if the rotations at the start of
+each advance differ by more than 1e-12 from those of a per-step matrix walk
+of the same draws, the oracle kept here.  The matcher is timed on independent
+streams and on 3,200 matched tags (common pair times with 50 ps jitter),
+where it exits 1 if its count differs from that of the per-tag scan it
+replaced, also kept here.  Also times
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 80 s walks sampled every 0.1 s) as one batched numpy walk that stops once
 the median is fixed, against the same walk run until every seed has crossed
@@ -36,7 +39,6 @@ from polarlink.channel import (
     MAX_STEP_S,
     DriftSchedule,
     FiberChannel,
-    _axes_and_angles,
     _step_grid,
     _step_scales,
     _walk_steps,
@@ -51,7 +53,7 @@ from polarlink.cli import (
     load_config,
     median_crossing_time,
 )
-from polarlink.polmath import StokesVector
+from polarlink.polmath import PolTransform, StokesVector, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
 from polarlink.source import port_rates
 
@@ -67,12 +69,11 @@ def timeit(fn, repeats):
 
 def bench_rotation_walk(n_steps, repeats):
     rng = np.random.default_rng(0)
-    axes = rng.standard_normal((n_steps, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    angles = rng.normal(0.0, 0.01, n_steps)
-    r0 = np.eye(3)
+    axes = rng.standard_normal((n_steps, 3)).tolist()
+    angles = rng.normal(0.0, 0.01, n_steps).tolist()
+    q0 = (0.0, 0.0, 0.0, 1.0)
     stride = max(1, n_steps // 100)
-    return timeit(lambda: _kernels.rotation_walk(r0, axes, angles, stride), repeats)
+    return timeit(lambda: _kernels.rotation_walk(q0, axes, angles, stride), repeats)
 
 
 def longrun_channel(seed=0):
@@ -80,19 +81,19 @@ def longrun_channel(seed=0):
 
 
 def bench_advance(duration, calls, repeats):
-    """Seconds per ``advance(duration)`` plus ``transform`` read (one walk), best of ``repeats``."""
+    """Seconds per ``advance(duration)`` (one walk), best of ``repeats``."""
     channel = longrun_channel()
 
     def walk():
         for _ in range(calls):
             channel.advance(duration)
-            channel.transform
 
     return timeit(walk, repeats) / calls
 
 
-def eager_window_rotations(legs, windows, seed=0):
-    """Channel rotation at the start of each leg of ``windows`` windows, one walk per leg."""
+def matrix_walk_rotations(legs, windows, seed=0):
+    """Channel rotation at the start of each leg of ``windows`` windows, from
+    the channel's draws, as a per-step walk of Rodrigues matrices."""
     channel = longrun_channel(seed)
     rotation, t, rng, out = np.eye(3), channel.sim_time, channel.rng, []
     for _ in range(windows):
@@ -100,8 +101,13 @@ def eager_window_rotations(legs, windows, seed=0):
             out.append(rotation)
             n = _walk_steps(duration, MAX_STEP_S)
             scale = _step_scales(channel.schedule, t, n, duration / n)
-            axes, angles = _axes_and_angles(rng.standard_normal((n, 4)), scale)
-            rotation, _ = _kernels.rotation_walk(rotation, axes, angles)
+            draws = rng.standard_normal((n, 4))
+            axes = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1, keepdims=True)
+            for (x, y, z), angle in zip(axes, draws[:, 3] * scale):
+                c, s = np.cos(angle), np.sin(angle)
+                k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+                step = c * np.eye(3) + s * k + (1.0 - c) * np.outer((x, y, z), (x, y, z))
+                rotation = step @ rotation
             t += _step_grid(n, duration / n)[1]
     return out + [rotation]
 
@@ -111,11 +117,13 @@ def bench_window(calls, repeats, cycle_s=0.12, uptime_s=3.0):
     channel = longrun_channel()
     starts = []
     for _ in range(calls):
-        starts.append(channel.advance(cycle_s).rotation)
-        starts.append(channel.advance(uptime_s).rotation)
-    starts.append(channel.transform.rotation)
-    if not all(map(np.array_equal, starts, eager_window_rotations((cycle_s, uptime_s), calls))):
-        sys.exit("queued and per-advance walks disagree")
+        starts.append(channel.advance(cycle_s))
+        starts.append(channel.advance(uptime_s))
+    starts.append(channel.quat)
+    oracle = matrix_walk_rotations((cycle_s, uptime_s), calls)
+    worst = np.abs(quaternion_matrix(*np.array(starts).T) - np.array(oracle)).max()
+    if not worst <= 1e-12:
+        sys.exit(f"quaternion and matrix walks differ by {worst:.3g}")
     channel = longrun_channel()
 
     def windows():
@@ -133,6 +141,43 @@ def bench_greedy_match(n_tags, repeats):
     tags = np.sort(rng.uniform(0, span, n_tags))
     half_window = 2e-6
     return timeit(lambda: _kernels.greedy_match(ref, tags, half_window), repeats)
+
+
+def scan_match(ref_times, tag_times, half_window):
+    """The matcher's former loop: each tag scans past every used reference."""
+    n = ref_times.shape[0]
+    used = np.zeros(n, dtype=bool)
+    count = 0
+    right_of = np.searchsorted(ref_times, tag_times)
+    for j in range(tag_times.shape[0]):
+        t = tag_times[j]
+        left = right_of[j] - 1
+        while left >= 0 and used[left]:
+            left -= 1
+        right = right_of[j]
+        while right < n and used[right]:
+            right += 1
+        dl = t - ref_times[left] if left >= 0 else np.inf
+        dr = ref_times[right] - t if right < n else np.inf
+        best, dist = (left, dl) if dl <= dr else (right, dr)
+        if dist <= half_window:
+            used[best] = True
+            count += 1
+    return count
+
+
+def bench_matched_tags(n_tags, repeats, jitter=50e-12, half_window=1e-9):
+    """The matcher on two streams of ``n_tags`` common pair times, each tag
+    ``jitter`` off its pair time: every reference gets used in turn."""
+    rng = np.random.default_rng(2)
+    pairs = rng.uniform(0.0, n_tags * 5e-6, n_tags)
+    ref = np.sort(pairs + rng.normal(0.0, jitter, n_tags))
+    tags = np.sort(pairs + rng.normal(0.0, jitter, n_tags))
+    count = _kernels.greedy_match(ref, tags, half_window)
+    if count != scan_match(ref, tags, half_window):
+        sys.exit(f"greedy_match and the per-tag scan disagree on {n_tags} matched tags")
+    seconds = timeit(lambda: _kernels.greedy_match(ref, tags, half_window), repeats)
+    print(f"{'matched_tags':<16} n={n_tags:<9} python {seconds * 1e3:9.2f} ms   ({count} matches)")
 
 
 def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
@@ -182,7 +227,8 @@ def per_window_counts(windows, src, chain, sched_cfg, rng, noiseless=False):
     call and one Poisson draw per window."""
     out = []
     for w in windows:
-        mean = port_rates(src, chain, *w.setting, w.idler_transform) * sched_cfg.measure_window_s
+        idler = PolTransform.trusted(quaternion_matrix(*w.idler_quat))
+        mean = port_rates(src, chain, *w.setting, idler) * sched_cfg.measure_window_s
         out.append(mean if noiseless else rng.poisson(mean))
     return np.array(out).reshape(-1, 4)
 
@@ -232,6 +278,7 @@ def main():
     seconds = bench_window(1000, args.repeats)
     print(f"{'window':<16} n={steps:<9} 0.12 s + 3 s  {seconds * 1e6:7.1f} us per window")
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
+    bench_matched_tags(3200, args.repeats)
     bench_median_crossing(200, args.repeats)
     bench_sampler(args.repeats)
 

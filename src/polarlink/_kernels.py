@@ -1,59 +1,49 @@
 """Hot loops of the simulator: the channel's rotation walk and the tag matcher."""
 
+from math import cos, inf, sin, sqrt
+
 import numpy as np
 
 
-# Entry (i, j) of a Rodrigues matrix is k_i k_j (1 - cos) plus the column
-# _SPREAD[3 i + j] of [cos, x sin, y sin, z sin, -x sin, -y sin, -z sin]:
-# cos on the diagonal, a term of the cross-product matrix off it.
-_SPREAD = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
-_NO_SAMPLES = np.empty((0, 3, 3))
-_NO_SAMPLES.flags.writeable = False
+def rotation_walk(q, axes, angles, sample_stride=0):
+    """Compose a sequence of small rotations onto the unit quaternion ``q``.
 
+    Quaternions are (x, y, z, w) tuples of Python floats.  Step i rotates by
+    ``angles[i]`` about the direction ``axes[i]``, an (x, y, z) triple of any
+    length, on the left (new = step * old); a zero direction is the identity
+    step.  If ``sample_stride`` > 0, the accumulated quaternion is recorded
+    after every ``sample_stride`` steps.  Lists of floats walk fastest.
 
-def _axis_angle_matrices(axes, angles):
-    """Rodrigues rotation matrices, shape (n, 3, 3), for n unit axes and angles.
-
-    Entry (0, 1) is ``x*y*(1-cos) - z*sin``, entry (0, 0) ``cos + x*x*(1-cos)``
-    and so on, each rounded as that expression is (a - b is a + (-b) in IEEE
-    754), signed zeros included; whole-array operations build all n at once.
+    Returns (final quaternion, list of sampled quaternions).
     """
-    c = np.cos(angles)
-    k_sin = axes * np.sin(angles)[:, None]
-    cols = np.concatenate((c[:, None], k_sin, -k_sin), axis=1)
-    m = axes[:, :, None] * axes[:, None, :]  # not einsum, which sums onto +0.0 and loses -0.0
-    m *= (1.0 - c)[:, None, None]
-    m += cols.take(_SPREAD, axis=1).reshape(-1, 3, 3)
-    return m
+    if sample_stride <= 0:
+        return _compose_steps(q, axes, angles), []
+    samples = []
+    end = len(angles) - len(angles) % sample_stride
+    for i in range(0, end, sample_stride):
+        q = _compose_steps(q, axes[i : i + sample_stride], angles[i : i + sample_stride])
+        samples.append(q)
+    return _compose_steps(q, axes[end:], angles[end:]), samples
 
 
-def rotation_walk(rotation, axes, angles, sample_stride=0):
-    """Compose a sequence of small rotations onto ``rotation``.
-
-    Each step i applies the rotation by ``angles[i]`` about unit vector
-    ``axes[i]`` on the left (new = delta @ old).  If ``sample_stride`` > 0,
-    the accumulated rotation is recorded after every ``sample_stride`` steps.
-
-    Returns (final_rotation, samples) where samples has shape (k, 3, 3); with
-    no sampling it is one shared, read-only empty array.
-
-    Outputs are bit-stable only while each 3x3 product goes through numpy's
-    BLAS call (``@`` or ``np.dot``, the same dgemm).  A product written out
-    element by element (``a[i, 0]*b[0, j] + a[i, 1]*b[1, j] + a[i, 2]*b[2, j]``)
-    rounds differently: in 19,413 of 20,000 products of standard-normal 3x3
-    matrices at least one bit differed from ``@`` (x86-64, numpy 2.4 with
-    OpenBLAS 0.3).
-    """
-    rotation = np.array(rotation, dtype=np.float64)
-    angles = np.asarray(angles, dtype=np.float64)
-    steps = _axis_angle_matrices(np.asarray(axes, dtype=np.float64), angles)
-    sampled = sample_stride > 0
-    samples = np.empty((angles.shape[0] // sample_stride, 3, 3)) if sampled else _NO_SAMPLES
-    for i, step in enumerate(steps):
-        rotation = np.dot(step, rotation)
-        if sampled and (i + 1) % sample_stride == 0:
-            samples[i // sample_stride] = rotation
-    return rotation, samples
+def _compose_steps(q, axes, angles) -> tuple:
+    """``q`` after the steps of ``rotation_walk``, each the quaternion (k sin θ/2, cos θ/2)."""
+    qx, qy, qz, qw = q
+    for (x, y, z), angle in zip(axes, angles):
+        norm = sqrt(x * x + y * y + z * z)
+        if norm == 0.0:
+            continue
+        half = 0.5 * angle
+        c = cos(half)
+        s = sin(half) / norm
+        x, y, z = x * s, y * s, z * s
+        qx, qy, qz, qw = (
+            c * qx + qw * x + (y * qz - z * qy),
+            c * qy + qw * y + (z * qx - x * qz),
+            c * qz + qw * z + (x * qy - y * qx),
+            c * qw - x * qx - y * qy - z * qz,
+        )
+    return qx, qy, qz, qw
 
 
 def greedy_match(ref_times, tag_times, half_window):
@@ -62,29 +52,38 @@ def greedy_match(ref_times, tag_times, half_window):
     Both arrays must be sorted ascending.  Tags are processed in time order;
     each tag is matched to the nearest still-unused reference time within
     ``half_window`` (ties go to the earlier reference).  Each reference is
-    used at most once.
+    used at most once.  Used references are skipped through "nearest unused
+    reference" pointers under path halving, in amortised near-constant time.
     """
     ref_times = np.asarray(ref_times, dtype=np.float64)
     tag_times = np.asarray(tag_times, dtype=np.float64)
     n = ref_times.shape[0]
-    used = np.zeros(n, dtype=bool)
+    right_of = np.searchsorted(ref_times, tag_times).tolist()
+    ref = ref_times.tolist()
+    # Slot i of ``below`` leads to the nearest unused reference under index
+    # i (slot 0: none); slot i of ``above`` to the nearest unused one at or
+    # over index i (slot n: none).
+    below = list(range(n + 1))
+    above = list(range(n + 1))
     count = 0
-    right_of = np.searchsorted(ref_times, tag_times)
-    for j in range(tag_times.shape[0]):
-        t = tag_times[j]
-        left = right_of[j] - 1
-        while left >= 0 and used[left]:
-            left -= 1
-        right = right_of[j]
-        while right < n and used[right]:
-            right += 1
-        dl = t - ref_times[left] if left >= 0 else np.inf
-        dr = ref_times[right] - t if right < n else np.inf
+    for t, r in zip(tag_times.tolist(), right_of):
+        left = _root(below, r) - 1
+        right = _root(above, r)
+        dl = t - ref[left] if left >= 0 else inf
+        dr = ref[right] - t if right < n else inf
         if dl <= dr:
             best, dist = left, dl
         else:
             best, dist = right, dr
         if dist <= half_window:
-            used[best] = True
+            below[best + 1] = best
+            above[best] = best + 1
             count += 1
     return count
+
+
+def _root(parent: list, i: int) -> int:
+    """The slot that ``i`` leads to, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i

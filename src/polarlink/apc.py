@@ -17,7 +17,7 @@ from operator import add
 import numpy as np
 
 from .channel import FiberChannel
-from .polmath import PolTransform, quaternion_matrix
+from .polmath import PolTransform, compose_quat, quaternion_matrix
 
 OUTCOME_SKIPPED = "skipped"
 OUTCOME_CONVERGED = "converged"
@@ -40,8 +40,8 @@ class Controller:
 
     The x-z-x-z angle parameterization is surjective onto SO(3) with one
     redundant degree of freedom, which avoids gimbal lock during descent.
-    ``params`` is held as a read-only copy, so the matrix that
-    ``to_transform`` caches stays valid until ``params`` is set again.
+    ``params`` is held as a read-only copy, so the quaternion that ``quat``
+    caches stays valid until ``params`` is set again.
     """
 
     params: np.ndarray = field(default_factory=lambda: np.zeros(4))
@@ -52,33 +52,28 @@ class Controller:
             if value.shape != (4,):
                 raise ApcError("controller needs exactly 4 retarder angles")
             value.flags.writeable = False
-            super().__setattr__("_transform", None)
+            super().__setattr__("_quat", None)
         super().__setattr__(name, value)
 
+    @property
+    def quat(self) -> tuple:
+        """The controller's rotation as a quaternion (x, y, z, w) of Python floats."""
+        if self._quat is None:
+            self._quat = _controller_quat(self.params)
+        return self._quat
+
     def to_transform(self) -> PolTransform:
-        if self._transform is None:
-            self._transform = PolTransform.trusted(_controller_matrix(self.params))
-        return self._transform
+        return PolTransform.trusted(quaternion_matrix(*self.quat))
 
 
-def _controller_matrix(params) -> np.ndarray:
+def _controller_quat(params: np.ndarray) -> tuple:
     """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
     params = params.tolist()
     s = [math.sin(a / 2) for a in params]
     c = [math.cos(a / 2) for a in params]
-    q = _compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
-    q = _compose_quat((s[2], 0.0, 0.0, c[2]), q)
-    return quaternion_matrix(*q) @ quaternion_matrix(0.0, 0.0, s[3], c[3])
-
-
-def _compose_quat(p, q) -> tuple:
-    """Quaternion of rotation ``q`` then ``p``, term for term as tests/test_rotations.py pins."""
-    return (
-        p[3] * q[0] + q[3] * p[0] + (p[1] * q[2] - p[2] * q[1]),
-        p[3] * q[1] + q[3] * p[1] + (p[2] * q[0] - p[0] * q[2]),
-        p[3] * q[2] + q[3] * p[2] + (p[0] * q[1] - p[1] * q[0]),
-        p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2],
-    )
+    q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+    q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
+    return compose_quat(q, (0.0, 0.0, s[3], c[3]))
 
 
 @dataclass(frozen=True)
@@ -101,15 +96,20 @@ class SessionRecord:
     start_time_s: float = 0.0
 
 
-def measure_fidelities(channel_transform: PolTransform, ctrl: Controller) -> tuple:
+def measure_fidelities(channel_quat: tuple, ctrl: Controller) -> tuple:
     """Fidelity of each of the six ``CARDINAL_STATES`` through channel then controller."""
-    return _fidelities(ctrl.to_transform().rotation @ channel_transform.rotation)
+    return _fidelities(compose_quat(ctrl.quat, channel_quat))
 
 
-def _fidelities(composite: np.ndarray) -> tuple:
-    """½(1 + s·Cs) for s = ±e_i is ½(1 + C_ii) for either sign: the six
-    fidelities in ``CARDINAL_STATES`` order, as Python floats."""
-    f0, f1, f2 = (0.5 * (1.0 + c) for c in composite.diagonal().tolist())
+def _fidelities(q) -> tuple:
+    """½(1 + s·Cs) for s = ±e_i is ½(1 + C_ii) for either sign, where C is
+    the matrix of quaternion ``q``: the six fidelities in ``CARDINAL_STATES``
+    order, as Python floats, with C_ii as ``quaternion_matrix`` rounds it."""
+    x, y, z, w = q
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    f0 = 0.5 * (1.0 + (x2 - y2 - z2 + w2))
+    f1 = 0.5 * (1.0 + (-x2 + y2 - z2 + w2))
+    f2 = 0.5 * (1.0 + (-x2 - y2 + z2 + w2))
     return f0, f0, f1, f1, f2, f2
 
 
@@ -125,13 +125,13 @@ def cost(fidelities) -> float:
     return float(1.0 - reduce(add, fidelities) / len(fidelities))
 
 
-def _cost_at(params: np.ndarray, channel_transform: PolTransform) -> float:
-    """``cost(measure_fidelities(channel_transform, Controller(params)))``."""
-    return cost(_fidelities(_controller_matrix(params) @ channel_transform.rotation))
+def _cost_at(params: np.ndarray, channel_quat: tuple) -> float:
+    """``cost(measure_fidelities(channel_quat, Controller(params)))``."""
+    return cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
 
 
 def compensation_step(
-    channel_transform: PolTransform,
+    channel_quat: tuple,
     ctrl: Controller,
     cfg: ApcConfig,
     rng: np.random.Generator,
@@ -144,14 +144,14 @@ def compensation_step(
     is found the parameters get a small random kick to escape a saddle.
     """
     params = ctrl.params
-    base = _cost_at(params, channel_transform)
+    base = _cost_at(params, channel_quat)
     grad = np.zeros(4)
     for k in range(4):
         delta = np.zeros(4)
         delta[k] = cfg.fd_delta
         grad[k] = (
-            _cost_at(params + delta, channel_transform)
-            - _cost_at(params - delta, channel_transform)
+            _cost_at(params + delta, channel_quat)
+            - _cost_at(params - delta, channel_quat)
         ) / (2.0 * cfg.fd_delta)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_TOL:
@@ -159,7 +159,7 @@ def compensation_step(
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
         candidate = params - step * grad
-        if _cost_at(candidate, channel_transform) <= base:
+        if _cost_at(candidate, channel_quat) <= base:
             return Controller(candidate)
         step *= 0.5
     return Controller(params + rng.normal(0.0, cfg.fd_delta, size=4))
@@ -198,7 +198,7 @@ def run_session(
     iterations = 0
     min_after = min_before
     while True:
-        stepped = compensation_step(ch.transform, ctrl, cfg, rng)
+        stepped = compensation_step(ch.quat, ctrl, cfg, rng)
         ctrl.params = stepped.params
         ch.advance(8 * cfg.cycle_time_s)
         fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)

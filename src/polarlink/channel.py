@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .polmath import PolTransform, StokesVector
+from .polmath import StokesVector, quaternion_matrix
 
 # Day-time diffusion rate (rad^2/s) calibrated so that the median fidelity of
 # a transmitted SOP first drops below 0.95 at t = 20 s.  Night rate is 500x
@@ -130,10 +130,8 @@ class DriftSchedule:
 class FiberChannel:
     """Single-owner mutable channel state: accumulated rotation plus clock.
 
-    ``advance`` draws its steps and moves the clock at once, but queues the
-    steps: the next advance composes them together with its own in one walk,
-    and so does the next read of ``transform``.  Every draw comes in the
-    order, and every rotation with the bits, of one walk per advance.
+    ``quat`` is the rotation as a unit quaternion (x, y, z, w) of Python
+    floats; each advance composes its steps onto it at once.
     """
 
     schedule: DriftSchedule
@@ -141,66 +139,30 @@ class FiberChannel:
     loss_db: float = DEFAULT_LOSS_DB
     sim_time: float = 0.0
     max_step_s: float = MAX_STEP_S
-    _transform: PolTransform = field(default_factory=PolTransform.identity, init=False, repr=False)
-    # (draws, step scales) of the last advance while its steps are not composed
-    _queued: tuple | None = field(default=None, init=False, repr=False)
-
-    @property
-    def transform(self) -> PolTransform:
-        """The channel's transform at ``sim_time``."""
-        if self._queued is not None:
-            draws, scale = self._queued
-            self._queued = None
-            self._walk(draws, scale)
-        return self._transform
-
-    @transform.setter
-    def transform(self, value: PolTransform) -> None:
-        self._queued = None
-        self._transform = value
+    quat: tuple = field(default=(0.0, 0.0, 0.0, 1.0), init=False, repr=False)
 
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)
 
-    def advance(self, duration: float) -> PolTransform:
-        """Advance by ``duration`` in steps of at most max_step_s; the transform at its start.
-
-        With steps of an earlier advance queued, one walk composes those and
-        this advance's steps, and the transform at its start is the walk's
-        one sample, taken after the queued steps; else this advance's steps
-        are queued.
-        """
+    def advance(self, duration: float) -> tuple:
+        """Advance by ``duration`` in steps of at most max_step_s; the quaternion at its start."""
         if not duration >= 0:
             raise ChannelError(f"duration must be >= 0, got {duration!r}")
-        if duration == 0:
-            return self.transform
-        n = _walk_steps(duration, self.max_step_s)
-        draws, scale = self._draw(n, duration / n)
-        if self._queued is None:
-            self._queued = (draws, scale)
-            return self._transform
-        queued, queued_scale = self._queued
-        self._queued = None
-        m = len(queued)
-        scales = np.empty(m + n)
-        scales[:m] = queued_scale
-        scales[m:] = scale
-        return PolTransform.trusted(self._walk(np.concatenate((queued, draws)), scales, m)[0])
+        start = self.quat
+        if duration > 0:
+            n = _walk_steps(duration, self.max_step_s)
+            self._walk(n, duration / n)
+        return start
 
-    def _draw(self, n: int, dt: float):
-        """Draws and step scales of ``n`` steps of ``dt`` seconds; moves the clock past them."""
+    def _walk(self, n: int, dt: float, sample_stride: int = 0) -> list:
+        """Draw ``n`` steps of ``dt`` seconds, compose them onto ``quat`` and
+        move the clock past them; the samples of ``rotation_walk``."""
         scale = _step_scales(self.schedule, self.sim_time, n, dt)
         draws = self.rng.standard_normal((n, 4))
         self.sim_time += _step_grid(n, dt)[1]
-        return draws, scale
-
-    def _walk(self, draws: np.ndarray, scale, sample_stride: int = 0) -> np.ndarray:
-        """Compose drawn steps onto the transform; the samples of ``rotation_walk``."""
-        axes, angles = _axes_and_angles(draws, scale)
-        final, samples = _kernels.rotation_walk(
-            self._transform.rotation, axes, angles, sample_stride
+        self.quat, samples = _kernels.rotation_walk(
+            self.quat, draws[:, :3].tolist(), (draws[:, 3] * scale).tolist(), sample_stride
         )
-        self._transform = PolTransform.trusted(final)
         return samples
 
     def probe_trace(self, input_sop: StokesVector, duration: float, sample_dt: float):
@@ -211,13 +173,11 @@ class FiberChannel:
         output SOP at the start of the trace.
         """
         substeps, n_samples = _probe_grid(duration, sample_dt, self.max_step_s)
-        t0 = self.sim_time
-        s_in = input_sop.as_array()
-        first = self.transform.rotation @ s_in
-        samples = self._walk(*self._draw(n_samples * substeps, sample_dt / substeps), substeps)
-        outs = np.vstack([first, samples @ s_in])
+        t0, start = self.sim_time, self.quat
+        samples = self._walk(n_samples * substeps, sample_dt / substeps, substeps)
+        outs = quaternion_matrix(*np.array([start, *samples]).T) @ input_sop.as_array()
         times = t0 + sample_dt * np.arange(n_samples + 1)
-        fidelity = 0.5 * (1.0 + outs @ first)
+        fidelity = 0.5 * (1.0 + outs @ outs[0])
         return times, outs, fidelity
 
 
@@ -249,15 +209,19 @@ def _step_scales(schedule: DriftSchedule, t0: float, n: int, dt: float):
 def _axes_and_angles(draws: np.ndarray, scale):
     """Unit axes and angles of walk steps from one row of 4 normals per step.
 
-    ``draws[..., :3]`` gives the axis direction (an all-zero row is left as a
-    zero axis) and ``draws[..., 3] * scale`` the angle, where ``scale`` is
-    sqrt(rate * dt) of each step, or of all steps.
+    ``draws[..., :3]`` gives the axis direction and ``draws[..., 3] * scale``
+    the angle, where ``scale`` is sqrt(rate * dt) of each step, or of all
+    steps.  An all-zero direction gives a zero axis and a zero angle: the
+    identity step, as in ``rotation_walk``.
     """
     axes = draws[..., :3]
-    # What np.linalg.norm(axes, axis=-1, keepdims=True) computes, without its overhead.
-    norms = np.sqrt(np.add.reduce(axes * axes, axis=-1, keepdims=True))
-    norms[norms == 0] = 1.0
-    return axes / norms, draws[..., 3] * scale
+    # What np.linalg.norm(axes, axis=-1) computes, without its overhead.
+    norms = np.sqrt(np.add.reduce(axes * axes, axis=-1))
+    zero = norms == 0
+    norms[zero] = 1.0
+    angles = draws[..., 3] * scale
+    angles[zero] = 0.0
+    return axes / norms[..., None], angles
 
 
 def _walk_steps(duration: float, step_s: float) -> int:
@@ -282,7 +246,7 @@ def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: 
     Yields (index of the chunk's first sample after t = 0, s1 array of shape
     (samples, channels)).  Column j takes the draws of ``rngs[j]`` that
     ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
-    takes.  Rather than each channel's 3x3 rotation it walks the probe's
+    takes.  Rather than each channel's rotation it walks the probe's
     Stokes vector, one numpy step for the whole batch.
     """
     substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)

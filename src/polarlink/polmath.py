@@ -94,8 +94,8 @@ class PolTransform:
         """Wrap a float 3x3 rotation that the package built itself, unchecked.
 
         Skips the orthogonality and determinant checks of the constructor, for
-        products of rotations only: the channel walk's result, the controller
-        matrix and a window's idler transform.
+        matrices of the package's own quaternions: the channel's and the
+        controller's.
         """
         t = object.__new__(cls)
         object.__setattr__(t, "rotation", r)
@@ -114,15 +114,30 @@ class PolTransform:
 
 
 def quaternion_matrix(x, y, z, w) -> np.ndarray:
-    """Matrix of the unit quaternion (x, y, z, w), term for term as tests/test_rotations.py pins."""
+    """Matrix of the unit quaternion (x, y, z, w), term for term as tests/test_rotations.py pins.
+
+    Given arrays of components, the (..., 3, 3) stack of their matrices,
+    each entry rounded as for scalars.
+    """
     x2, y2, z2, w2 = x * x, y * y, z * z, w * w
     xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
-    return np.array(
+    m = np.array(
         [
             [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
             [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
             [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
         ]
+    )
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+def compose_quat(p, q) -> tuple:
+    """Quaternion (x, y, z, w) of rotation ``q`` then ``p``: the product p q."""
+    return (
+        p[3] * q[0] + q[3] * p[0] + (p[1] * q[2] - p[2] * q[1]),
+        p[3] * q[1] + q[3] * p[1] + (p[2] * q[0] - p[0] * q[2]),
+        p[3] * q[2] + q[3] * p[2] + (p[0] * q[1] - p[1] * q[0]),
+        p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2],
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .apc import OUTCOME_TIMEOUT, ApcConfig, Controller, SessionRecord, run_session
 from .channel import FiberChannel
-from .polmath import CANONICAL_CHSH_ANGLES, PolTransform
+from .polmath import CANONICAL_CHSH_ANGLES, compose_quat, quaternion_matrix
 from .source import DetectionChain, PairSource, coincidence_rates
 
 # Most windows of one duration-limited link; each is kept as a Window.
@@ -35,16 +35,16 @@ class Window:
     """One compensation session and the uptime window that follows it.
 
     The window runs from ``start_s``, the end of the session, to ``end_s``;
-    ``setting`` is its (signal, idler) analyzer pair and ``idler_transform``
-    the idler transform, controller after channel, at its start, against
-    which its counts are taken.
+    ``setting`` is its (signal, idler) analyzer pair and ``idler_quat`` the
+    quaternion (x, y, z, w) of the idler transform, controller after channel,
+    at its start, against which its counts are taken.
     """
 
     session: SessionRecord
     start_s: float
     end_s: float
     setting: tuple
-    idler_transform: PolTransform
+    idler_quat: tuple
 
     @property
     def post_timeout(self) -> bool:
@@ -86,8 +86,7 @@ def run_link(
             break
         record = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
         start = ch.sim_time
-        channel = ch.advance(sched_cfg.uptime_window_s)
-        idler = PolTransform.trusted(ctrl.to_transform().rotation @ channel.rotation)
+        idler = compose_quat(ctrl.quat, ch.advance(sched_cfg.uptime_window_s))
         windows.append(Window(record, start, ch.sim_time, setting, idler))
     return windows
 
@@ -121,12 +120,12 @@ def simulate_window_counts(
     window at its analyzer pair, one row per window: shape (W, 4).
 
     Counts are Poisson samples, or their exact means when ``noiseless``, at
-    each window's ``idler_transform``.  All means come from one whole-array
+    each window's ``idler_quat``.  All means come from one whole-array
     pass and all counts from one ``rng.poisson`` call, which draws the same
     stream as one call per window would.
     """
     # The reshapes give a link without windows (0, 3, 3) and (0, 2, 3) stacks.
-    rotations = np.array([w.idler_transform.rotation for w in windows]).reshape(-1, 3, 3)
+    rotations = quaternion_matrix(*np.array([w.idler_quat for w in windows]).reshape(-1, 4).T)
     # Each distinct analyzer setting's Stokes pair is built once.
     index: dict = {}
     signal = [index.setdefault(w.setting[0], len(index)) for w in windows]

@@ -22,6 +22,7 @@ from polarlink.polmath import (
     coincidence_prob_stokes,
 )
 from polarlink.source import DetectionChain, PairSource, expected_coincidence_rate
+from tests.oracles import haar_quat, matrix
 
 
 def verdict(number, ok, detail):
@@ -132,12 +133,12 @@ class TestAcceptance:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             ch = FiberChannel(DriftSchedule.constant(0.0), rng)
-            ch.transform = PolTransform.random(rng)
+            ch.quat = haar_quat(rng)
             ctrl = Controller()
             rec = run_session(ch, ctrl, cfg, rng)
             if rec.outcome == "converged" and rec.min_fidelity_after >= 0.99:
                 converged += 1
-                composites.append(ctrl.to_transform().rotation @ ch.transform.rotation)
+                composites.append(ctrl.to_transform().rotation @ matrix(ch.quat))
         rng = np.random.default_rng(500)
         sops = rng.standard_normal((1000, 3))
         sops /= np.linalg.norm(sops, axis=1, keepdims=True)

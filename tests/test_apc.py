@@ -20,7 +20,8 @@ from polarlink.apc import (
     write_sessions_csv,
 )
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
-from polarlink.polmath import CARDINAL_STATES, PolTransform
+from polarlink.polmath import CARDINAL_STATES
+from tests.oracles import IDENTITY_QUAT, controller_matrix, haar_quat, matrix
 
 
 def controller_for(rotation):
@@ -43,23 +44,24 @@ class TestController:
         with pytest.raises(ApcError):
             Controller().params = np.zeros(5)
 
-    def test_cached_matrix_follows_every_params_assignment(self):
+    def test_cached_quat_follows_every_params_assignment(self):
         class Recording(Controller):
-            def to_transform(self):
-                t = super().to_transform()
-                seen.append((self.params, t.rotation))
-                return t
+            @property
+            def quat(self):
+                q = Controller.quat.fget(self)
+                seen.append((self.params, q))
+                return q
 
         seen = []
         ch = static_channel(seed=9)
-        ch.transform = PolTransform.random(np.random.default_rng(9))
+        ch.quat = haar_quat(np.random.default_rng(9))
         ctrl = Recording()
         rec = run_session(ch, ctrl, ApcConfig(), np.random.default_rng(9))
         assert rec.iterations >= 2
         assert len(seen) == 1 + rec.iterations  # the check cycle, then one per assignment
-        for params, rotation in seen:
-            assert np.array_equal(rotation, Controller(params).to_transform().rotation)
-        assert ctrl.to_transform() is ctrl.to_transform()
+        for params, q in seen:
+            assert q == Controller(params).quat
+        assert Controller.quat.fget(ctrl) is Controller.quat.fget(ctrl)
 
     def test_params_cannot_change_under_the_cache(self):
         ctrl = Controller(np.ones(4))
@@ -75,40 +77,41 @@ class TestController:
         # channel inverse, which is what a converged session must realize
         rng = np.random.default_rng(2)
         for _ in range(20):
-            ch = PolTransform.random(rng)
-            c = controller_for(ch.rotation.T)
-            composite = c.to_transform().rotation @ ch.rotation
+            ch = matrix(haar_quat(rng))
+            c = controller_for(ch.T)
+            composite = c.to_transform().rotation @ ch
             assert np.allclose(composite, np.eye(3), atol=1e-9)
 
 
 class TestMeasureAndCost:
     def test_identity_gives_unit_fidelities(self):
-        fids = measure_fidelities(PolTransform.identity(), Controller())
+        fids = measure_fidelities(IDENTITY_QUAT, Controller())
         assert np.allclose(fids, 1.0, atol=1e-12)
         assert cost(fids) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_scalar_oracle(self):
-        # the diagonal formula must equal, bit for bit, the 6x3 matmul and
-        # einsum over the cardinal stack that it replaced, and to 1e-12 the
-        # per-state (1 + s.Rs)/2 evaluation
+    def test_within_1e15_of_the_matrix_oracle(self):
+        # the fidelities and the cost read off the composite quaternion must
+        # agree to 1e-15 with the 6x3 matmul over the cardinal stack of the
+        # matrix path (scipy's controller matrix times the channel matrix),
+        # and to 1e-12 with the per-state (1 + s.Rs)/2 evaluation
         m = np.array([s.as_array() for s in CARDINAL_STATES])
         rng = np.random.default_rng(3)
         # identity and half-turns about each axis (signed zeros), controller angles of ±π
-        channels = [np.diag(d) for d in ([1.0, 1, 1], [1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
+        channels = [IDENTITY_QUAT, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
         signs = [(0, 0, 0, 0), (1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 0, 1)]
         angles = [np.pi * np.array(p, dtype=float) for p in signs]
-        pairs = [(PolTransform(r), p) for r in channels for p in angles]
-        pairs += [(PolTransform.random(rng), rng.uniform(-np.pi, np.pi, 4)) for _ in range(10_000)]
+        pairs = [(q, p) for q in channels for p in angles]
+        pairs += [(haar_quat(rng), rng.uniform(-np.pi, np.pi, 4)) for _ in range(10_000)]
         for chan, params in pairs:
             ctrl = Controller(params)
             fids = measure_fidelities(chan, ctrl)
-            composite = ctrl.to_transform().rotation @ chan.rotation
-            assert np.array_equal(fids, 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T)))
+            composite = controller_matrix(params) @ matrix(chan)
+            oracle = 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T))
+            assert np.abs(np.array(fids) - oracle).max() <= 1e-15
             assert _cost_at(ctrl.params, chan) == cost(fids)
-            old_cost = 1 - np.repeat(0.5 * (1 + np.diagonal(composite)), 2).mean()
-            assert _cost_at(ctrl.params, chan) == old_cost
+            assert abs(_cost_at(ctrl.params, chan) - (1 - oracle.mean())) <= 1e-15
         for chan, params in pairs[:40]:
-            composite = Controller(params).to_transform().rotation @ chan.rotation
+            composite = controller_matrix(params) @ matrix(chan)
             expected = [0.5 * (1 + s @ composite @ s) for s in m]
             assert np.allclose(measure_fidelities(chan, Controller(params)), expected, atol=1e-12)
 
@@ -128,7 +131,7 @@ class TestMeasureAndCost:
     def test_cost_bounds(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            c = cost(measure_fidelities(PolTransform.random(rng), Controller()))
+            c = cost(measure_fidelities(haar_quat(rng), Controller()))
             assert 0.0 <= c <= 1.0
 
 
@@ -137,7 +140,7 @@ class TestCompensationStep:
         rng = np.random.default_rng(5)
         cfg = ApcConfig()
         for _ in range(30):
-            chan = PolTransform.random(rng)
+            chan = haar_quat(rng)
             ctrl = Controller(rng.uniform(-np.pi, np.pi, 4))
             before = cost(measure_fidelities(chan, ctrl))
             stepped = compensation_step(chan, ctrl, cfg, rng)
@@ -147,8 +150,8 @@ class TestCompensationStep:
 
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(6)
-        chan = PolTransform.random(rng)
-        ctrl = controller_for(chan.rotation.T)
+        chan = haar_quat(rng)
+        ctrl = controller_for(matrix(chan).T)
         stepped = compensation_step(chan, ctrl, ApcConfig(), rng)
         assert np.allclose(stepped.params, ctrl.params, atol=1e-12)
 
@@ -164,7 +167,7 @@ class TestRunSession:
 
     def test_no_actuate_never_moves_controller(self):
         ch = static_channel(seed=8)
-        ch.transform = PolTransform.random(np.random.default_rng(8))
+        ch.quat = haar_quat(np.random.default_rng(8))
         ctrl = Controller()
         rec = run_session(ch, ctrl, ApcConfig(), np.random.default_rng(8), actuate=False)
         assert rec.outcome == OUTCOME_SKIPPED
@@ -174,12 +177,12 @@ class TestRunSession:
     def test_converges_on_static_misaligned_channel(self):
         cfg = ApcConfig()
         ch = static_channel(seed=9)
-        ch.transform = PolTransform.random(np.random.default_rng(9))
+        ch.quat = haar_quat(np.random.default_rng(9))
         ctrl = Controller()
         rec = run_session(ch, ctrl, cfg, np.random.default_rng(9))
         assert rec.outcome == OUTCOME_CONVERGED
         assert rec.min_fidelity_after >= cfg.target_threshold
-        fids = measure_fidelities(ch.transform, ctrl)
+        fids = measure_fidelities(ch.quat, ctrl)
         assert min(fids) >= cfg.target_threshold
 
     def test_duration_accounting(self):
@@ -187,7 +190,7 @@ class TestRunSession:
         cfg = ApcConfig()
         for seed in range(5):
             ch = static_channel(seed=20 + seed)
-            ch.transform = PolTransform.random(np.random.default_rng(20 + seed))
+            ch.quat = haar_quat(np.random.default_rng(20 + seed))
             rec = run_session(ch, Controller(), cfg, np.random.default_rng(seed))
             assert rec.duration_s == pytest.approx(
                 cfg.cycle_time_s * (1 + 9 * rec.iterations)
@@ -201,7 +204,7 @@ class TestRunSession:
         outcomes = []
         for seed in range(5):
             ch = FiberChannel(sched, np.random.default_rng(seed))
-            ch.transform = PolTransform.random(np.random.default_rng(100 + seed))
+            ch.quat = haar_quat(np.random.default_rng(100 + seed))
             rec = run_session(ch, Controller(), cfg, np.random.default_rng(seed))
             outcomes.append(rec.outcome)
             if rec.outcome == OUTCOME_TIMEOUT:
@@ -226,7 +229,7 @@ class TestRunSession:
         cfg = ApcConfig(threshold, threshold, timeout_s=0.01, cycle_time_s=1.0e-4)
         sched = DriftSchedule.constant(DAY_RATE)
         ch = FiberChannel(sched, np.random.default_rng(5), sim_time=1.0e13)
-        ch.transform = PolTransform.random(np.random.default_rng(5))
+        ch.quat = haar_quat(np.random.default_rng(5))
         rec = run_session(ch, Controller(), cfg, np.random.default_rng(5))
         assert ch.sim_time == 1.0e13 and rec.duration_s == 0.0
         assert rec.outcome == OUTCOME_TIMEOUT
@@ -235,7 +238,7 @@ class TestRunSession:
     def test_deterministic(self):
         def run(seed):
             ch = static_channel(seed=seed, rate=DAY_RATE)
-            ch.transform = PolTransform.random(np.random.default_rng(40))
+            ch.quat = haar_quat(np.random.default_rng(40))
             rec = run_session(ch, Controller(), ApcConfig(), np.random.default_rng(seed))
             return rec
 
@@ -245,7 +248,7 @@ class TestRunSession:
 class TestSessionsCsv:
     def test_writes_header_and_rows(self, tmp_path):
         ch = static_channel(seed=10)
-        ch.transform = PolTransform.random(np.random.default_rng(10))
+        ch.quat = haar_quat(np.random.default_rng(10))
         rec = run_session(ch, Controller(), ApcConfig(), np.random.default_rng(10))
         path = tmp_path / "sessions.csv"
         write_sessions_csv(path, [rec])

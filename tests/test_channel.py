@@ -22,7 +22,8 @@ from polarlink.channel import (
     probe_crossing_times,
 )
 from polarlink.cli import build_channel, load_config, median_crossing_time
-from polarlink.polmath import PolTransform, StokesVector
+from polarlink.polmath import StokesVector
+from tests.oracles import haar_quat, matrix, per_step_walk
 
 H = StokesVector(1, 0, 0)
 
@@ -137,9 +138,9 @@ class TestTransmittance:
 class TestStep:
     def test_zero_rate_leaves_transform(self):
         ch = make_channel(0.0, 1)
-        before = ch.transform.rotation.copy()
+        before = matrix(ch.quat)
         ch.advance(5.0)
-        assert np.array_equal(ch.transform.rotation, before)
+        assert np.array_equal(matrix(ch.quat), before)
         assert ch.sim_time == pytest.approx(5.0)
 
     def test_rejects_nonpositive_dt(self):
@@ -164,7 +165,7 @@ class TestStep:
             ch = make_channel(DAY_RATE, seed)
             for _ in range(50):
                 ch.advance(0.1)
-            return ch.transform.rotation
+            return matrix(ch.quat)
 
         assert np.array_equal(run(3), run(3))
         assert not np.array_equal(run(3), run(4))
@@ -172,7 +173,7 @@ class TestStep:
     def test_transform_stays_valid(self):
         ch = make_channel(DAY_RATE, 5)
         ch.advance(30.0)
-        r = ch.transform.rotation
+        r = matrix(ch.quat)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
@@ -192,7 +193,7 @@ class TestStep:
         for seed in range(400):
             ch = make_channel(DAY_RATE, seed)
             ch.advance(10.0)
-            imgs.append(ch.transform.rotation @ H.as_array())
+            imgs.append(matrix(ch.quat) @ H.as_array())
         mean = np.mean(imgs, axis=0)
         assert abs(mean[1]) < 0.05 and abs(mean[2]) < 0.05
         assert mean[0] > 0.1  # still correlated with the input at t=10 s
@@ -204,7 +205,7 @@ class TestStep:
             ch = make_channel(DAY_RATE, seed)
             for j, dt in enumerate([5.0, 5.0, 5.0, 5.0]):
                 ch.advance(dt)
-                h_out = ch.transform.rotation @ H.as_array()
+                h_out = matrix(ch.quat) @ H.as_array()
                 fids[seed, j] = 0.5 * (1 + H.as_array() @ h_out)
         means = fids.mean(axis=0)
         sem = fids.std(axis=0, ddof=1) / np.sqrt(fids.shape[0])
@@ -213,7 +214,7 @@ class TestStep:
 
 
 class EagerChannel:
-    """One ``rotation_walk`` per advance, composed at once: the oracle of the queued walk."""
+    """One per-step matrix walk per advance: the oracle of the quaternion walk."""
 
     def __init__(self, schedule, rng, sim_time):
         self.schedule, self.rng, self.sim_time = schedule, rng, sim_time
@@ -224,13 +225,32 @@ class EagerChannel:
         if duration > 0:
             n = _walk_steps(duration, MAX_STEP_S)
             scale = reference_scales(self.schedule, self.sim_time, n, duration / n)
-            axes, angles = _axes_and_angles(self.rng.standard_normal((n, 4)), scale)
-            self.rotation, _ = _kernels.rotation_walk(self.rotation, axes, angles)
+            draws = self.rng.standard_normal((n, 4))
+            axes = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1, keepdims=True)
+            self.rotation, _ = per_step_walk(self.rotation, axes, draws[:, 3] * scale)
             self.sim_time += float(np.sum(np.full(n, duration / n)))
         return start
 
 
-class TestQueuedWalk:
+class ScriptedDraws:
+    """A generator stand-in whose standard normals are ``values``, in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.taken = 0
+
+    def standard_normal(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        n = int(np.prod(shape))
+        values = self.values[self.taken : self.taken + n].reshape(shape)
+        self.taken += n
+        if out is None:
+            return values
+        out[...] = values
+        return out
+
+
+class TestQuaternionWalk:
     # The compressed 23 h schedule: day from 3,300 to 4,200 s of a 7,200 s
     # period, bursts over [3,500, 3,620) and [4,166.67, 4,286.67) s.
     SCHEDULE = build_channel(
@@ -239,9 +259,11 @@ class TestQueuedWalk:
     EDGES = (0.0, 3300.0, 3500.0, 3620.0, 4200.0, 50000.0 / 12, 50000.0 / 12 + 120.0, 7200.0)
     DURATIONS = (0.0, 0.03, 0.1, 0.12, 0.96, 3.0, 7.45, 25.0)
 
-    def test_bit_equal_to_one_walk_per_advance(self):
+    def test_within_1e13_of_one_matrix_walk_per_advance(self):
+        # same draws, clock and rotations (to rounding) as the matrix walk,
+        # and the generator continues alike after every advance
         pick = np.random.default_rng(12)
-        reads = returns = 0
+        reads = returns = worst = 0
         for trial in range(240):
             t0 = max(0.0, float(self.EDGES[trial % len(self.EDGES)] - pick.uniform(0.0, 12.0)))
             ch = FiberChannel(self.SCHEDULE, np.random.default_rng(trial), sim_time=t0)
@@ -254,35 +276,44 @@ class TestQueuedWalk:
                     else:
                         d = float(pick.uniform(0.0, 4.0))
                     start = ch.advance(d)
-                    assert np.array_equal(start.rotation, oracle.advance(d))
+                    worst = max(worst, np.abs(matrix(start) - oracle.advance(d)).max())
                     returns += 1
                 elif op < 0.8:
-                    assert np.array_equal(ch.transform.rotation, oracle.rotation)
+                    worst = max(worst, np.abs(matrix(ch.quat) - oracle.rotation).max())
                     reads += 1
                 elif op < 0.95:  # another user of the channel's generator
                     assert np.array_equal(ch.rng.normal(size=4), oracle.rng.normal(size=4))
                 else:
-                    new = PolTransform.random(pick)
-                    ch.transform, oracle.rotation = new, new.rotation
+                    ch.quat = haar_quat(pick)
+                    oracle.rotation = matrix(ch.quat)
                 assert ch.sim_time == oracle.sim_time
-            assert np.array_equal(ch.transform.rotation, oracle.rotation)
+            worst = max(worst, np.abs(matrix(ch.quat) - oracle.rotation).max())
             assert ch.rng.standard_normal() == oracle.rng.standard_normal()
+        assert worst < 1e-13
         assert returns > 600 and reads > 200
 
-    def test_one_walk_per_two_advances(self, monkeypatch):
+    def test_one_walk_per_advance(self, monkeypatch):
         walks = []
         real = _kernels.rotation_walk
         monkeypatch.setattr(
             _kernels, "rotation_walk", lambda *args: walks.append(len(args[2])) or real(*args)
         )
         ch = make_channel(DAY_RATE, 3)
-        for _ in range(3):
-            ch.advance(3.0)  # queued
-            ch.advance(0.12)  # composed with the queued steps
-        assert walks == [32, 32, 32]
-        ch.advance(0.96)
-        ch.transform  # a read composes what is queued
-        assert walks == [32, 32, 32, 10]
+        for _ in range(2):
+            ch.advance(3.0)
+            ch.advance(0.12)
+        ch.advance(0.0)
+        assert walks == [30, 2, 30, 2]
+
+    def test_zero_axis_draw_is_the_identity_step(self):
+        # step 1's axis normals are all zero: it leaves the rotation, whatever its angle
+        draws = np.random.default_rng(5).standard_normal((3, 4))
+        draws[1, :3] = 0.0
+        ch = FiberChannel(DriftSchedule.constant(1.0), ScriptedDraws(draws))
+        _, outs, _ = ch.probe_trace(H, 0.3, 0.1)
+        assert np.array_equal(outs[2], outs[1]) and not np.array_equal(outs[1], outs[0])
+        ch = FiberChannel(DriftSchedule.constant(1.0), ScriptedDraws(draws[1]))
+        assert ch.advance(0.1) == ch.quat == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestProbeTrace:
@@ -305,10 +336,10 @@ class TestProbeTrace:
         ch1 = make_channel(DAY_RATE, 7)
         _, s, _ = ch1.probe_trace(H, 5.0, 0.1)
         ch2 = make_channel(DAY_RATE, 7)
-        outs = [ch2.transform.rotation @ H.as_array()]
+        outs = [matrix(ch2.quat) @ H.as_array()]
         for _ in range(50):
             ch2.advance(0.1)
-            outs.append(ch2.transform.rotation @ H.as_array())
+            outs.append(matrix(ch2.quat) @ H.as_array())
         assert np.allclose(s, outs, atol=1e-12)
 
     def test_rejects_bad_args(self):
@@ -429,7 +460,7 @@ class TestDriftOracle:
             ch = FiberChannel(self.SCHEDULE, np.random.default_rng(seed))
             for d in durations:
                 ch.advance(d)
-            finals[seed] = ch.transform.rotation
+            finals[seed] = matrix(ch.quat)
         starts, dts, t = [], [], 0.0
         for d in durations:
             n = int(np.ceil(d / MAX_STEP_S))
@@ -452,3 +483,19 @@ class TestDriftOracle:
         expected = self.mean_factor(sample_dt * np.arange(n), np.full(n, sample_dt))
         sem = s1[-1].std(ddof=1) / np.sqrt(self.N_SEEDS)
         assert abs(s1[-1].mean() - expected) < 4 * sem
+
+
+class TestProbeVectorWalk:
+    def test_zero_axis_draw_is_the_identity_step(self):
+        # channel 0 draws only all-zero axis normals, channel 1 one such step
+        # (its third): both keep the probe there, whatever the angle
+        draws = np.random.default_rng(6).standard_normal((2, 5, 4))
+        draws[0, :, :3] = 0.0
+        draws[1, 2, :3] = -0.0
+        rngs = [ScriptedDraws(d) for d in draws]
+        ((_, s1),) = _probe_s1_chunks(DriftSchedule.constant(1.0), rngs, 0.5, 0.1)
+        assert (s1[:, 0] == 1.0).all()
+        assert s1[2, 1] == s1[1, 1] and s1[1, 1] != s1[0, 1]
+        axes, angles = _axes_and_angles(draws, 0.3)
+        assert (angles[0] == 0.0).all() and angles[1, 2] == 0.0
+        assert (axes[0] == 0.0).all()

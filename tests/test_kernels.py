@@ -1,9 +1,13 @@
 """Correctness of the hot-loop kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
 from polarlink import _kernels
+from polarlink.polmath import quaternion_matrix
+from tests.oracles import IDENTITY_QUAT, haar_quat, matrix, per_step_walk
 
 
 def _random_walk_inputs(seed, n):
@@ -11,28 +15,7 @@ def _random_walk_inputs(seed, n):
     axes = rng.standard_normal((n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.normal(0.0, 0.05, n)
-    return axes, angles
-
-
-def per_step_walk(rotation, axes, angles, sample_stride=0):
-    """Oracle: the walk with one Rodrigues matrix built and applied per step."""
-    rotation = np.array(rotation, dtype=np.float64)
-    samples = []
-    for i, ((x, y, z), angle) in enumerate(zip(axes, angles)):
-        c = np.cos(angle)
-        s = np.sin(angle)
-        t = 1.0 - c
-        step = np.array(
-            [
-                [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
-                [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
-                [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
-            ]
-        )
-        rotation = step @ rotation
-        if sample_stride > 0 and (i + 1) % sample_stride == 0:
-            samples.append(rotation.copy())
-    return rotation, np.array(samples).reshape(len(samples), 3, 3)
+    return axes.tolist(), angles.tolist()
 
 
 def brute_force_match(ref, tags, half_window):
@@ -53,80 +36,77 @@ def brute_force_match(ref, tags, half_window):
     return count
 
 
-def nine_entry_matrices(axes, angles):
-    """Oracle: ``per_step_walk``'s nine Rodrigues expressions, one array each."""
-    x, y, z = axes.T
-    c = np.cos(angles)
-    s = np.sin(angles)
-    t = 1.0 - c
-    entries = [
-        [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
-        [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
-        [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
-    ]
-    return np.moveaxis(np.array(entries), -1, 0)
-
-
-class TestAxisAngleMatrices:
-    def test_bit_equal_to_nine_expressions(self):
-        rng = np.random.default_rng(21)
-        for n in [0, 1, 2, 10, 30, 800]:
-            axes = rng.standard_normal((n, 3))
-            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-            angles = rng.normal(0.0, rng.choice([1e-9, 0.05, 1.0, 10.0]), n)
-            if n >= 10:
-                angles[:4] = [0.0, -0.0, 0.0, -0.0]  # a zero-rate walk: signed zero angles
-                axes[2:6] = 0.0  # the zero axis of an all-zero draw
-                axes[6] = [0.0, -0.0, 1.0]
-            m = _kernels._axis_angle_matrices(axes, angles)
-            expected = nine_entry_matrices(axes, angles)
-            assert m.shape == (n, 3, 3)
-            assert np.array_equal(m, expected)
-            assert np.array_equal(np.signbit(m), np.signbit(expected))
-
-
 class TestRotationWalk:
     def test_identity_on_empty_walk(self):
-        r, samples = _kernels.rotation_walk(np.eye(3), np.empty((0, 3)), np.empty(0))
-        assert np.allclose(r, np.eye(3))
-        assert samples.shape == (0, 3, 3)
+        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, [], [])
+        assert q == IDENTITY_QUAT
+        assert samples == []
 
-    def test_unsampled_walk_shares_one_read_only_empty_array(self):
-        axes, angles = _random_walk_inputs(2, 5)
-        _, a = _kernels.rotation_walk(np.eye(3), axes, angles)
-        _, b = _kernels.rotation_walk(np.eye(3), axes[:2], angles[:2], 0)
-        assert a is b and a.shape == (0, 3, 3) and not a.flags.writeable
-
-    def test_stays_orthogonal(self):
-        axes, angles = _random_walk_inputs(0, 500)
-        r, _ = _kernels.rotation_walk(np.eye(3), axes, angles)
+    def test_stays_unit_over_a_long_walk(self):
+        # 10^5 steps at the day rate's 0.1 s step: the norm drifts by rounding only
+        rng = np.random.default_rng(0)
+        axes = rng.standard_normal((10**5, 3)).tolist()
+        angles = rng.normal(0.0, 0.036, 10**5).tolist()
+        q, _ = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles)
+        assert abs(math.fsum(c * c for c in q) - 1.0) < 1e-12
+        r = matrix(q)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_matches_final(self):
         axes, angles = _random_walk_inputs(1, 300)
-        r, samples = _kernels.rotation_walk(np.eye(3), axes, angles, sample_stride=50)
-        assert samples.shape == (6, 3, 3)
-        assert np.allclose(samples[-1], r)
+        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, sample_stride=50)
+        assert len(samples) == 6
+        assert samples[-1] == q
+        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, sample_stride=70)
+        assert len(samples) == 4 and samples[-1] != q  # 20 steps follow the last sample
 
-    def test_bit_equal_to_per_step_walk(self):
-        # 300 walks from random starts, with random lengths, step sizes and strides
+    def test_within_1e13_of_the_per_step_matrix_walk(self):
+        # 300 walks from random starts, with random lengths, step sizes and
+        # strides, and some zero and signed-zero angles
         rng = np.random.default_rng(20)
-        sampled = 0
+        sampled = worst = 0
         for _ in range(300):
-            start = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            start = haar_quat(rng)
             n = int(rng.integers(0, 80))
             axes = rng.standard_normal((n, 3))
             axes /= np.linalg.norm(axes, axis=1, keepdims=True)
             angles = rng.normal(0.0, rng.choice([1e-4, 0.05, 1.0]), n)
+            angles[rng.random(n) < 0.1] = 0.0
+            angles[rng.random(n) < 0.1] = -0.0
             stride = int(rng.integers(0, 8))
-            r, samples = _kernels.rotation_walk(start, axes, angles, stride)
-            r_oracle, samples_oracle = per_step_walk(start, axes, angles, stride)
-            assert np.array_equal(r, r_oracle)
-            assert samples.shape == samples_oracle.shape
-            assert np.array_equal(samples, samples_oracle)
+            q, samples = _kernels.rotation_walk(start, axes.tolist(), angles.tolist(), stride)
+            r_oracle, samples_oracle = per_step_walk(matrix(start), axes, angles, stride)
+            worst = max(worst, np.abs(matrix(q) - r_oracle).max())
+            assert len(samples) == len(samples_oracle)
+            if samples:
+                stack = quaternion_matrix(*np.array(samples).T)
+                worst = max(worst, np.abs(stack - samples_oracle).max())
             sampled += len(samples)
+        assert worst < 1e-13
         assert sampled > 1000
+
+    def test_unnormalized_axes_walk_as_their_directions(self):
+        axes, angles = _random_walk_inputs(3, 40)
+        lengths = np.random.default_rng(3).uniform(1e-3, 1e3, 40)
+        scaled = (np.array(axes) * lengths[:, None]).tolist()
+        q, _ = _kernels.rotation_walk(IDENTITY_QUAT, scaled, angles)
+        expected, _ = per_step_walk(np.eye(3), axes, angles)
+        assert np.abs(matrix(q) - expected).max() < 1e-14
+
+    def test_zero_axis_is_the_identity_step(self):
+        # an all-zero draw of the axis normals takes no step, whatever its angle
+        axes, angles = _random_walk_inputs(4, 20)
+        axes[5] = [0.0, 0.0, 0.0]
+        axes[11] = [-0.0, 0.0, -0.0]
+        angles[5], angles[11] = 0.7, -2.0
+        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, 1)
+        assert samples[5] == samples[4] and samples[11] == samples[10]
+        kept = [i for i in range(20) if i not in (5, 11)]
+        expected, _ = _kernels.rotation_walk(
+            IDENTITY_QUAT, [axes[i] for i in kept], [angles[i] for i in kept]
+        )
+        assert q == expected
 
 
 class TestGreedyMatch:
@@ -150,3 +130,30 @@ class TestGreedyMatch:
         b = np.sort(rng.uniform(0, 1e-3, 180))
         w = 2e-6
         assert _kernels.greedy_match(a, b, w) == brute_force_match(a, b, w)
+
+    @staticmethod
+    def matched_streams(rng, n, spacing, jitter=50e-12, lost=0.0, extra=0.0):
+        """Two tag streams of ``n`` common pair times, ``jitter`` apart on
+        either side; each stream loses a ``lost`` share of its pair tags and
+        gains an ``extra`` share of unpaired ones."""
+        span = n * spacing
+        pairs = rng.uniform(0.0, span, n)
+
+        def stream():
+            tags = pairs + rng.normal(0.0, jitter, n)
+            tags = tags[rng.random(n) >= lost]
+            return np.sort(np.concatenate([tags, rng.uniform(0.0, span, int(extra * n))]))
+
+        return stream(), stream()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "spacing,half_window",
+        [(5e-6, 1e-9), (200e-12, 100e-12), (60e-12, 150e-12)],
+        ids=["sparse", "dense", "crowded"],
+    )
+    def test_matched_streams_against_brute_force(self, seed, spacing, half_window):
+        rng = np.random.default_rng(seed)
+        for lost, extra in [(0.0, 0.0), (0.1, 0.0), (0.0, 0.15), (0.2, 0.2)]:
+            a, b = self.matched_streams(rng, 300, spacing, lost=lost, extra=extra)
+            assert _kernels.greedy_match(a, b, half_window) == brute_force_match(a, b, half_window)

@@ -15,6 +15,7 @@ from polarlink.polmath import (
     coincidence_prob,
     coincidence_prob_stokes,
 )
+from tests.oracles import quat_of
 
 H = pm.H
 
@@ -31,7 +32,7 @@ class TestStokesVector:
 
 def fidelities(rotation):
     """SOP fidelity (1 + s.Rs)/2 of each cardinal state s through ``rotation``."""
-    return measure_fidelities(PolTransform(rotation), Controller())
+    return measure_fidelities(quat_of(PolTransform(rotation).rotation), Controller())
 
 
 def rotation_about_s3(angle):

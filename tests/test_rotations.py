@@ -1,8 +1,9 @@
 """The numpy rotations against scipy's, and the package without scipy.
 
-scipy is a test-only dependency: the controller matrix and the Haar draw are
-pinned to scipy's ``Rotation`` bit for bit, so every seed gives the outputs it
-gave when the package computed them with scipy.
+scipy is a test-only dependency.  The Haar draw is pinned to scipy's
+``Rotation`` bit for bit, so every seed draws the rotation it drew when the
+package computed it with scipy; the controller, a product of quaternions,
+agrees with scipy's to 1e-15.
 """
 
 import subprocess
@@ -16,19 +17,18 @@ from scipy.spatial.transform import Rotation
 import polarlink
 from polarlink.apc import Controller
 from polarlink.polmath import _PAULI, PolTransform, su2_from_transform
+from tests.oracles import controller_matrix
 
 
-def scipy_controller(p):
-    retarders = Rotation.from_euler("xzx", p[:3]).as_matrix()
-    return retarders @ Rotation.from_euler("z", p[3]).as_matrix()
-
-
-def test_controller_matches_scipy_bit_for_bit():
+def test_controller_within_1e15_of_scipy():
     rng = np.random.default_rng(2024)
     # half large angles (several turns), half near the zero start of a descent
     params = np.vstack([rng.normal(0.0, 3.0, (5000, 4)), rng.uniform(-0.1, 0.1, (5000, 4))])
     for p in [np.zeros(4), *params]:
-        assert np.array_equal(Controller(p).to_transform().rotation, scipy_controller(p)), p
+        ctrl = Controller(p)
+        assert np.abs(ctrl.to_transform().rotation - controller_matrix(p)).max() <= 1e-15, p
+        theirs = Rotation.from_euler("xzx", p[:3]) * Rotation.from_euler("z", p[3])
+        assert np.abs(np.array(ctrl.quat) - theirs.as_quat()).max() <= 1e-15, p
 
 
 def test_haar_draw_matches_scipy_bit_for_bit():

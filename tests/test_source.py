@@ -27,6 +27,7 @@ from polarlink.source import (
     generate_timetags,
     port_rates,
 )
+from tests.oracles import IDENTITY_QUAT, haar_quat, matrix
 from tests.test_kernels import brute_force_match
 
 
@@ -86,15 +87,15 @@ class TestExpectedRate:
             assert rates.sum() - 4.0 * acc == pytest.approx(2.0 * budget, rel=1e-9)
 
 
-def per_window_rates(src, chain, a, b, idler_transform=None):
+def per_window_rates(src, chain, a, b, idler_quat=None):
     """Oracle: the four port rates of one window, one scalar formula per port,
     as the sampler computed them before it was batched."""
     rates = []
     a_perp, b_perp = a.orthogonal(), b.orthogonal()
     for sa, sb in ((a, b), (a, b_perp), (a_perp, b), (a_perp, b_perp)):
         n_b = sb.stokes()
-        if idler_transform is not None:
-            n_b = idler_transform.rotation.T @ n_b
+        if idler_quat is not None:
+            n_b = matrix(idler_quat).T @ n_b
         corr = float(sa.stokes() @ np.diag([1.0, 1.0, -1.0]) @ n_b)
         p = 0.25 * (1.0 + src.state.visibility * corr)
         p = min(max(p, 0.0), 1.0)
@@ -119,7 +120,7 @@ WRAPPING = [AnalyzerSetting(a) for a in (90.0, 100.0, 135.0, 157.5, 179.9, -45.0
 
 def batch_windows(seed, n):
     """``n`` windows: the four CHSH pairs, then random pairs of the settings
-    above and 20 random angles, at Haar-random or identity idler transforms."""
+    above and 20 random angles, at Haar-random or identity idler quaternions."""
     rng = np.random.default_rng(seed)
     settings = list(CANONICAL_CHSH_ANGLES) + SWEEP + WRAPPING
     settings += [AnalyzerSetting(a) for a in rng.uniform(0, 360, 20)]
@@ -129,8 +130,8 @@ def batch_windows(seed, n):
             a, b = CHSH_WINDOW_SETTINGS[i % 4]
         else:
             a, b = (settings[k] for k in rng.integers(len(settings), size=2))
-        t = PolTransform.identity() if i % 5 == 0 else PolTransform.random(rng)
-        windows.append(Window(None, 0.0, 3.0, (a, b), t))
+        q = IDENTITY_QUAT if i % 5 == 0 else haar_quat(rng)
+        windows.append(Window(None, 0.0, 3.0, (a, b), q))
     return windows
 
 
@@ -147,9 +148,9 @@ class TestBatchedRates:
         src, chain = CHAINS[k]
         windows = batch_windows(k, 1200)
         expected = np.array(
-            [per_window_rates(src, chain, *w.setting, w.idler_transform) for w in windows]
+            [per_window_rates(src, chain, *w.setting, w.idler_quat) for w in windows]
         )
-        stack = np.array([w.idler_transform.rotation for w in windows])
+        stack = np.array([matrix(w.idler_quat) for w in windows])
         a = np.array([w.setting[0].stokes_pair() for w in windows])
         b = np.array([w.setting[1].stokes_pair() for w in windows])
         assert np.array_equal(coincidence_rates(src, chain, stack, a, b), expected)
@@ -161,8 +162,9 @@ class TestBatchedRates:
     def test_one_row_calls_equal_per_window_formula(self):
         src, chain = CHAINS[1]
         for w in batch_windows(3, 200):
-            expected = per_window_rates(src, chain, *w.setting, w.idler_transform)
-            assert np.array_equal(port_rates(src, chain, *w.setting, w.idler_transform), expected)
+            expected = per_window_rates(src, chain, *w.setting, w.idler_quat)
+            t = PolTransform(matrix(w.idler_quat))
+            assert np.array_equal(port_rates(src, chain, *w.setting, t), expected)
         for a in SWEEP + WRAPPING:
             for b in CANONICAL_CHSH_ANGLES:
                 expected = per_window_rates(src, chain, a, b)
