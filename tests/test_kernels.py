@@ -133,9 +133,10 @@ class TestGreedyMatch:
 
     @staticmethod
     def matched_streams(rng, n, spacing, jitter=50e-12, lost=0.0, extra=0.0):
-        """Two tag streams of ``n`` common pair times, ``jitter`` apart on
-        either side; each stream loses a ``lost`` share of its pair tags and
-        gains an ``extra`` share of unpaired ones."""
+        """Two tag streams of ``n`` common pair times, each tag off its pair
+        time by normal jitter of standard deviation ``jitter``; each stream
+        loses a ``lost`` share of its pair tags and gains an ``extra`` share
+        of unpaired ones."""
         span = n * spacing
         pairs = rng.uniform(0.0, span, n)
 
