@@ -16,7 +16,9 @@ calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 the median is fixed, against the same walk run until every seed has crossed
 and against the per-seed ``FiberChannel.probe_trace`` loop it replaced; it
 exits 1 if the three medians differ at any of three (rate, seed) pairs, one
-of them with a median of 80 s.  And it times the window
+of them with a median of 80 s, or if the walk stopped at calibrate.yaml's
+horizon of 20.5 s reads other than that median where it is at most 20.5 s,
+and inf where it is over.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
@@ -28,6 +30,7 @@ Run from the repository root:
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -211,6 +214,9 @@ def bench_median_crossing(n_seeds, repeats):
         early, full = median_crossing_time(*args), full_walk_median_crossing_time(*args)
         if not early == full == per_seed_median_crossing_time(*args):
             sys.exit(f"early-stopped, full and per-seed walks disagree: rate {rate:g}, seed {seed}")
+        # calibrate.yaml's horizon: the top of its band, 20 s + 0.05 * 20 s / 2
+        if median_crossing_time(*args, horizon=20.5) != (full if full <= 20.5 else math.inf):
+            sys.exit(f"the walk stopped at the horizon misreads the median: rate {rate:g}, seed {seed}")
     args = (DAY_RATE, 0.95, n_seeds, 80.0, 3)
     per_seed = timeit(lambda: per_seed_median_crossing_time(*args), repeats)
     full = timeit(lambda: full_walk_median_crossing_time(*args), repeats)

@@ -31,9 +31,8 @@ MAX_STEP_S = 0.1  # longest single step of the walk
 MAX_WALK_STEPS = 10**6  # most steps of one advance, probe trace or calibration trace
 
 # Steps drawn per seed at a time by probe_crossing_times, so that its memory
-# does not grow with the length of the walk.  At 200 seeds, 25 steps keep the
-# peak memory of a calibration at that of one-seed-at-a-time walks (100 steps
-# add about 3 MB) and are no slower.
+# does not grow with the length of the walk: a step holds 4 normals and a
+# 4 x 4 step matrix per seed, 32 KB at 200 seeds.
 _CHUNK_STEPS = 25
 
 
@@ -206,24 +205,6 @@ def _step_scales(schedule: DriftSchedule, t0: float, n: int, dt: float):
     return np.sqrt(schedule.rate_at(times) * dts)
 
 
-def _axes_and_angles(draws: np.ndarray, scale):
-    """Unit axes and angles of walk steps from one row of 4 normals per step.
-
-    ``draws[..., :3]`` gives the axis direction and ``draws[..., 3] * scale``
-    the angle, where ``scale`` is sqrt(rate * dt) of each step, or of all
-    steps.  An all-zero direction gives a zero axis and a zero angle: the
-    identity step, as in ``rotation_walk``.
-    """
-    axes = draws[..., :3]
-    # What np.linalg.norm(axes, axis=-1) computes, without its overhead.
-    norms = np.sqrt(np.add.reduce(axes * axes, axis=-1))
-    zero = norms == 0
-    norms[zero] = 1.0
-    angles = draws[..., 3] * scale
-    angles[zero] = 0.0
-    return axes / norms[..., None], angles
-
-
 def _walk_steps(duration: float, step_s: float) -> int:
     """Steps of at most ``step_s`` that cover ``duration``, if MAX_WALK_STEPS allows."""
     if not duration / step_s <= MAX_WALK_STEPS:
@@ -246,39 +227,63 @@ def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: 
     Yields (index of the chunk's first sample after t = 0, s1 array of shape
     (samples, channels)).  Column j takes the draws of ``rngs[j]`` that
     ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
-    takes.  Rather than each channel's rotation it walks the probe's
-    Stokes vector, one numpy step for the whole batch.
+    takes.  The channels' rotations are the columns of one (4, channels)
+    array of unit quaternions (x, y, z, w); each walk step left-multiplies
+    every column by the matrix of its step quaternion, one einsum for the
+    whole batch, and s1 is the rotation's R00, x² - y² - z² + w².
     """
     substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
     n_steps = n_samples * substeps
     scale = np.broadcast_to(_step_scales(schedule, 0.0, n_steps, sample_dt / substeps), n_steps)
     n = len(rngs)
-    vx, vy, vz = np.ones(n), np.zeros(n), np.zeros(n)
     chunk = substeps * max(1, _CHUNK_STEPS // substeps)
     draws = np.empty((n, chunk, 4))
+    # Once a chunk's draws are spent on its step matrices, their buffer holds
+    # the rotations after each of its steps.
+    after = draws.reshape(chunk, 4, n)
+    # left[i] holds, per channel, the matrix of q -> p q for step i's
+    # quaternion p = (x, y, z, c), as _kernels._compose_steps multiplies:
+    # rows [c, -z, y, x], [z, c, -x, y], [-y, x, c, z], [-x, -y, -z, c].
+    left = np.empty((chunk, 4, 4, n))
+    q = np.zeros((4, n))
+    q[3] = 1.0
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
         for j, rng in enumerate(rngs):
             rng.standard_normal(out=draws[j, :m])
-        axes, angles = _axes_and_angles(draws[:, :m], scale[start : start + m])
-        axes = np.ascontiguousarray(axes.transpose(1, 2, 0))  # (step, xyz, seed)
-        angles = angles.T
-        cos, sin = np.cos(angles), np.sin(angles)
-        one_minus_cos = 1.0 - cos
-        sampled_x = np.empty((m // substeps, n))
+        # (step, channel) views; the draws are consumed in place
+        x, y, z, half = draws[:, :m].transpose(2, 1, 0)
+        half *= scale[start : start + m, None]
+        half *= 0.5
+        norm = x * x
+        norm += y * y
+        norm += z * z
+        np.sqrt(norm, out=norm)
+        zero = norm == 0
+        norm[zero] = 1.0
+        half[zero] = 0.0  # an all-zero axis is the identity step
+        step = left[:m]
+        step[:, 0, 0] = step[:, 1, 1] = step[:, 2, 2] = step[:, 3, 3] = np.cos(half)
+        s = np.divide(np.sin(half), norm, out=norm)
+        x *= s
+        y *= s
+        z *= s
+        step[:, 0, 3] = step[:, 2, 1] = x
+        step[:, 0, 2] = step[:, 1, 3] = y
+        step[:, 1, 0] = step[:, 2, 3] = z
+        step[:, 1, 2] = step[:, 3, 0] = np.negative(x, out=x)
+        step[:, 2, 0] = step[:, 3, 1] = np.negative(y, out=y)
+        step[:, 0, 1] = step[:, 3, 2] = np.negative(z, out=z)
+        rotation = q
         for i in range(m):
-            # Rodrigues: v <- v cos + (k x v) sin + k (k . v)(1 - cos)
-            kx, ky, kz = axes[i]
-            c, s = cos[i], sin[i]
-            kv = one_minus_cos[i] * (kx * vx + ky * vy + kz * vz)
-            vx, vy, vz = (
-                c * vx + s * (ky * vz - kz * vy) + kv * kx,
-                c * vy + s * (kz * vx - kx * vz) + kv * ky,
-                c * vz + s * (kx * vy - ky * vx) + kv * kz,
-            )
-            if (i + 1) % substeps == 0:
-                sampled_x[i // substeps] = vx
-        yield start // substeps, sampled_x
+            rotation = np.einsum("ijn,jn->in", step[i], rotation, out=after[i])
+        q[...] = rotation
+        x, y, z, w = after[substeps - 1 : m : substeps].transpose(1, 0, 2)
+        s1 = x * x
+        s1 -= y * y
+        s1 -= z * z
+        s1 += w * w
+        yield start // substeps, s1
 
 
 def probe_crossing_times(
@@ -288,6 +293,7 @@ def probe_crossing_times(
     sample_dt: float,
     threshold: float,
     stop_after: int | None = None,
+    horizon: float = math.inf,
 ) -> np.ndarray:
     """First time each channel's H-probe fidelity drops below ``threshold``.
 
@@ -298,19 +304,26 @@ def probe_crossing_times(
     a channel that has not crossed by then reads NaN.  Since the walk goes
     forward in time, such a channel's crossing, if any, comes after every
     crossing it returns.
+
+    It also stops after a chunk of samples whose last sample time is at or
+    past ``horizon``, if fewer than n - n // 2 of the n channels have crossed
+    by then: the (n - n // 2)-th crossing, and with it the median crossing
+    time, lies past ``horizon``.
     """
+    n = len(rngs)
     if stop_after is None:
-        stop_after = len(rngs)
+        stop_after = n
     _, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
     times = sample_dt * np.arange(n_samples + 1)
     # The output of the identity transform at t = 0 is H itself, fidelity 1.
-    crossing = np.full(len(rngs), times[0] if 1.0 < threshold else np.nan)
+    crossing = np.full(n, times[0] if 1.0 < threshold else np.nan)
     for first, s1 in _probe_s1_chunks(schedule, rngs, duration, sample_dt):
         # Fidelity against the initial output H is 0.5 * (1 + s1).
         below = 0.5 * (1.0 + s1) < threshold
         new = below.any(axis=0) & np.isnan(crossing)
         crossing[new] = times[1 + first + below.argmax(axis=0)[new]]
-        if np.count_nonzero(~np.isnan(crossing)) >= stop_after:
+        crossed = np.count_nonzero(~np.isnan(crossing))
+        if crossed >= stop_after or (times[first + len(s1)] >= horizon and crossed < n - n // 2):
             break
     return crossing
 

@@ -487,20 +487,25 @@ def median_crossing_time(
     max_time_s: float,
     seed: int,
     sample_dt: float = 0.1,
+    horizon: float = math.inf,
 ) -> float:
-    """Median first time the probe fidelity drops below ``threshold``.
+    """Median first time the probe fidelity drops below ``threshold``, if at most ``horizon``.
 
     Seeds that never cross within ``max_time_s`` count as ``max_time_s``.
-    The walk stops once ``n_seeds // 2 + 1`` seeds have crossed.  A seed
-    still to cross then crosses later, or counts as ``max_time_s``, which
-    lies past every sample but the last; so the smallest ``n_seeds // 2 + 1``
-    times, and with them the median, are already fixed bit for bit.
+    Returns the exact median when it is <= ``horizon``, and math.inf
+    otherwise.  The walk stops once ``n_seeds // 2 + 1`` seeds have crossed:
+    a seed still to cross crosses later, or counts as ``max_time_s``, which
+    lies past every sample but the last, so the median is fixed bit for bit.
+    It also stops at the horizon once the median lies past it; the median
+    then reads ``max_time_s``, past the horizon unless the walk had ended.
     """
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
+    stop_after = n_seeds // 2 + 1
     times = probe_crossing_times(
-        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, n_seeds // 2 + 1
+        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after, horizon
     )
-    return float(np.median(np.where(np.isnan(times), max_time_s, times)))
+    median = float(np.median(np.where(np.isnan(times), max_time_s, times)))
+    return median if median <= horizon else math.inf
 
 
 def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
@@ -511,14 +516,20 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
         day_rate, median = 0.0, target_time
     else:
         max_time = 4.0 * target_time
+        band = 0.5 * settings["tolerance"] * target_time
+        # Past the horizon a median is above the band as the test below rounds
+        # it: median - target_time is exact up to twice the target, and over
+        # target_time > band beyond.  (target_time * (1 + tolerance / 2) can
+        # round below a median in the band: 30.75 s at 30 s and 0.05.)
+        horizon = target_time + band if band < target_time else math.inf
         lo, hi = 1e-5, 1.0
         day_rate, median = None, None
         for iteration in range(40):
             mid = float(np.sqrt(lo * hi))
             median = median_crossing_time(
-                mid, target_fidelity, n_seeds, max_time, seed + iteration
+                mid, target_fidelity, n_seeds, max_time, seed + iteration, horizon=horizon
             )
-            if abs(median - target_time) <= 0.5 * settings["tolerance"] * target_time:
+            if abs(median - target_time) <= band:
                 day_rate = mid
                 break
             if median > target_time:
@@ -526,8 +537,9 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
             else:
                 hi = mid
         if day_rate is None:
+            last = f"{median:.2f} s" if median <= horizon else f"over {horizon:.2f} s"
             raise CalibrationError(
-                f"calibration did not converge (last median {median:.2f} s "
+                f"calibration did not converge (last median {last} "
                 f"for target {target_time:.2f} s)"
             )
     payload = {

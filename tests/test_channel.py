@@ -1,9 +1,11 @@
 """Drift schedule, fiber channel walk, loss and probe traces."""
 
+import math
+
 import numpy as np
 import pytest
 
-from polarlink import _kernels
+from polarlink import _kernels, channel, cli
 from polarlink.channel import (
     DAY_RATE,
     MAX_STEP_S,
@@ -13,7 +15,6 @@ from polarlink.channel import (
     ChannelError,
     DriftSchedule,
     FiberChannel,
-    _axes_and_angles,
     _probe_s1_chunks,
     _step_grid,
     _step_scales,
@@ -430,6 +431,80 @@ class TestProbeCrossingTimesStopAfter:
             assert got == 80.0  # fewer than half cross, so the walk runs to its end
 
 
+def full_walk_median(rate, n_seeds, seed):
+    """The median crossing time of ``median_crossing_time``, from a walk run to its end."""
+    full = probe_crossing_times(DriftSchedule.constant(rate), seeded_rngs(seed, n_seeds), 80.0, 0.1, 0.95)
+    return float(np.median(np.where(np.isnan(full), 80.0, full)))
+
+
+class TestHorizon:
+    """A walk stopped at the horizon gives the full-walk median where that is within it, else inf."""
+
+    # calibrate.yaml's band is [19.5, 20.5] s; these medians fall below, in and
+    # above it (n_seeds 7 at DAY_RATE: 20.2 s; 200 at DAY_RATE: 20.65 s), up to 80 s
+    @pytest.mark.parametrize("n_seeds", [1, 2, 7, 50, 200])
+    @pytest.mark.parametrize("rate", [2 * DAY_RATE, DAY_RATE, DAY_RATE / 2, DAY_RATE / 6])
+    def test_median_within_the_horizon_else_inf(self, n_seeds, rate):
+        seed = 200 + n_seeds
+        full = full_walk_median(rate, n_seeds, seed)
+        for horizon in (full, np.nextafter(full, 0.0), full + 5.0, 20.5, 0.0, math.inf):
+            got = median_crossing_time(rate, 0.95, n_seeds, 80.0, seed, horizon=horizon)
+            assert got == (full if full <= horizon else math.inf)
+
+    def test_even_n_with_half_crossed_walks_on(self):
+        # of 2 seeds, one crosses before the horizon and one after the chunk that
+        # passes it (at 22.5 s); the median, their mean, is within the horizon
+        rngs = seeded_rngs(1, 2)
+        times = probe_crossing_times(DriftSchedule.constant(DAY_RATE), rngs, 80.0, 0.1, 0.95)
+        assert times.tolist() == [9.600000000000001, 24.700000000000003]
+        got = median_crossing_time(DAY_RATE, 0.95, 2, 80.0, 1, horizon=20.5)
+        assert got == full_walk_median(DAY_RATE, 2, 1) == np.mean(times)
+
+    def test_stops_after_the_chunk_that_passes_the_horizon(self, monkeypatch):
+        samples = []
+
+        def counted(*args):
+            for first, s1 in chunks(*args):
+                samples.append(len(s1))
+                yield first, s1
+
+        chunks = channel._probe_s1_chunks
+        monkeypatch.setattr(channel, "_probe_s1_chunks", counted)
+        sched, n = DriftSchedule.constant(DAY_RATE / 2), 41
+        full = probe_crossing_times(sched, seeded_rngs(9, n), 80.0, 0.1, 0.95)
+        assert sum(samples) == 800 and np.count_nonzero(full <= 22.5) < n - n // 2
+        samples.clear()
+        got = probe_crossing_times(sched, seeded_rngs(9, n), 80.0, 0.1, 0.95, horizon=20.5)
+        assert sum(samples) == 225  # nine chunks of 25 samples, the last ending at 22.5 s
+        crossed = ~np.isnan(got)
+        assert np.array_equal(got[crossed], full[crossed]) and np.array_equal(crossed, full <= 22.5)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_calibration_equals_that_of_full_walks(self, tmp_path, monkeypatch, capsys, seed):
+        args = ["calibrate", "--config", "configs/calibrate.yaml", "--seed", str(seed), "--out"]
+        assert cli.main(args + [str(tmp_path / "horizon")]) == 0
+        full = cli.median_crossing_time
+        monkeypatch.setattr(cli, "median_crossing_time", lambda *a, horizon: full(*a))
+        assert cli.main(args + [str(tmp_path / "full")]) == 0
+        for name in ("schedule.json", "summary.json"):
+            assert (tmp_path / "horizon" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_band_edge_median_is_within_the_horizon(self, tmp_path, monkeypatch, capsys):
+        # at 30 s and tolerance 0.05 the band test accepts 30.75 s, which
+        # 30 * (1 + 0.05 / 2) = 30.749999999999996 would put past the horizon
+        horizons = []
+
+        def scripted(*args, horizon):
+            horizons.append(horizon)
+            return 30.75 if 30.75 <= horizon else math.inf
+
+        monkeypatch.setattr(cli, "median_crossing_time", scripted)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("calibrate: {target_time_s: 30.0, tolerance: 0.05}\n")
+        assert cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert horizons == [30.75]
+
+
 class TestDriftOracle:
     """The walk's first moment, which any correct implementation must match.
 
@@ -496,6 +571,16 @@ class TestProbeVectorWalk:
         ((_, s1),) = _probe_s1_chunks(DriftSchedule.constant(1.0), rngs, 0.5, 0.1)
         assert (s1[:, 0] == 1.0).all()
         assert s1[2, 1] == s1[1, 1] and s1[1, 1] != s1[0, 1]
-        axes, angles = _axes_and_angles(draws, 0.3)
-        assert (angles[0] == 0.0).all() and angles[1, 2] == 0.0
-        assert (axes[0] == 0.0).all()
+
+    @pytest.mark.parametrize("sample_dt", [0.1, 0.25])  # 0.25: 3 walk steps per sample
+    def test_is_the_channels_walk(self, sample_dt):
+        sched = DriftSchedule.constant(5 * DAY_RATE)
+        children = np.random.SeedSequence(4).spawn(40)
+        rngs = [np.random.default_rng(child) for child in children]
+        s1 = np.concatenate([c for _, c in _probe_s1_chunks(sched, rngs, 40.0, sample_dt)])
+        expected = [
+            FiberChannel(sched, np.random.default_rng(child)).probe_trace(H, 40.0, sample_dt)[1][1:, 0]
+            for child in children
+        ]
+        assert s1.shape == (round(40.0 / sample_dt), 40)
+        assert np.abs(s1 - np.transpose(expected)).max() < 1e-12

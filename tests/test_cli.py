@@ -571,6 +571,23 @@ class TestCalibrate:
         assert sched["night_rate"] == pytest.approx(sched["day_rate"] / 500.0)
         assert sched["achieved_median_s"] == pytest.approx(20.0, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "n_seeds,tolerance,seed,last",
+        [
+            (200, 1.0e-6, 2, "last median 19.60 s"),
+            # the last step's walk stopped at the horizon, 20 s + 0.004 * 20 s / 2
+            (3, 0.004, 0, "last median over 20.04 s"),
+        ],
+    )
+    def test_no_convergence_exits_3(self, tmp_path, capsys, n_seeds, tolerance, seed, last):
+        data = yaml.safe_load(Path(CONFIG_DIR, "calibrate.yaml").read_text())
+        data["calibrate"].update(n_seeds=n_seeds, tolerance=tolerance)
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", write_cfg(tmp_path, data), "--seed", seed, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: calibration did not converge ({last} for target 20.00 s)\n"
+        assert not (out / "schedule.json").exists()
+
     def test_perfect_fidelity_gives_zero_rate(self, tmp_path, capsys):
         data = {"scenario": "calibrate", "calibrate": {"target_fidelity": 1.0}}
         cfg = write_cfg(tmp_path, data)

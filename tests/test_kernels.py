@@ -122,6 +122,9 @@ class TestGreedyMatch:
     def test_tie_goes_to_earlier(self):
         # tag exactly between two refs: the earlier one is consumed
         assert _kernels.greedy_match(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1.0) == 2
+        # the second tag reaches only the later ref, so a tie to the later one loses it
+        a, b = np.array([0.0, 2.0]), np.array([1.0, 2.5])
+        assert _kernels.greedy_match(a, b, 1.0) == brute_force_match(a, b, 1.0) == 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_against_brute_force(self, seed):
