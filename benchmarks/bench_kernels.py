@@ -2,12 +2,15 @@
 
 Also times one ``advance`` of the channel, one quaternion walk, at the link's
 three advance lengths (a 0.12 s check cycle, a 0.96 s finite-difference block
-and a 3 s uptime window: 2, 10 and 30 steps) under the
-configs/longrun_stabilized.yaml schedule, so the fixed cost of a walk shows
-beside its per-step cost.  The "window" row times a check cycle and an uptime
-window as ``run_link`` runs them; it exits 1 if the rotations at the start of
-each advance differ by more than 1e-12 from those of a per-step matrix walk
-of the same draws, the oracle kept here.  The matcher is timed on independent
+and a 3 s uptime window) under the configs/longrun_stabilized.yaml schedule,
+which starts at night, where the 3 s window walks as two coarse steps, and at
+the day rate, where they take 2, 10 and 30 steps; each row prints the steps
+walked, so the fixed cost of a walk shows beside its per-step cost.  It exits
+1 if a day-rate advance takes other than ``_walk_steps`` steps.  The "window"
+row times a check cycle and an uptime window as ``run_link`` runs them; it
+exits 1 if the rotations at the start of each advance differ by more than
+1e-12 from those of a per-step matrix walk of the same draws, the oracle kept
+here.  The matcher is timed on independent
 streams and on 3,200 matched tags (common pair times with 50 ps jitter),
 where it exits 1 if its count differs from that of the per-tag scan it
 replaced, also kept here.  Also times
@@ -38,6 +41,7 @@ import numpy as np
 
 from polarlink import _kernels
 from polarlink.channel import (
+    COARSE_MIN_STEPS,
     DAY_RATE,
     MAX_STEP_S,
     DriftSchedule,
@@ -83,15 +87,33 @@ def longrun_channel(seed=0):
     return build_channel(load_config("configs/longrun_stabilized.yaml"), np.random.default_rng(seed))
 
 
-def bench_advance(duration, calls, repeats):
-    """Seconds per ``advance(duration)`` (one walk), best of ``repeats``."""
-    channel = longrun_channel()
+def day_channel():
+    return FiberChannel(DriftSchedule.constant(DAY_RATE), np.random.default_rng(0))
+
+
+def walked_steps(channel, duration):
+    """Steps that ``channel.advance(duration)`` walks."""
+    steps = []
+    real = _kernels.rotation_walk
+    _kernels.rotation_walk = lambda *args: steps.append(len(args[2])) or real(*args)
+    try:
+        channel.advance(duration)
+    finally:
+        _kernels.rotation_walk = real
+    return sum(steps)
+
+
+def bench_advance(make_channel, duration, calls, repeats):
+    """(seconds per ``advance(duration)`` (one walk), best of ``repeats``;
+    the steps of one such advance)."""
+    channel = make_channel()
+    steps = walked_steps(channel, duration)
 
     def walk():
         for _ in range(calls):
             channel.advance(duration)
 
-    return timeit(walk, repeats) / calls
+    return timeit(walk, repeats) / calls, steps
 
 
 def matrix_walk_rotations(legs, windows, seed=0):
@@ -103,10 +125,21 @@ def matrix_walk_rotations(legs, windows, seed=0):
         for duration in legs:
             out.append(rotation)
             n = _walk_steps(duration, MAX_STEP_S)
-            scale = _step_scales(channel.schedule, t, n, duration / n)
-            draws = rng.standard_normal((n, 4))
-            axes = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1, keepdims=True)
-            for (x, y, z), angle in zip(axes, draws[:, 3] * scale):
+            rate = channel.schedule.constant_rate(t, t + duration)
+            fits = rate is not None and rate / DAY_RATE * (duration / MAX_STEP_S) <= 1.0
+            if fits and n >= COARSE_MIN_STEPS:
+                # two coarse steps: an angle of variance v / sqrt(n) about a
+                # uniform axis, then a Gaussian rotation vector of the rest
+                draws, v = rng.standard_normal(7), rate * duration
+                axes = np.array([draws[:3], draws[4:]])
+                gauss = np.linalg.norm(draws[4:]) * np.sqrt((v - v / np.sqrt(n)) / 3)
+                angles = [draws[3] * np.sqrt(v / np.sqrt(n)), gauss]
+            else:
+                scale = _step_scales(channel.schedule, t, n, duration / n)
+                draws = rng.standard_normal((n, 4))
+                axes, angles = draws[:, :3], draws[:, 3] * scale
+            axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+            for (x, y, z), angle in zip(axes, angles):
                 c, s = np.cos(angle), np.sin(angle)
                 k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
                 step = c * np.eye(3) + s * k + (1.0 - c) * np.outer((x, y, z), (x, y, z))
@@ -276,11 +309,15 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     report("rotation_walk", args.walk_steps, bench_rotation_walk(args.walk_steps, args.repeats))
-    for duration in (0.12, 0.96, 3.0):
-        seconds = bench_advance(duration, 1000, args.repeats)
-        steps = _walk_steps(duration, MAX_STEP_S)
-        print(f"{'advance':<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
-    steps = _walk_steps(0.12, MAX_STEP_S) + _walk_steps(3.0, MAX_STEP_S)
+    for label, make_channel in (("night", longrun_channel), ("day", day_channel)):
+        for duration in (0.12, 0.96, 3.0):
+            seconds, steps = bench_advance(make_channel, duration, 1000, args.repeats)
+            name = f"advance {label}"
+            print(f"{name:<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
+            if label == "day" and steps != _walk_steps(duration, MAX_STEP_S):
+                sys.exit(f"a {duration:g} s advance at the day rate walked {steps} steps")
+    channel = longrun_channel()
+    steps = walked_steps(channel, 0.12) + walked_steps(channel, 3.0)
     seconds = bench_window(1000, args.repeats)
     print(f"{'window':<16} n={steps:<9} 0.12 s + 3 s  {seconds * 1e6:7.1f} us per window")
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))

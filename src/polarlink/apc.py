@@ -59,16 +59,15 @@ class Controller:
     def quat(self) -> tuple:
         """The controller's rotation as a quaternion (x, y, z, w) of Python floats."""
         if self._quat is None:
-            self._quat = _controller_quat(self.params)
+            self._quat = _controller_quat(self.params.tolist())
         return self._quat
 
     def to_transform(self) -> PolTransform:
         return PolTransform.trusted(quaternion_matrix(*self.quat))
 
 
-def _controller_quat(params: np.ndarray) -> tuple:
+def _controller_quat(params: list) -> tuple:
     """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
-    params = params.tolist()
     s = [math.sin(a / 2) for a in params]
     c = [math.cos(a / 2) for a in params]
     q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
@@ -125,7 +124,7 @@ def cost(fidelities) -> float:
     return float(1.0 - reduce(add, fidelities) / len(fidelities))
 
 
-def _cost_at(params: np.ndarray, channel_quat: tuple) -> float:
+def _cost_at(params: list, channel_quat: tuple) -> float:
     """``cost(measure_fidelities(channel_quat, Controller(params)))``."""
     return cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
 
@@ -142,27 +141,27 @@ def compensation_step(
     cycles per parameter).  The step length starts at step_size and is halved
     up to five times until the cost does not increase; if no descent direction
     is found the parameters get a small random kick to escape a saddle.
+
+    The settings are lists of four Python floats, each entry rounded as
+    numpy's elementwise arithmetic rounds it (a zero delta entry included).
     """
-    params = ctrl.params
+    params = ctrl.params.tolist()
+    d = cfg.fd_delta
     base = _cost_at(params, channel_quat)
-    grad = np.zeros(4)
+    grad = []
     for k in range(4):
-        delta = np.zeros(4)
-        delta[k] = cfg.fd_delta
-        grad[k] = (
-            _cost_at(params + delta, channel_quat)
-            - _cost_at(params - delta, channel_quat)
-        ) / (2.0 * cfg.fd_delta)
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm < _GRADIENT_TOL:
+        plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
+        minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
+        grad.append((_cost_at(plus, channel_quat) - _cost_at(minus, channel_quat)) / (2.0 * d))
+    if math.sqrt(sum(g * g for g in grad)) < _GRADIENT_TOL:
         return Controller(params)
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
-        candidate = params - step * grad
+        candidate = [p - step * g for p, g in zip(params, grad)]
         if _cost_at(candidate, channel_quat) <= base:
             return Controller(candidate)
         step *= 0.5
-    return Controller(params + rng.normal(0.0, cfg.fd_delta, size=4))
+    return Controller(ctrl.params + rng.normal(0.0, d, size=4))
 
 
 def run_session(

@@ -108,8 +108,8 @@ class TestMeasureAndCost:
             composite = controller_matrix(params) @ matrix(chan)
             oracle = 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T))
             assert np.abs(np.array(fids) - oracle).max() <= 1e-15
-            assert _cost_at(ctrl.params, chan) == cost(fids)
-            assert abs(_cost_at(ctrl.params, chan) - (1 - oracle.mean())) <= 1e-15
+            assert _cost_at(ctrl.params.tolist(), chan) == cost(fids)
+            assert abs(_cost_at(ctrl.params.tolist(), chan) - (1 - oracle.mean())) <= 1e-15
         for chan, params in pairs[:40]:
             composite = controller_matrix(params) @ matrix(chan)
             expected = [0.5 * (1 + s @ composite @ s) for s in m]
@@ -135,6 +135,30 @@ class TestMeasureAndCost:
             assert 0.0 <= c <= 1.0
 
 
+def numpy_compensation_step(chan, params, cfg, rng):
+    """``compensation_step`` in numpy arrays, as it was written before its float
+    lists: the parameters it returns."""
+
+    def cost_at(p):
+        return _cost_at(p.tolist(), chan)
+
+    base = cost_at(params)
+    grad = np.zeros(4)
+    for k in range(4):
+        delta = np.zeros(4)
+        delta[k] = cfg.fd_delta
+        grad[k] = (cost_at(params + delta) - cost_at(params - delta)) / (2.0 * cfg.fd_delta)
+    if float(np.linalg.norm(grad)) < 1e-9:
+        return params
+    step = cfg.step_size
+    for _ in range(6):
+        candidate = params - step * grad
+        if cost_at(candidate) <= base:
+            return candidate
+        step *= 0.5
+    return params + rng.normal(0.0, cfg.fd_delta, size=4)
+
+
 class TestCompensationStep:
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
@@ -147,6 +171,23 @@ class TestCompensationStep:
             after = cost(measure_fidelities(chan, stepped))
             # a random kick (stall escape) may increase cost slightly
             assert after <= before + 0.05
+
+    def test_equals_the_numpy_step_bit_for_bit(self):
+        # the float step against the same step in numpy arrays, on random
+        # settings, settings with signed zeros and optima; a step size of 1e4
+        # overshoots in every halving, which ends in the random kick
+        rng = np.random.default_rng(12)
+        cases = [(haar_quat(rng), rng.uniform(-np.pi, np.pi, 4)) for _ in range(300)]
+        cases += [(haar_quat(rng), np.array([0.0, -0.0, -0.0, 0.0])) for _ in range(20)]
+        cases += [(IDENTITY_QUAT, np.array([0.0, -0.0, 0.0, -0.0]))]
+        for chan, params in cases[:30]:
+            cases.append((chan, controller_for(matrix(chan).T).params))
+        for i, (chan, params) in enumerate(cases):
+            cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
+            got = compensation_step(chan, Controller(params), cfg, np.random.default_rng(i))
+            expected = numpy_compensation_step(chan, params, cfg, np.random.default_rng(i))
+            assert np.array_equal(np.signbit(got.params), np.signbit(expected))
+            assert np.array_equal(got.params, expected)
 
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(6)

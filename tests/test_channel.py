@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from polarlink import _kernels, channel, cli
 from polarlink.channel import (
+    COARSE_MIN_STEPS,
     DAY_RATE,
     MAX_STEP_S,
     MAX_WALK_STEPS,
@@ -214,6 +216,23 @@ class TestStep:
             assert means[j + 1] <= means[j] + 3 * (sem[j] + sem[j + 1])
 
 
+def coarse_rate(schedule, t0, duration, max_step_s=MAX_STEP_S):
+    """The rate of an advance walked as two coarse steps, else None: one
+    of at least COARSE_MIN_STEPS time-rule steps at a constant rate whose
+    angle variance fits in one step at the day rate."""
+    n = _walk_steps(duration, max_step_s)
+    rate = schedule.constant_rate(t0, t0 + duration)
+    if rate is None or n < COARSE_MIN_STEPS or not rate / DAY_RATE * (duration / max_step_s) <= 1.0:
+        return None
+    return rate
+
+
+def coarse_variances(rate, duration, n):
+    """Angle variances of the coarse walk's half-normal and Gaussian steps."""
+    part = rate * duration / math.sqrt(n)
+    return part, rate * duration - part
+
+
 class EagerChannel:
     """One per-step matrix walk per advance: the oracle of the quaternion walk."""
 
@@ -225,10 +244,18 @@ class EagerChannel:
         start = self.rotation
         if duration > 0:
             n = _walk_steps(duration, MAX_STEP_S)
-            scale = reference_scales(self.schedule, self.sim_time, n, duration / n)
-            draws = self.rng.standard_normal((n, 4))
-            axes = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1, keepdims=True)
-            self.rotation, _ = per_step_walk(self.rotation, axes, draws[:, 3] * scale)
+            rate = coarse_rate(self.schedule, self.sim_time, duration)
+            if rate is None:
+                scale = reference_scales(self.schedule, self.sim_time, n, duration / n)
+                draws = self.rng.standard_normal((n, 4))
+                axes, angles = draws[:, :3], draws[:, 3] * scale
+            else:  # an angle about a uniform axis, then a Gaussian rotation vector
+                draws = self.rng.standard_normal(7)
+                half, gauss = coarse_variances(rate, duration, n)
+                axes = np.array([draws[:3], draws[4:]])
+                angles = [draws[3] * np.sqrt(half), np.linalg.norm(draws[4:]) * np.sqrt(gauss / 3)]
+            axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+            self.rotation, _ = per_step_walk(self.rotation, axes, angles)
             self.sim_time += float(np.sum(np.full(n, duration / n)))
         return start
 
@@ -315,6 +342,147 @@ class TestQuaternionWalk:
         assert np.array_equal(outs[2], outs[1]) and not np.array_equal(outs[1], outs[0])
         ch = FiberChannel(DriftSchedule.constant(1.0), ScriptedDraws(draws[1]))
         assert ch.advance(0.1) == ch.quat == (0.0, 0.0, 0.0, 1.0)
+
+
+def h_fidelity(q):
+    """Fidelity of the H probe through rotation ``q``: ½(1 + R00)."""
+    x, y, z, w = q
+    return 0.5 * (1.0 + (x * x - y * y - z * z + w * w))
+
+
+class TestStepRule:
+    """An advance at a constant rate whose angle variance fits in one step at
+    the day rate, over at least COARSE_MIN_STEPS time-rule steps, takes two."""
+
+    DURATIONS = (0.03, 0.1, 0.12, 0.3, 0.96, 3.0, 7.45, 25.0)
+    # in (0, 30]
+    DURATIONS += tuple(30.0 - np.random.default_rng(18).uniform(0.0, 30.0, 200))
+    MAX_STEPS = (0.1, 1e-3, 0.37)
+    # a fringe_burst.yaml-like burst at the day rate, from 130 to 190 s
+    BURST = DriftSchedule.constant(DAY_RATE, bursts=[Burst(130.0, 60.0, 100.0)])
+    # rates far under DAY_RATE: a segment edge at 40 s, a period edge at 100 s
+    # and a burst from 150 to 170 s
+    SLOW_EDGES = DriftSchedule(
+        segments=((0.0, NIGHT_RATE), (40.0, 10 * NIGHT_RATE)),
+        period_s=100.0,
+        bursts=(Burst(150.0, 20.0, 3.0),),
+    )
+
+    @pytest.fixture
+    def walk_of(self, monkeypatch):
+        """How one advance from ``t0`` walks, without walking it: ("time",
+        steps) or ("coarse", time-rule steps).
+
+        Also checks the step length of a time-rule walk, and that the step
+        scale it passes, where it passes one, is that of ``_step_scales``
+        bit for bit; and the rate a coarse walk gets.
+        """
+        walks = []
+
+        def walk(ch, n, dt, scale=None, sample_stride=0):
+            assert scale is None or scale == _step_scales(ch.schedule, ch.sim_time, n, dt)
+            walks.append(("time", n, dt))
+
+        def coarse_walk(ch, n, duration, rate):
+            assert rate == ch.schedule.constant_rate(ch.sim_time, ch.sim_time)
+            walks.append(("coarse", n, duration / n))
+
+        monkeypatch.setattr(FiberChannel, "_walk", walk)
+        monkeypatch.setattr(FiberChannel, "_coarse_walk", coarse_walk)
+
+        def advance(schedule, t0, duration, max_step_s):
+            walks.clear()
+            rng = np.random.default_rng(0)
+            ch = FiberChannel(schedule, rng, sim_time=t0, max_step_s=max_step_s)
+            ch.advance(duration)
+            ((kind, n, dt),) = walks
+            assert n == _walk_steps(duration, max_step_s) and dt == duration / n
+            return kind
+
+        return advance
+
+    def test_day_rate_and_faster_keep_the_time_rule(self, walk_of):
+        schedules = [DriftSchedule.constant(DAY_RATE), DriftSchedule.constant(5 * DAY_RATE)]
+        for max_step_s in self.MAX_STEPS:
+            for i, d in enumerate(self.DURATIONS):
+                for schedule in schedules:
+                    assert walk_of(schedule, 1000.0 * i, d, max_step_s) == "time"
+                # inside the burst, at 100 times the day rate
+                t0 = 130.0 + (60.0 - d) * (i + 0.5) / len(self.DURATIONS)
+                assert walk_of(self.BURST, t0, d, max_step_s) == "time"
+
+    def test_slower_rates_walk_coarse_where_the_variance_fits(self, walk_of):
+        coarse = 0
+        for rate in (0.0, NIGHT_RATE, 10 * NIGHT_RATE, DAY_RATE / 2):
+            schedule = DriftSchedule.constant(rate)
+            for max_step_s in self.MAX_STEPS:
+                for d in self.DURATIONS:
+                    n = _walk_steps(d, max_step_s)
+                    fits = rate / DAY_RATE * (d / max_step_s) <= 1.0
+                    expected = "coarse" if n >= COARSE_MIN_STEPS and fits else "time"
+                    assert walk_of(schedule, 0.0, d, max_step_s) == expected
+                    coarse += expected == "coarse"
+        assert coarse > 500
+
+    def test_an_edge_inside_keeps_the_time_rule(self, walk_of):
+        coarse_elsewhere = 0
+        for max_step_s in self.MAX_STEPS:
+            for d in self.DURATIONS:
+                for edge in (40.0, 100.0, 150.0, 170.0):
+                    assert walk_of(self.SLOW_EDGES, edge - 0.5 * d, d, max_step_s) == "time"
+                    assert walk_of(self.SLOW_EDGES, edge - d, d, max_step_s) == "time"  # ends on it
+                coarse_elsewhere += walk_of(self.SLOW_EDGES, 5.0, d, max_step_s) == "coarse"
+        assert coarse_elsewhere > 100
+
+    def test_walk_cap_counts_time_rule_steps(self):
+        # at rate 0 an advance takes two steps, but the cap counts max_step_s steps
+        ch = make_channel(0.0, 1, max_step_s=1.0e-300)
+        state = ch.rng.bit_generator.state
+        with pytest.raises(ChannelError, match="steps"):
+            ch.advance(0.1)
+        assert ch.sim_time == 0.0 and ch.rng.bit_generator.state == state
+
+    def test_coarse_walk_draws_seven_normals(self):
+        ch, twin = make_channel(NIGHT_RATE, 4), np.random.default_rng(4)
+        for _ in range(3):
+            ch.advance(3.0)
+            twin.standard_normal(7)
+        assert ch.rng.standard_normal() == twin.standard_normal()
+        assert ch.sim_time == 3 * _step_grid(30, 0.1)[1]
+
+    @pytest.mark.parametrize("rate", [NIGHT_RATE, 10 * NIGHT_RATE, DAY_RATE / 2])
+    def test_probe_fidelity_law_of_the_time_rule(self, rate):
+        # after 3 s and 0.12 s: where the advance walks coarse, a two-sample KS
+        # test of the H-probe fidelity against the time rule's walk, 10^4 seeds
+        # each; elsewhere it is the time rule's walk
+        schedule = DriftSchedule.constant(rate)
+        for duration in (3.0, 0.12):
+            n = _walk_steps(duration, MAX_STEP_S)
+
+            def time_rule(seed):
+                ch = FiberChannel(schedule, np.random.default_rng(seed))
+                ch._walk(n, duration / n)
+                return ch.quat
+
+            if coarse_rate(schedule, 0.0, duration) is None:
+                ch = FiberChannel(schedule, np.random.default_rng(0))
+                ch.advance(duration)
+                assert ch.quat == time_rule(0)
+                assert (rate, duration) != (NIGHT_RATE, 3.0)
+                continue
+            by_rule, by_time, one_step = [], [], []
+            for seed in range(10_000):
+                ch = FiberChannel(schedule, np.random.default_rng(seed))
+                ch.advance(duration)
+                by_rule.append(h_fidelity(ch.quat))
+                by_time.append(h_fidelity(time_rule(10_000 + seed)))
+                # the time rule's step law with the advance's whole variance
+                ch = FiberChannel(schedule, np.random.default_rng(20_000 + seed))
+                ch._walk(1, duration, math.sqrt(rate * duration))
+                one_step.append(h_fidelity(ch.quat))
+            assert ks_2samp(by_rule, by_time).pvalue > 0.01
+            # the test tells one such step from the time rule's 30
+            assert ks_2samp(one_step, by_time).pvalue < 1e-6
 
 
 class TestProbeTrace:
@@ -528,27 +696,59 @@ class TestDriftOracle:
         rates = self.SCHEDULE.rate_at(step_starts)
         return np.prod(1.0 / 3.0 + (2.0 / 3.0) * np.exp(-rates * dts / 2.0))
 
+    @staticmethod
+    def coarse_mean_factor(rate, duration, n):
+        """Mean rotation factor of a coarse walk: its half-normal step's, then
+        its Gaussian step's, 1/3 + (2/3)(1 - v/3) exp(-v/6) at variance v."""
+        half, gauss = coarse_variances(rate, duration, n)
+        return (1.0 / 3.0 + (2.0 / 3.0) * np.exp(-half / 2.0)) * (
+            1.0 / 3.0 + (2.0 / 3.0) * (1.0 - gauss / 3.0) * np.exp(-gauss / 6.0)
+        )
+
     def test_advance_mean_rotation(self):
-        durations = [2.35, 1.0, 3.3, 1.35]
+        # the first four advances cross an edge; then one night advance, one
+        # across the second day's start, one within it, one across the night's
+        # start and one at night walked coarse
+        durations = [2.35, 1.0, 3.3, 1.35, 1.2, 2.5, 1.7, 0.1, 2.4]
         finals = np.empty((self.N_SEEDS, 3, 3))
         for seed in range(self.N_SEEDS):
             ch = FiberChannel(self.SCHEDULE, np.random.default_rng(seed))
             for d in durations:
                 ch.advance(d)
             finals[seed] = matrix(ch.quat)
-        starts, dts, t = [], [], 0.0
+        factor, coarse, t = 1.0, [], 0.0
         for d in durations:
-            n = int(np.ceil(d / MAX_STEP_S))
-            starts.extend(t + d / n * np.arange(n))
-            dts.extend([d / n] * n)
+            n = _walk_steps(d, MAX_STEP_S)
+            rate = coarse_rate(self.SCHEDULE, t, d)
+            if rate is None:
+                factor *= self.mean_factor(t + d / n * np.arange(n), np.full(n, d / n))
+            else:
+                factor *= self.coarse_mean_factor(rate, d, n)
+            coarse.append(rate is not None)
             t += d
-        expected = self.mean_factor(np.array(starts), np.array(dts)) * np.eye(3)
+        assert coarse == [False] * 8 + [True]
+        expected = factor * np.eye(3)
         assert 0.5 < expected[0, 0] < 0.8  # the burst and the day both count
         sem = finals.std(axis=0, ddof=1) / np.sqrt(self.N_SEEDS)
         assert np.all(np.abs(finals.mean(axis=0) - expected) < 4 * sem)
         eye = np.broadcast_to(np.eye(3), finals.shape)
         assert np.allclose(finals @ finals.transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
         assert np.allclose(np.linalg.det(finals), 1.0, rtol=0, atol=1e-12)
+
+    def test_coarse_advance_mean_rotation(self):
+        # 20 steps of 10 s by the time rule, at a rate whose variance, 0.10
+        # rad^2, fits in one such step at the day rate: two coarse steps
+        schedule, duration = DriftSchedule.constant(DAY_RATE / 25), 200.0
+        finals = np.empty((self.N_SEEDS, 3, 3))
+        for seed in range(self.N_SEEDS):
+            ch = FiberChannel(schedule, np.random.default_rng(seed), max_step_s=10.0)
+            ch.advance(duration)
+            finals[seed] = matrix(ch.quat)
+        assert coarse_rate(schedule, 0.0, duration, 10.0) == DAY_RATE / 25
+        expected = self.coarse_mean_factor(DAY_RATE / 25, duration, 20) * np.eye(3)
+        assert 0.96 < expected[0, 0] < 0.97
+        sem = finals.std(axis=0, ddof=1) / np.sqrt(self.N_SEEDS)
+        assert np.all(np.abs(finals.mean(axis=0) - expected) < 4 * sem)
 
     def test_probe_vector_walk_mean_s1(self):
         duration, sample_dt = 8.0, 0.1
