@@ -370,12 +370,13 @@ class TestStepRule:
 
     @pytest.fixture
     def walk_of(self, monkeypatch):
-        """How one advance from ``t0`` walks, without walking it: ("time",
-        steps) or ("coarse", time-rule steps).
+        """How one advance from ``t0`` walks, without walking it: "time" or
+        "coarse".
 
-        Also checks the step length of a time-rule walk, and that the step
-        scale it passes, where it passes one, is that of ``_step_scales``
-        bit for bit; and the rate a coarse walk gets.
+        Also checks that either is handed the time rule's step count and
+        length, that the step scale a time-rule walk gets, where it gets
+        one, is that of ``_step_scales`` bit for bit, and the rate a coarse
+        walk gets.
         """
         walks = []
 
