@@ -25,7 +25,11 @@ and inf where it is over.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
-or per-window counterpart.
+or per-window counterpart.  Last, it times one APC ``compensation_step``
+(µs per call) over 1,000 random (channel, setting) pairs, against the same
+step with every cost composed from three full ``compose_quat`` products, the
+oracle kept here; it exits 1 if any returned setting differs from the
+oracle's, signs of zero included.
 
 Run from the repository root:
 
@@ -39,7 +43,7 @@ import time
 
 import numpy as np
 
-from polarlink import _kernels
+from polarlink import _kernels, apc
 from polarlink.channel import (
     COARSE_MIN_STEPS,
     DAY_RATE,
@@ -52,7 +56,7 @@ from polarlink.channel import (
     first_crossing_time,
     probe_crossing_times,
 )
-from polarlink.apc import Controller
+from polarlink.apc import ApcConfig, Controller, compensation_step
 from polarlink.cli import (
     _resolved_duration,
     build_channel,
@@ -60,7 +64,7 @@ from polarlink.cli import (
     load_config,
     median_crossing_time,
 )
-from polarlink.polmath import PolTransform, StokesVector, quaternion_matrix
+from polarlink.polmath import PolTransform, StokesVector, compose_quat, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
 from polarlink.source import port_rates
 
@@ -261,6 +265,72 @@ def bench_median_crossing(n_seeds, repeats):
     )
 
 
+def three_product_cost(params, channel_quat):
+    """The cost of setting ``params``, its controller composed from three full
+    ``compose_quat`` products of the axis quaternions."""
+    s = [math.sin(a / 2) for a in params]
+    c = [math.cos(a / 2) for a in params]
+    q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+    q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
+    q = compose_quat(q, (0.0, 0.0, s[3], c[3]))
+    return apc.cost(apc._fidelities(compose_quat(q, channel_quat)))
+
+
+def three_product_step(channel_quat, ctrl, cfg, rng):
+    """``compensation_step`` with every setting's cost from ``three_product_cost``."""
+    params = ctrl.params.tolist()
+    d = cfg.fd_delta
+    base = three_product_cost(params, channel_quat)
+    grad = []
+    for k in range(4):
+        plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
+        minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
+        diff = three_product_cost(plus, channel_quat) - three_product_cost(minus, channel_quat)
+        grad.append(diff / (2.0 * d))
+    if math.sqrt(sum(g * g for g in grad)) < 1e-9:
+        return Controller(params)
+    step = cfg.step_size
+    for _ in range(6):
+        candidate = [p - step * g for p, g in zip(params, grad)]
+        if three_product_cost(candidate, channel_quat) <= base:
+            return Controller(candidate)
+        step *= 0.5
+    return Controller(ctrl.params + rng.normal(0.0, d, size=4))
+
+
+def bench_compensation_step(n_pairs, repeats):
+    """One descent step on random (channel, setting) pairs, against the step
+    whose costs compose the controller from three full products."""
+    rng = np.random.default_rng(0)
+    channels = rng.normal(size=(n_pairs, 4))
+    channels /= np.linalg.norm(channels, axis=1)[:, None]
+    pairs = [
+        (tuple(q), Controller(p))
+        for q, p in zip(channels.tolist(), rng.uniform(-np.pi, np.pi, (n_pairs, 4)))
+    ]
+    cfg = ApcConfig()
+    for i, (q, ctrl) in enumerate(pairs):
+        got = compensation_step(q, ctrl, cfg, np.random.default_rng(i)).params
+        expected = three_product_step(q, ctrl, cfg, np.random.default_rng(i)).params
+        same_signs = np.array_equal(np.signbit(got), np.signbit(expected))
+        if not (np.array_equal(got, expected) and same_signs):
+            sys.exit(f"compensation_step differs from the three-product step at pair {i}")
+
+    def steps(step):
+        def run():
+            for q, ctrl in pairs:
+                step(q, ctrl, cfg, rng)
+
+        return timeit(run, repeats) / n_pairs
+
+    incremental, three_product = steps(compensation_step), steps(three_product_step)
+    print(
+        f"{'compensation_step':<16} n={n_pairs:<9} three-product {three_product * 1e6:6.1f} us/call"
+        f"   incremental {incremental * 1e6:6.1f} us/call"
+        f"   speedup {three_product / incremental:6.1f}x"
+    )
+
+
 def per_window_counts(windows, src, chain, sched_cfg, rng, noiseless=False):
     """The per-window loop the batched sampler replaced: one ``port_rates``
     call and one Poisson draw per window."""
@@ -324,6 +394,7 @@ def main():
     bench_matched_tags(3200, args.repeats)
     bench_median_crossing(200, args.repeats)
     bench_sampler(args.repeats)
+    bench_compensation_step(1000, args.repeats)
 
 
 if __name__ == "__main__":

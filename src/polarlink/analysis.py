@@ -9,7 +9,6 @@ S = 2 sqrt(2) * mean(V).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -140,36 +139,35 @@ class LongrunSummary:
     n_excluded: int
 
 
-# Signs combining the four window correlations into S.
-_CHSH_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
-
-
-def _window_correlation(counts: np.ndarray) -> tuple[float, float]:
-    total = float(counts.sum())
-    if total == 0:
-        return 0.0, 1.0
-    pp, pf, fp, ff = (float(x) for x in counts)
-    e = (pp + ff - pf - fp) / total
-    sigma = float(np.sqrt(max(1.0 - e * e, 1.0 / total) / total))
-    return e, sigma
-
-
-def longrun_series(windows: list[Window], counts: list[np.ndarray]) -> list[SeriesPoint]:
+def longrun_series(windows: list[Window], counts) -> list[SeriesPoint]:
     """One S estimate per group of four consecutive windows; ``counts`` holds
-    each window's (pass/pass, pass/fail, fail/pass, fail/fail) counts."""
+    each window's (pass/pass, pass/fail, fail/pass, fail/fail) counts, one
+    row per window.
+
+    Window k's correlation is E = ((pp + ff) - pf - fp) / total with variance
+    max(1 - E², 1 / total) / total, and (0, 1) for a window without counts;
+    a group's S = ((E0 - E1) + E2) + E3, its variances summed left to right.
+    Every window's E and σ come from one whole-array pass over the counts.
+    """
+    n = len(windows) // 4 * 4
+    for k, w in enumerate(windows[:n]):
+        if w.setting != CHSH_WINDOW_SETTINGS[k % 4]:
+            raise FitError("windows are not aligned to 4-window CHSH groups")
+    c = np.asarray(counts[:n]).reshape(n, 4)
+    total = c.sum(axis=1).astype(float)
+    pp, pf, fp, ff = c.astype(float).T
+    empty = total == 0
+    total[empty] = 1.0  # no 0/0 warning; these windows read (0, 1) below
+    e = (pp + ff - pf - fp) / total
+    sigma = np.sqrt(np.maximum(1.0 - e * e, 1.0 / total) / total)
+    e[empty], sigma[empty] = 0.0, 1.0
+    e0, e1, e2, e3 = e.reshape(-1, 4).T
+    v0, v1, v2, v3 = (sigma * sigma).reshape(-1, 4).T
+    s_values = ((e0 - e1 + e2) + e3).tolist()
+    sigmas = np.sqrt(((v0 + v1) + v2) + v3).tolist()
     out = []
-    n_groups = len(windows) // 4
-    for g in range(n_groups):
+    for g, (s, sigma_s) in enumerate(zip(s_values, sigmas)):
         group = windows[4 * g : 4 * g + 4]
-        es = np.empty(4)
-        variances = np.empty(4)
-        for k, w in enumerate(group):
-            if w.setting != CHSH_WINDOW_SETTINGS[k]:
-                raise FitError("windows are not aligned to 4-window CHSH groups")
-            es[k], sig = _window_correlation(counts[4 * g + k])
-            variances[k] = sig * sig
-        s = float(_CHSH_SIGNS @ es)
-        sigma_s = float(np.sqrt(variances.sum()))
         out.append(
             SeriesPoint(
                 time_s=group[0].start_s,
@@ -202,22 +200,16 @@ def summarize_longrun(series: list[SeriesPoint]) -> LongrunSummary:
 
 
 def write_fringe_csv(path, datasets) -> None:
+    """One row per fringe point, lines ending in CRLF as ``csv.writer``'s do."""
+    rows = [
+        f"{d.nist_basis.angle_deg:.1f},{p.umd_angle_deg:.1f},{p.count},{p.duration_s:.6f},"
+        f"{int(p.post_timeout)}\r\n"
+        for d in datasets
+        for p in d.points
+    ]
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"]
-        )
-        for d in datasets:
-            for p in d.points:
-                writer.writerow(
-                    [
-                        f"{d.nist_basis.angle_deg:.1f}",
-                        f"{p.umd_angle_deg:.1f}",
-                        p.count,
-                        f"{p.duration_s:.6f}",
-                        int(p.post_timeout),
-                    ]
-                )
+        f.write("nist_basis_deg,umd_angle_deg,counts,duration_s,post_timeout_flag\r\n")
+        f.write("".join(rows))
 
 
 def chsh_result_to_dict(result: ChshResult) -> dict:

@@ -51,28 +51,52 @@ class Controller:
             value = np.array(value, dtype=float)
             if value.shape != (4,):
                 raise ApcError("controller needs exactly 4 retarder angles")
-            value.flags.writeable = False
-            super().__setattr__("_quat", None)
-        super().__setattr__(name, value)
+            value.setflags(write=False)
+            object.__setattr__(self, "_quat", None)
+        object.__setattr__(self, name, value)
 
     @property
     def quat(self) -> tuple:
         """The controller's rotation as a quaternion (x, y, z, w) of Python floats."""
         if self._quat is None:
-            self._quat = _controller_quat(self.params.tolist())
+            self._quat = _params_quat(self.params.tolist())
         return self._quat
 
     def to_transform(self) -> PolTransform:
         return PolTransform.trusted(quaternion_matrix(*self.quat))
 
 
-def _controller_quat(params: list) -> tuple:
-    """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
-    s = [math.sin(a / 2) for a in params]
-    c = [math.cos(a / 2) for a in params]
-    q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
-    q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
-    return compose_quat(q, (0.0, 0.0, s[3], c[3]))
+# The controller's rotation Rx(p2) [Rz(p1) Rx(p0)] Rz(p3), built from the sin
+# and cos (libm's) of its half-angles by three products, each written for its
+# axis-aligned factor: ``compose_quat`` with the axis quaternions
+# (s, 0, 0, c) and (0, 0, s, c), less its terms in a zero factor, in its
+# association and operand order.  A dropped term is a signed zero, so every
+# nonzero component has the bits ``compose_quat`` gives it, and a zero one at
+# most another sign.
+
+
+def _rz_rx(s1: float, c1: float, s0: float, c0: float) -> tuple:
+    """M = Rz(p1) Rx(p0)."""
+    return c1 * s0, s1 * s0, c0 * s1, c1 * c0
+
+
+def _rx_times(s: float, c: float, m: tuple) -> tuple:
+    """Rx(p) m."""
+    x, y, z, w = m
+    return c * x + w * s, c * y - s * z, c * z + s * y, c * w - s * x
+
+
+def _times_rz(n: tuple, s: float, c: float) -> tuple:
+    """n Rz(p)."""
+    x, y, z, w = n
+    return c * x + y * s, c * y - x * s, w * s + c * z, w * c - z * s
+
+
+def _params_quat(params: list) -> tuple:
+    """The rotation of the four angles ``params``."""
+    h0, h1, h2, h3 = params[0] / 2, params[1] / 2, params[2] / 2, params[3] / 2
+    m = _rz_rx(math.sin(h1), math.cos(h1), math.sin(h0), math.cos(h0))
+    return _times_rz(_rx_times(math.sin(h2), math.cos(h2), m), math.sin(h3), math.cos(h3))
 
 
 @dataclass(frozen=True)
@@ -124,11 +148,6 @@ def cost(fidelities) -> float:
     return float(1.0 - reduce(add, fidelities) / len(fidelities))
 
 
-def _cost_at(params: list, channel_quat: tuple) -> float:
-    """``cost(measure_fidelities(channel_quat, Controller(params)))``."""
-    return cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
-
-
 def compensation_step(
     channel_quat: tuple,
     ctrl: Controller,
@@ -142,23 +161,43 @@ def compensation_step(
     up to five times until the cost does not increase; if no descent direction
     is found the parameters get a small random kick to escape a saddle.
 
-    The settings are lists of four Python floats, each entry rounded as
-    numpy's elementwise arithmetic rounds it (a zero delta entry included).
+    Each evaluation is ``cost`` of the setting's fidelities, whose rotation
+    is built from the sin and cos of its half-angles, taken once per angle.
+    A trial moves one angle: one on p3 starts from the current N =
+    Rx(p2) Rz(p1) Rx(p0), one on p2 from the current M = Rz(p1) Rx(p0), and
+    one on p0 or p1 is built in full, as are the line-search candidates.  A
+    candidate's entries are rounded as numpy's elementwise arithmetic rounds
+    them; so are a trial's, whose unmoved entries keep their sin and cos
+    (p + 0.0 differs from p only in the sign of a zero).
     """
     params = ctrl.params.tolist()
     d = cfg.fd_delta
-    base = _cost_at(params, channel_quat)
+    s0, s1, s2, s3 = [math.sin(a / 2) for a in params]
+    c0, c1, c2, c3 = [math.cos(a / 2) for a in params]
+    m = _rz_rx(s1, c1, s0, c0)
+    n = _rx_times(s2, c2, m)
+    base = cost(_fidelities(compose_quat(_times_rz(n, s3, c3), channel_quat)))
     grad = []
-    for k in range(4):
-        plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
-        minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
-        grad.append((_cost_at(plus, channel_quat) - _cost_at(minus, channel_quat)) / (2.0 * d))
-    if math.sqrt(sum(g * g for g in grad)) < _GRADIENT_TOL:
+    for k, p in enumerate(params):
+        trial = []
+        for a in (p + d, p - d):
+            sk, ck = math.sin(a / 2), math.cos(a / 2)
+            if k == 0:
+                q = _times_rz(_rx_times(s2, c2, _rz_rx(s1, c1, sk, ck)), s3, c3)
+            elif k == 1:
+                q = _times_rz(_rx_times(s2, c2, _rz_rx(sk, ck, s0, c0)), s3, c3)
+            elif k == 2:
+                q = _times_rz(_rx_times(sk, ck, m), s3, c3)
+            else:
+                q = _times_rz(n, sk, ck)
+            trial.append(cost(_fidelities(compose_quat(q, channel_quat))))
+        grad.append((trial[0] - trial[1]) / (2.0 * d))
+    if math.sqrt(sum([g * g for g in grad])) < _GRADIENT_TOL:
         return Controller(params)
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
         candidate = [p - step * g for p, g in zip(params, grad)]
-        if _cost_at(candidate, channel_quat) <= base:
+        if cost(_fidelities(compose_quat(_params_quat(candidate), channel_quat))) <= base:
             return Controller(candidate)
         step *= 0.5
     return Controller(ctrl.params + rng.normal(0.0, d, size=4))
@@ -220,21 +259,12 @@ def run_session(
 
 
 def write_sessions_csv(path, records) -> None:
-    import csv
-
+    """One row per session, lines ending in CRLF as ``csv.writer``'s do."""
+    rows = [
+        f"{r.start_time_s:.6f},{r.outcome},{r.duration_s:.6f},"
+        f"{r.min_fidelity_before:.9f},{r.min_fidelity_after:.9f},{r.iterations}\r\n"
+        for r in records
+    ]
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["start_time_s", "outcome", "duration_s", "min_f_before", "min_f_after", "iterations"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    f"{r.start_time_s:.6f}",
-                    r.outcome,
-                    f"{r.duration_s:.6f}",
-                    f"{r.min_fidelity_before:.9f}",
-                    f"{r.min_fidelity_after:.9f}",
-                    r.iterations,
-                ]
-            )
+        f.write("start_time_s,outcome,duration_s,min_f_before,min_f_after,iterations\r\n")
+        f.write("".join(rows))

@@ -133,11 +133,13 @@ def quaternion_matrix(x, y, z, w) -> np.ndarray:
 
 def compose_quat(p, q) -> tuple:
     """Quaternion (x, y, z, w) of rotation ``q`` then ``p``: the product p q."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
     return (
-        p[3] * q[0] + q[3] * p[0] + (p[1] * q[2] - p[2] * q[1]),
-        p[3] * q[1] + q[3] * p[1] + (p[2] * q[0] - p[0] * q[2]),
-        p[3] * q[2] + q[3] * p[2] + (p[0] * q[1] - p[1] * q[0]),
-        p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2],
+        pw * qx + qw * px + (py * qz - pz * qy),
+        pw * qy + qw * py + (pz * qx - px * qz),
+        pw * qz + qw * pz + (px * qy - py * qx),
+        pw * qw - px * qx - py * qy - pz * qz,
     )
 
 

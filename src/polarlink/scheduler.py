@@ -4,7 +4,6 @@ fixed uptime windows, with the channel drifting continuously throughout.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -137,12 +136,15 @@ def simulate_window_counts(
 
 
 def write_timeline_csv(path, windows: list[Window]) -> None:
-    """A ``compensation`` row and an ``uptime`` row per window."""
+    """A ``compensation`` row and an ``uptime`` row per window, lines ending
+    in CRLF as ``csv.writer``'s do."""
+    rows = []
+    for w in windows:
+        s, start = w.session, f"{w.start_s:.6f}"
+        rows.append(
+            f"{s.start_time_s:.6f},{start},compensation,{s.outcome},{s.min_fidelity_after:.9f}\r\n"
+            f"{start},{w.end_s:.6f},uptime,,\r\n"
+        )
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["start_s", "end_s", "kind", "outcome", "min_f_after"])
-        for w in windows:
-            s, start = w.session, f"{w.start_s:.6f}"
-            min_f = f"{s.min_fidelity_after:.9f}"
-            writer.writerow([f"{s.start_time_s:.6f}", start, "compensation", s.outcome, min_f])
-            writer.writerow([start, f"{w.end_s:.6f}", "uptime", "", ""])
+        f.write("start_s,end_s,kind,outcome,min_f_after\r\n")
+        f.write("".join(rows))

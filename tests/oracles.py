@@ -3,15 +3,25 @@
 The package walks the channel and composes the controller as unit
 quaternions (x, y, z, w) in Python floats.  These oracles do the same in
 3x3 rotation matrices, one Rodrigues matrix per step, as the package did
-before, so the tests can bound the difference.
+before, so the tests can bound the difference.  ``_controller_quat`` and
+``_cost_at`` compose the controller from three full ``compose_quat``
+products, as the package did before its axis-aligned products.
+``loop_longrun_series`` is ``analysis.longrun_series`` as one loop over the
+groups, as the package computed it before its whole-array pass.
+``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from polarlink.polmath import quaternion_matrix
+from polarlink.analysis import FitError, SeriesPoint
+from polarlink.apc import _fidelities, cost
+from polarlink.polmath import compose_quat, quaternion_matrix
+from polarlink.scheduler import CHSH_WINDOW_SETTINGS
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
 
@@ -68,3 +78,67 @@ def controller_matrix(params):
     """Oracle of ``Controller``: Rx(p2) Rz(p1) Rx(p0) Rz(p3) as a product of scipy's matrices."""
     retarders = Rotation.from_euler("xzx", params[:3]).as_matrix()
     return retarders @ Rotation.from_euler("z", params[3]).as_matrix()
+
+
+def _controller_quat(params: list) -> tuple:
+    """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
+    s = [math.sin(a / 2) for a in params]
+    c = [math.cos(a / 2) for a in params]
+    q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
+    q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
+    return compose_quat(q, (0.0, 0.0, s[3], c[3]))
+
+
+def _cost_at(params: list, channel_quat: tuple) -> float:
+    """``cost(measure_fidelities(channel_quat, Controller(params)))``."""
+    return cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
+
+
+# Signs combining the four window correlations into S.
+_CHSH_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
+
+
+def _window_correlation(counts: np.ndarray) -> tuple[float, float]:
+    total = float(counts.sum())
+    if total == 0:
+        return 0.0, 1.0
+    pp, pf, fp, ff = (float(x) for x in counts)
+    e = (pp + ff - pf - fp) / total
+    sigma = float(np.sqrt(max(1.0 - e * e, 1.0 / total) / total))
+    return e, sigma
+
+
+def loop_longrun_series(windows, counts) -> list:
+    """Oracle of ``longrun_series``: each group's correlations in a loop, S as
+    a dot product with the CHSH signs."""
+    out = []
+    n_groups = len(windows) // 4
+    for g in range(n_groups):
+        group = windows[4 * g : 4 * g + 4]
+        es = np.empty(4)
+        variances = np.empty(4)
+        for k, w in enumerate(group):
+            if w.setting != CHSH_WINDOW_SETTINGS[k]:
+                raise FitError("windows are not aligned to 4-window CHSH groups")
+            es[k], sig = _window_correlation(counts[4 * g + k])
+            variances[k] = sig * sig
+        s = float(_CHSH_SIGNS @ es)
+        sigma_s = float(np.sqrt(variances.sum()))
+        out.append(
+            SeriesPoint(
+                time_s=group[0].start_s,
+                min_ref_fidelity=min(w.session.min_fidelity_after for w in group),
+                s_value=s,
+                sigma_s=sigma_s,
+                compensation_time_s=sum(w.session.duration_s for w in group),
+                post_timeout=any(w.post_timeout for w in group),
+            )
+        )
+    return out
+
+
+def csv_writer_text(rows) -> str:
+    """The text ``csv.writer`` writes for ``rows``, with its CRLF line ends."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()

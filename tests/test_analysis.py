@@ -23,7 +23,9 @@ from polarlink.analysis import (
 )
 from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
 from polarlink.polmath import AnalyzerSetting, PolTransform
+from polarlink.cli import _measure, load_config
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
+from tests.oracles import csv_writer_text, loop_longrun_series
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -194,6 +196,38 @@ class TestLongrunSeries:
         assert p.compensation_time_s == pytest.approx(4 * 0.12)
 
 
+    def test_equals_the_loop_oracle_bit_for_bit(self):
+        # integer counts up to 1e9, a quarter of the windows without counts,
+        # float (noiseless) counts, and a partial last group
+        rng = np.random.default_rng(31)
+        int_counts = rng.integers(0, 50, (400, 4)) * 10 ** rng.integers(0, 8, (400, 1))
+        int_counts[rng.random(400) < 0.25] = 0
+        int_counts[:8] = 10**9 - rng.integers(0, 3, (8, 4))
+        float_counts = rng.uniform(0.0, 1e4, (400, 4)) ** rng.uniform(0.5, 2.0, (400, 1))
+        float_counts[rng.random(400) < 0.25] = 0.0
+        for counts in (int_counts, float_counts, int_counts[:-3]):
+            windows = [
+                make_window(k % 4, row, start=3.0 * k, post_timeout=rng.random() < 0.1,
+                            min_f=rng.uniform(0.9, 1.0))[0]
+                for k, row in enumerate(counts)
+            ]
+            for c in (counts, list(counts)):
+                assert_same_series(longrun_series(windows, c), loop_longrun_series(windows, c))
+
+    def test_equals_the_loop_oracle_on_a_stabilized_run(self):
+        windows, counts = _measure(load_config("configs/longrun_stabilized.yaml"), 11)
+        expected = loop_longrun_series(windows, counts)
+        assert len(expected) > 500
+        assert_same_series(longrun_series(windows, counts), expected)
+
+
+def assert_same_series(got, expected):
+    assert len(got) == len(expected)
+    for p, q in zip(got, expected):
+        assert p == q
+        assert p.s_value.hex() == q.s_value.hex() and p.sigma_s.hex() == q.sigma_s.hex()
+
+
 class TestSummarizeLongrun:
     def test_statistics(self):
         windows = perfect_group(0.0) + perfect_group(12.0, post_timeout=True)
@@ -231,6 +265,26 @@ class TestSerialization:
             assert float(row["counts"]) == pytest.approx(p.count)
             assert float(row["duration_s"]) == pytest.approx(p.duration_s)
             assert bool(int(row["post_timeout_flag"])) == p.post_timeout
+
+    def test_fringe_csv_bytes_equal_csv_writer(self, tmp_path):
+        # integer, numpy float and Python float counts
+        ds = [
+            low_count_dataset(1, 30.0, 0.8, 0.4, {3, 4}),
+            noiseless_dataset(50.0, 0.7, 0.0),
+            FringeDataset(
+                AnalyzerSetting(45.0), (FringePoint(90.0, 12, 2.0), FringePoint(0.0, 0.5, 2.0))
+            ),
+        ]
+        path = tmp_path / "fringe.csv"
+        write_fringe_csv(path, ds)
+        rows = [["nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"]]
+        rows += [
+            [f"{d.nist_basis.angle_deg:.1f}", f"{p.umd_angle_deg:.1f}", p.count,
+             f"{p.duration_s:.6f}", int(p.post_timeout)]
+            for d in ds
+            for p in d.points
+        ]
+        assert path.read_bytes() == csv_writer_text(rows).encode()
 
     def test_chsh_json(self, tmp_path):
         fits = [FitResult(1.0, v, 0.0, v, 0.02, 0.0) for v in (0.8, 0.8, 0.8, 0.8)]

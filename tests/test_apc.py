@@ -12,7 +12,6 @@ from polarlink.apc import (
     ApcConfig,
     ApcError,
     Controller,
-    _cost_at,
     compensation_step,
     cost,
     measure_fidelities,
@@ -21,7 +20,15 @@ from polarlink.apc import (
 )
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
 from polarlink.polmath import CARDINAL_STATES
-from tests.oracles import IDENTITY_QUAT, controller_matrix, haar_quat, matrix
+from tests.oracles import (
+    IDENTITY_QUAT,
+    _controller_quat,
+    _cost_at,
+    controller_matrix,
+    csv_writer_text,
+    haar_quat,
+    matrix,
+)
 
 
 def controller_for(rotation):
@@ -81,6 +88,13 @@ class TestController:
             c = controller_for(ch.T)
             composite = c.to_transform().rotation @ ch
             assert np.allclose(composite, np.eye(3), atol=1e-9)
+
+    def test_quat_equals_the_three_product_oracle(self):
+        rng = np.random.default_rng(22)
+        settings = [p for _, p in step_cases(rng, 2000)]
+        settings += [np.array(p, dtype=float) for p in np.ndindex(3, 3, 3, 3)]
+        for params in settings:
+            assert Controller(params).quat == _controller_quat(params.tolist())
 
 
 class TestMeasureAndCost:
@@ -159,7 +173,74 @@ def numpy_compensation_step(chan, params, cfg, rng):
     return params + rng.normal(0.0, cfg.fd_delta, size=4)
 
 
+def oracle_costs(chan, params, cfg):
+    """The costs ``compensation_step`` evaluates, in its order, each from
+    ``_cost_at``: the setting, the + and - trial of each angle, then the
+    line-search candidates up to the accepted one."""
+    d = cfg.fd_delta
+    base = _cost_at(params, chan)
+    costs, grad = [base], []
+    for k in range(4):
+        plus = _cost_at([p + (d if i == k else 0.0) for i, p in enumerate(params)], chan)
+        minus = _cost_at([p - (d if i == k else 0.0) for i, p in enumerate(params)], chan)
+        costs += [plus, minus]
+        grad.append((plus - minus) / (2.0 * d))
+    if float(np.linalg.norm(grad)) < 1e-9:
+        return costs
+    step = cfg.step_size
+    for _ in range(6):
+        costs.append(_cost_at([p - step * g for p, g in zip(params, grad)], chan))
+        if costs[-1] <= base:
+            break
+        step *= 0.5
+    return costs
+
+
+def step_cases(rng, n_random):
+    """(channel, setting) pairs: random settings, signed zeros, ±π, angles
+    near 1e3, and optima, where the gradient vanishes."""
+    cases = [(haar_quat(rng), rng.uniform(-np.pi, np.pi, 4)) for _ in range(n_random)]
+    small = rng.uniform(-1e-3, 1e-3, (20, 4)) * rng.integers(0, 2, (20, 4))  # signed zeros
+    cases += [(haar_quat(rng), p) for p in small]
+    cases += [(haar_quat(rng), rng.choice([0.0, -0.0], 4)) for _ in range(20)]
+    cases += [(haar_quat(rng), rng.choice([np.pi, -np.pi, 0.0, -0.0], 4)) for _ in range(20)]
+    cases += [(haar_quat(rng), 1e3 + rng.uniform(-1.0, 1.0, 4)) for _ in range(20)]
+    cases += [(haar_quat(rng), rng.uniform(-10.0, 10.0, 4)) for _ in range(20)]
+    cases += [(IDENTITY_QUAT, np.array([0.0, -0.0, 0.0, -0.0]))]
+    for chan, params in cases[:20]:
+        cases.append((chan, controller_for(matrix(chan).T).params))
+    return cases
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestCompensationStep:
+    def test_trial_costs_equal_the_oracle_bit_for_bit(self, monkeypatch):
+        # every cost the step evaluates, in order, against the setting's cost
+        # composed from three full compose_quat products; one cost call per
+        # evaluation: the setting, 8 trials, then the candidates
+        seen = []
+        real_cost = apc.cost
+
+        def recording(fidelities):
+            seen.append(real_cost(fidelities))
+            return seen[-1]
+
+        monkeypatch.setattr(apc, "cost", recording)
+        rng = np.random.default_rng(21)
+        candidates = set()
+        for i, (chan, params) in enumerate(step_cases(rng, 400)):
+            cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
+            seen.clear()
+            compensation_step(chan, Controller(params), cfg, np.random.default_rng(i))
+            expected = oracle_costs(chan, params.tolist(), cfg)
+            assert hexes(seen) == hexes(expected)
+            assert len(seen) >= 9
+            candidates.add(len(seen) - 9)
+        assert candidates == {0, 1, 2, 3, 4, 5, 6}  # optima, each halving, the kick
+
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
         cfg = ApcConfig()
@@ -297,3 +378,28 @@ class TestSessionsCsv:
         assert lines[0].startswith("start_time_s,outcome")
         assert len(lines) == 2
         assert rec.outcome in lines[1]
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        # every outcome, and the CRLF line ends csv.writer writes
+        sched = DriftSchedule.constant(DAY_RATE * 300)
+        records = []
+        for seed in range(4):
+            ch = FiberChannel(sched, np.random.default_rng(seed))
+            ch.quat = haar_quat(np.random.default_rng(30 + seed))
+            records.append(run_session(ch, Controller(), ApcConfig(), np.random.default_rng(seed)))
+        records.append(run_session(static_channel(seed=7), Controller(), ApcConfig(), None))
+        ch = static_channel(seed=9)
+        ch.quat = haar_quat(np.random.default_rng(9))
+        records.append(run_session(ch, Controller(), ApcConfig(), np.random.default_rng(9)))
+        assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
+        path = tmp_path / "sessions.csv"
+        write_sessions_csv(path, records)
+        header = "start_time_s outcome duration_s min_f_before min_f_after iterations".split()
+        rows = [
+            [f"{r.start_time_s:.6f}", r.outcome, f"{r.duration_s:.6f}",
+             f"{r.min_fidelity_before:.9f}", f"{r.min_fidelity_after:.9f}", r.iterations]
+            for r in records
+        ]
+        data = path.read_bytes()
+        assert data == csv_writer_text([header, *rows]).encode()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + len(records)

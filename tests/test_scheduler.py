@@ -20,7 +20,7 @@ from polarlink.scheduler import (
     write_timeline_csv,
 )
 from polarlink.source import DetectionChain, PairSource, port_rates
-from tests.oracles import matrix
+from tests.oracles import csv_writer_text, matrix
 
 
 def make_link(rate, seed, duration, stabilized=True, plan=None):
@@ -187,3 +187,17 @@ class TestTimelineCsv:
         for w, comp, up in zip(windows, rows[::2], rows[1::2]):
             assert comp[3] == w.session.outcome and up[3:] == ["", ""]
             assert comp[1] == up[0] == f"{w.start_s:.6f}"
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        windows, _, _, _ = make_link(20 * DAY_RATE, 8, 60.0)
+        path = tmp_path / "timeline.csv"
+        write_timeline_csv(path, windows)
+        rows = [["start_s", "end_s", "kind", "outcome", "min_f_after"]]
+        for w in windows:
+            s, start = w.session, f"{w.start_s:.6f}"
+            min_f = f"{s.min_fidelity_after:.9f}"
+            rows.append([f"{s.start_time_s:.6f}", start, "compensation", s.outcome, min_f])
+            rows.append([start, f"{w.end_s:.6f}", "uptime", "", ""])
+        data = path.read_bytes()
+        assert data == csv_writer_text(rows).encode()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + 2 * len(windows)
