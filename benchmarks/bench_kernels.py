@@ -21,7 +21,11 @@ and against the per-seed ``FiberChannel.probe_trace`` loop it replaced; it
 exits 1 if the three medians differ at any of three (rate, seed) pairs, one
 of them with a median of 80 s, or if the walk stopped at calibrate.yaml's
 horizon of 20.5 s reads other than that median where it is at most 20.5 s,
-and inf where it is over.  And it times the window
+and inf where it is over; the two reference walks build their generators
+with numpy's ``SeedSequence.spawn``, so that check also covers
+``spawned_generators``.  The "spawn" row times building calibration's 200
+generators, numpy's list against ``spawned_generators``, and exits 1 if any
+generator's state differs.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
@@ -55,6 +59,7 @@ from polarlink.channel import (
     _walk_steps,
     first_crossing_time,
     probe_crossing_times,
+    spawned_generators,
 )
 from polarlink.apc import ApcConfig, Controller, compensation_step
 from polarlink.cli import (
@@ -220,12 +225,16 @@ def bench_matched_tags(n_tags, repeats, jitter=50e-12, half_window=1e-9):
     print(f"{'matched_tags':<16} n={n_tags:<9} python {seconds * 1e3:9.2f} ms   ({count} matches)")
 
 
+def numpy_spawned_generators(seed, n):
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
 def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
     """One ``FiberChannel.probe_trace`` per seed, as calibration walked before batching."""
     sched = DriftSchedule.constant(rate)
     times = []
-    for child in np.random.SeedSequence(seed).spawn(n_seeds):
-        ch = FiberChannel(sched, np.random.default_rng(child))
+    for rng in numpy_spawned_generators(seed, n_seeds):
+        ch = FiberChannel(sched, rng)
         t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, sample_dt)
         crossing = first_crossing_time(t, fid, threshold)
         times.append(crossing if crossing is not None else max_time_s)
@@ -234,7 +243,7 @@ def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sa
 
 def full_walk_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
     """``median_crossing_time`` with the batched walk run until every seed has crossed."""
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
+    rngs = numpy_spawned_generators(seed, n_seeds)
     times = probe_crossing_times(
         DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after=len(rngs)
     )
@@ -262,6 +271,20 @@ def bench_median_crossing(n_seeds, repeats):
         f"{'median_crossing':<16} n={n_seeds:<9} per-seed {per_seed * 1e3:7.2f} ms"
         f"   batched full walk {full * 1e3:7.2f} ms   stopped at the median {early * 1e3:7.2f} ms"
         f"   speedup {per_seed / early:6.1f}x"
+    )
+
+
+def bench_spawn(n_seeds, repeats):
+    """Calibration's per-seed generators: numpy's spawn list against one vectorised pass."""
+    for seed in (0, 3, 2**128):
+        got, expected = spawned_generators(seed, n_seeds), numpy_spawned_generators(seed, n_seeds)
+        if [g.bit_generator.state for g in got] != [g.bit_generator.state for g in expected]:
+            sys.exit(f"spawned_generators differs from numpy's spawn at seed {seed}")
+    per_child = timeit(lambda: numpy_spawned_generators(3, n_seeds), repeats)
+    vectorised = timeit(lambda: spawned_generators(3, n_seeds), repeats)
+    print(
+        f"{'spawn':<16} n={n_seeds:<9} numpy {per_child * 1e3:7.2f} ms"
+        f"   vectorised {vectorised * 1e3:7.2f} ms   speedup {per_child / vectorised:6.1f}x"
     )
 
 
@@ -393,6 +416,7 @@ def main():
     report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
     bench_matched_tags(3200, args.repeats)
     bench_median_crossing(200, args.repeats)
+    bench_spawn(200, args.repeats)
     bench_sampler(args.repeats)
     bench_compensation_step(1000, args.repeats)
 

@@ -333,6 +333,66 @@ def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: 
         yield start // substeps, s1
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+class _Pcg64Seed(np.random.bit_generator.ISeedSequence):
+    """The four uint64 words that seed one PCG64, as a seed sequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds the 4 uint64 words of one PCG64 seed only")
+        return self.words
+
+
+def _hashmix(words: np.ndarray, h: int, mult: int) -> tuple:
+    """numpy's hash of uint32 ``words`` under hash constant ``h``, and the next constant."""
+    following = h * mult & _WORD
+    value = (words ^ np.uint32(h)) * np.uint32(following)
+    value ^= value >> 16
+    return value, following
+
+
+def spawned_generators(seed: int, n: int) -> list:
+    """``[np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]``.
+
+    The same generators in the same states, with numpy's SeedSequence
+    arithmetic done once over all ``n`` children as uint32 arrays.  Child i's
+    entropy is the parent's, zero-padded to the 4-word pool, then the word i,
+    so its pool is the parent's pool mixed with i by one more round of 4
+    hashmix/mix steps, whose hash constant goes on from where the parent's
+    mixing stopped: 4 + 12 hashmix calls, and 4 more per seed word past the
+    fourth.  Each child's PCG64 seed is then ``generate_state(4, np.uint64)``
+    of that pool.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    seed_words = max(1, -(-int(seed).bit_length() // 32))
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _WORD
+    key = np.arange(n, dtype=np.uint32)
+    mixed = np.empty((4, n), np.uint32)
+    for i in range(4):  # mix(pool[i], hashmix(key))
+        value, h = _hashmix(key, h, _MULT_A)
+        value = np.uint32(_MIX_MULT_L * int(pool[i]) & _WORD) - value * np.uint32(_MIX_MULT_R)
+        value ^= value >> 16
+        mixed[i] = value
+    state = np.empty((n, 8), np.uint32)
+    h = _INIT_B
+    for k in range(8):  # generate_state: the pool words in turn
+        state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)
+    # word pairs as little-endian uint64, as generate_state joins them
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Pcg64Seed(row))) for row in seeds]
+
+
 def probe_crossing_times(
     schedule: DriftSchedule,
     rngs,

@@ -27,6 +27,7 @@ from .channel import (
     FiberChannel,
     first_crossing_time,
     probe_crossing_times,
+    spawned_generators,
 )
 from .polmath import AnalyzerSetting, StokesVector, TwoQubitPolState
 from .scheduler import (
@@ -299,6 +300,14 @@ def _check_ranges(cfg: dict, scenario: str) -> None:
     _require(0.0 < fidelity <= 1.0, "calibrate.target_fidelity", "in (0, 1]", fidelity)
     for key in ("target_time_s", "tolerance", "night_ratio"):
         _require(block[key] > 0, f"calibrate.{key}", "> 0", block[key])
+    # Below fidelity 1 each bisection step walks 4 x target_time_s in samples of
+    # MAX_STEP_S, one walk step each, counted as _probe_grid counts them.
+    walk = 4.0 * block["target_time_s"]
+    if fidelity < 1.0 and not walk / channel.MAX_STEP_S <= channel.MAX_WALK_STEPS:
+        raise ConfigError(
+            f"calibrate.target_time_s makes a walk too long: {walk:g} s in "
+            f"{channel.MAX_STEP_S:g} s steps is over {channel.MAX_WALK_STEPS:,} steps"
+        )
     # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
     ratio = block["night_ratio"]
     rule = "large enough that 1 / night_ratio is finite"
@@ -499,7 +508,7 @@ def median_crossing_time(
     It also stops at the horizon once the median lies past it; the median
     then reads ``max_time_s``, past the horizon unless the walk had ended.
     """
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_seeds)]
+    rngs = spawned_generators(seed, n_seeds)
     stop_after = n_seeds // 2 + 1
     times = probe_crossing_times(
         DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after, horizon

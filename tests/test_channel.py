@@ -551,6 +551,41 @@ def seeded_rngs(seed, n):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
+@pytest.mark.filterwarnings("error")  # the uint32 arithmetic wraps without a warning
+class TestSpawnedGenerators:
+    """``spawned_generators`` gives numpy's spawned generators, state for state."""
+
+    # one-word seeds, 2**32 (2 words), 2**128 - 1 (4 words, the pool's size),
+    # 2**128 (5 words: the first past the pool) and a 200-bit seed
+    SEEDS = [0, 1, 3, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128, 2**199 + 12345]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, cli.MAX_CALIBRATE_SEEDS])
+    def test_states_and_draws_equal_numpys(self, n):
+        # numpy's own spawn takes about 0.2 s at the largest n, so that n runs
+        # at the seeds whose word counts differ in the pool: 1, 4 and 5 words
+        seeds = self.SEEDS if n < cli.MAX_CALIBRATE_SEEDS else [3, 2**128 - 1, 2**128]
+        for seed in seeds:
+            got, expected = channel.spawned_generators(seed, n), seeded_rngs(seed, n)
+            assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in expected]
+            draws = [np.array([g.standard_normal(8) for g in rngs]) for rngs in (got, expected)]
+            assert np.array_equal(*draws)
+
+    def test_seed_words_hold_one_pcg64_seed_only(self):
+        words = np.zeros(4, np.uint64)
+        assert channel._Pcg64Seed(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError):
+            channel._Pcg64Seed(words).generate_state(8, np.uint32)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_calibration_equals_that_of_numpys_spawn(self, tmp_path, monkeypatch, capsys, seed):
+        args = ["calibrate", "--config", "configs/calibrate.yaml", "--seed", str(seed), "--out"]
+        assert cli.main(args + [str(tmp_path / "vectorised")]) == 0
+        monkeypatch.setattr(cli, "spawned_generators", seeded_rngs)
+        assert cli.main(args + [str(tmp_path / "numpy")]) == 0
+        for name in ("schedule.json", "summary.json"):
+            assert (tmp_path / "vectorised" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
+
+
 class TestProbeCrossingTimesStopAfter:
     """An early-stopped walk keeps every crossing it finds and the median of all."""
 

@@ -166,7 +166,18 @@ LONG_WALKS = [
     ("probe", {"duration_s": 1.0e20}, "duration_s"),
     ("probe", {"duration_s": 1.0e300, "probe.sample_dt_s": 1.0e-300}, "probe.sample_dt_s"),
     ("calibrate", {"calibrate.target_time_s": 1.0e300}, "calibrate.target_time_s"),
+    # 4 x target_time_s overflows: an infinite walk
+    ("calibrate", {"calibrate.target_time_s": 1.0e308}, "calibrate.target_time_s"),
 ]
+
+
+def walk_ids(rows):
+    """``scenario-field...`` of each row; a repeated one also gets its first value."""
+    ids = []
+    for scenario, values, _ in rows:
+        name = f"{scenario}-{'-'.join(values)}"
+        ids.append(f"{name}-{next(iter(values.values())):g}" if name in ids else name)
+    return ids
 
 
 # {field path: value} of longruns that could hold more than scheduler.MAX_WINDOWS
@@ -296,16 +307,33 @@ class TestConfigHandling:
         assert f"apc.timeout_s / cycle_time_s must be <= {MAX_SESSION_CYCLES:,} cycles" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "scenario,values,field", LONG_WALKS, ids=[f"{s}-{'-'.join(v)}" for s, v, _ in LONG_WALKS]
-    )
+    @pytest.mark.parametrize("scenario,values,field", LONG_WALKS, ids=walk_ids(LONG_WALKS))
     def test_walk_too_long_exits_2(self, tmp_path, capsys, scenario, values, field):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, scenario_cfg(scenario, values))
         assert run([scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert field in err and "walk too long" in err
-        assert not any(out.iterdir())
+        if scenario == "calibrate":  # checked with the config's ranges
+            assert not out.exists()
+        else:  # checked once the channel is built
+            assert not any(out.iterdir())
+
+    def test_calibration_walk_cap_boundary(self):
+        # 4 x 25,000 s in 0.1 s steps is exactly MAX_WALK_STEPS
+        cfg = cli.resolve_config(scenario_cfg("calibrate", {"calibrate.target_time_s": 25000.0}))
+        cli._check_ranges(cfg, "calibrate")
+        cfg["calibrate"]["target_time_s"] = 25000.01
+        with pytest.raises(cli.ConfigError, match="walk too long"):
+            cli._check_ranges(cfg, "calibrate")
+
+    def test_calibration_at_fidelity_1_does_not_walk(self, tmp_path, capsys):
+        values = {"calibrate.target_time_s": 1.0e6, "calibrate.target_fidelity": 1.0}
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, scenario_cfg("calibrate", values))
+        assert run(["calibrate", "--config", cfg, "--out", out]) == 0
+        schedule = json.loads((out / "schedule.json").read_text())
+        assert schedule["day_rate"] == 0.0 and schedule["achieved_median_s"] == 1.0e6
 
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
