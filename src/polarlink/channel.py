@@ -340,18 +340,27 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
-class _Pcg64Seed(np.random.bit_generator.ISeedSequence):
-    """The four uint64 words that seed one PCG64, as a seed sequence."""
+@lru_cache(maxsize=None)
+def _pcg64_seed_type() -> type:
+    """A seed sequence that holds the four uint64 words seeding one PCG64.
 
-    __slots__ = ("words",)
+    Defined at first use: numpy imports ``numpy.random`` only when a run
+    first reads it, and its import (about 14 ms) would otherwise be added to
+    every run's start-up, calibrate or not.
+    """
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class Pcg64Seed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("holds the 4 uint64 words of one PCG64 seed only")
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds the 4 uint64 words of one PCG64 seed only")
+            return self.words
+
+    return Pcg64Seed
 
 
 def _hashmix(words: np.ndarray, h: int, mult: int) -> tuple:
@@ -390,7 +399,8 @@ def spawned_generators(seed: int, n: int) -> list:
         state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)
     # word pairs as little-endian uint64, as generate_state joins them
     seeds = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Pcg64Seed(row))) for row in seeds]
+    seed_type = _pcg64_seed_type()
+    return [np.random.Generator(np.random.PCG64(seed_type(row))) for row in seeds]
 
 
 def probe_crossing_times(

@@ -53,7 +53,8 @@ UMD_SWEEP_DEG = tuple(float(a) for a in range(0, 181, 10))
 # above about 9.2e18, and this leaves room for rounding in the port rates.
 MAX_WINDOW_MEAN = 1e18
 # Most calibration seeds; each holds a generator and a walk row in every
-# bisection step (about 50 MB and 0.4 s a step at 2,000 seeds).
+# bisection step.  At 2,000 seeds a calibration takes about 14 MB, and a step
+# about 0.08 s, or 0.35 s where the walk runs all 800 samples (2-core x86-64).
 MAX_CALIBRATE_SEEDS = 10**4
 
 

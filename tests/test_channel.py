@@ -572,9 +572,10 @@ class TestSpawnedGenerators:
 
     def test_seed_words_hold_one_pcg64_seed_only(self):
         words = np.zeros(4, np.uint64)
-        assert channel._Pcg64Seed(words).generate_state(4, np.uint64) is words
+        seed = channel._pcg64_seed_type()(words)
+        assert seed.generate_state(4, np.uint64) is words
         with pytest.raises(ValueError):
-            channel._Pcg64Seed(words).generate_state(8, np.uint32)
+            seed.generate_state(8, np.uint32)
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_calibration_equals_that_of_numpys_spawn(self, tmp_path, monkeypatch, capsys, seed):
