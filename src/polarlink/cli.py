@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, analysis, apc, channel, source
+from . import __version__, analysis, apc, channel, scheduler, source
 # run_session stays importable from cli, where perfbench's tracer wraps it.
 from .apc import ApcConfig, Controller, run_session, write_sessions_csv  # noqa: F401
 from .channel import (
     Burst,
-    ChannelError,
     DriftSchedule,
     FiberChannel,
     first_crossing_time,
@@ -32,7 +31,6 @@ from .channel import (
 from .polmath import AnalyzerSetting, StokesVector, TwoQubitPolState
 from .scheduler import (
     SchedulerConfig,
-    SchedulerError,
     run_link,
     simulate_window_counts,
     uptime_fraction,
@@ -212,31 +210,40 @@ def _require(ok: bool, field: str, rule: str, value) -> None:
         raise ConfigError(f"{field} must be {rule}, got {value!r}")
 
 
+def _capped(what: str, cap, *args) -> None:
+    """Call ``cap(*args)``, a channel or scheduler cap; refuse what it refuses as ``what``."""
+    try:
+        cap(*args)
+    except (channel.ChannelError, scheduler.SchedulerError) as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
 def _check_ranges(cfg: dict, scenario: str) -> None:
     """Refuse a resolved config with a value out of range, naming its field path.
 
     Every range rule of the config lives here, and every run passes through
     it before it makes anything, its run directory included; the objects
-    built from the config do not check their fields again.  Only
-    ``duration_s`` depends on the scenario.
+    built from the config do not check their fields again.  The caps on a
+    walk's steps, a longrun's windows and a window's mean count come last;
+    the first two call the channel's and the scheduler's own caps on the
+    longest walk and the duration the scenario's link can take.
     """
     c = cfg["time_compression"]
     _require(c >= 1, "time_compression", ">= 1", c)
+    # Time rules read each time as the channel gets it, divided by
+    # time_compression, and their messages quote it as written.
+    divided = " after dividing by time_compression"
     if scenario in ("probe", "longrun"):
         duration = cfg["duration_s"]
         if duration is None:
             raise ConfigError("missing required config field: duration_s")
         _require(duration >= 0, "duration_s", ">= 0", duration)
         if scenario == "probe":
-            _require(duration > 0, "duration_s", "> 0 for a probe trace", duration)
+            _require(_resolved_duration(cfg) > 0, "duration_s", "> 0" + divided, duration)
     block = cfg["channel"]
     _require(block["loss_db"] >= 0, "channel.loss_db", ">= 0", block["loss_db"])
     _require(block["max_step_s"] > 0, "channel.max_step_s", "> 0", block["max_step_s"])
-    # The schedule's time rules read each time as the channel gets it, divided
-    # by time_compression, so one that underflows there is refused; the
-    # message quotes it as written.
     block, path = block["schedule"], "channel.schedule"
-    divided = " after dividing by time_compression"
     for i, burst in enumerate(block["bursts"]):
         for key in ("duration_s", "multiplier"):
             _require(burst[key] >= 0, f"{path}.bursts[{i}].{key}", ">= 0", burst[key])
@@ -301,18 +308,46 @@ def _check_ranges(cfg: dict, scenario: str) -> None:
     _require(0.0 < fidelity <= 1.0, "calibrate.target_fidelity", "in (0, 1]", fidelity)
     for key in ("target_time_s", "tolerance", "night_ratio"):
         _require(block[key] > 0, f"calibrate.{key}", "> 0", block[key])
-    # Below fidelity 1 each bisection step walks 4 x target_time_s in samples of
-    # MAX_STEP_S, one walk step each, counted as _probe_grid counts them.
-    walk = 4.0 * block["target_time_s"]
-    if fidelity < 1.0 and not walk / channel.MAX_STEP_S <= channel.MAX_WALK_STEPS:
-        raise ConfigError(
-            f"calibrate.target_time_s makes a walk too long: {walk:g} s in "
-            f"{channel.MAX_STEP_S:g} s steps is over {channel.MAX_WALK_STEPS:,} steps"
-        )
+    if fidelity < 1.0:  # each bisection step walks 4 x target_time_s in MAX_STEP_S steps
+        what = "calibrate.target_time_s makes a walk too long"
+        _capped(what, channel._walk_steps, 4.0 * block["target_time_s"], channel.MAX_STEP_S)
     # The bisection's rate is at most 1, so night_rate = day_rate / night_ratio stays finite.
     ratio = block["night_ratio"]
     rule = "large enough that 1 / night_ratio is finite"
     _require(math.isfinite(1.0 / ratio), "calibrate.night_ratio", rule, ratio)
+    max_step = cfg["channel"]["max_step_s"]
+    if scenario == "probe":
+        what = "duration_s, probe.sample_dt_s or channel.max_step_s makes a walk too long"
+        _capped(what, channel._probe_grid, _resolved_duration(cfg), sample_dt, max_step)
+    if scenario not in ("fringe", "longrun"):
+        return
+    block = cfg["scheduler"]
+    cycle, uptime = cfg["apc"]["cycle_time_s"], block["uptime_window_s"]
+    # A session advances 1 cycle, then 8 and 1 per iteration where it
+    # actuates, and a window its uptime: each is capped, reached or not.
+    longest = max(uptime, 8 * cycle if block["stabilized"] else cycle)
+    what = "apc.cycle_time_s, scheduler.uptime_window_s or channel.max_step_s makes a walk too long"
+    _capped(what, channel._walk_steps, longest, max_step)
+    if scenario == "longrun":
+        what = "duration_s, time_compression, scheduler.uptime_window_s or apc.cycle_time_s"
+        what += " make too many windows"
+        _capped(what, scheduler._window_cap, _resolved_duration(cfg), uptime, cycle)
+    # A port's coincidence probability is at most 1/2, so no window's mean
+    # count exceeds this.  The chain is build_link's.
+    loss_db = cfg["channel"]["loss_db"]
+    chain = DetectionChain(channel.loss_transmittance(loss_db), **cfg["detection"])
+    pairs = rate * chain.idler_transmittance * (chain.signal_efficiency * chain.idler_efficiency)
+    mean = (pairs + source.accidental_rate(PairSource(rate), chain)) * block["measure_window_s"]
+    fields = "source.local_pair_rate, detection.dark_rate, detection.coincidence_window or"
+    fields += " scheduler.measure_window_s"
+    if not math.isfinite(mean):
+        raise ConfigError(f"{fields} make a window's mean count overflow to {mean}")
+    # Noiseless counts are the means themselves, which need only be finite.
+    if not (scenario == "fringe" and cfg["fringe"]["noiseless"]) and not mean <= MAX_WINDOW_MEAN:
+        raise ConfigError(
+            f"{fields} make a window's mean count up to {mean:.3g},"
+            f" over the {MAX_WINDOW_MEAN:.0e} that can be drawn"
+        )
 
 
 def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
@@ -396,30 +431,7 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     rng = np.random.default_rng(seed)
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
     duration = math.inf if plan is not None else _resolved_duration(cfg)
-    # A port's coincidence probability is at most 1/2, so no window's mean
-    # count exceeds this.
-    pairs = src.local_pair_rate * chain.idler_transmittance
-    pairs *= chain.signal_efficiency * chain.idler_efficiency
-    largest_mean = (pairs + source.accidental_rate(src, chain)) * sched_cfg.measure_window_s
-    fields = (
-        "source.local_pair_rate, detection.dark_rate, detection.coincidence_window or"
-        " scheduler.measure_window_s"
-    )
-    # Noiseless counts are the means themselves, which need only be finite.
-    if not math.isfinite(largest_mean):
-        raise ConfigError(f"{fields} make a window's mean count overflow to {largest_mean}")
-    if not noiseless and not largest_mean <= MAX_WINDOW_MEAN:
-        raise ConfigError(
-            f"{fields} make a window's mean count up to {largest_mean:.3g},"
-            f" over the {MAX_WINDOW_MEAN:.0e} that can be drawn"
-        )
-    try:
-        windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
-    except SchedulerError as e:  # the window cap; the settings were checked in _check_ranges
-        raise ConfigError(
-            "duration_s, time_compression, scheduler.uptime_window_s or apc.cycle_time_s"
-            f" make too many windows: {e}"
-        ) from e
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
     return windows, simulate_window_counts(windows, src, chain, sched_cfg, rng, noiseless)
 
 
@@ -566,13 +578,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     return payload
 
 
-# Each scenario's command and the config fields that set how long its channel walks are.
-_COMMANDS = {
-    "probe": (cmd_probe, "duration_s, probe.sample_dt_s or channel.max_step_s"),
-    "fringe": (cmd_fringe, "apc.cycle_time_s, scheduler.uptime_window_s or channel.max_step_s"),
-    "longrun": (cmd_longrun, "apc.cycle_time_s, scheduler.uptime_window_s or channel.max_step_s"),
-    "calibrate": (cmd_calibrate, "calibrate.target_time_s"),
-}
+_COMMANDS = dict(probe=cmd_probe, fringe=cmd_fringe, longrun=cmd_longrun, calibrate=cmd_calibrate)
 
 
 def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
@@ -582,11 +588,7 @@ def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # a file in the way, or no permission
         raise ConfigError(f"--out: {e}") from e
-    command, walk_fields = _COMMANDS[scenario]
-    try:
-        return command(cfg, seed, out)
-    except ChannelError as e:  # the walk cap; _check_ranges refused the rest
-        raise ConfigError(f"{walk_fields} makes a walk too long: {e}") from e
+    return _COMMANDS[scenario](cfg, seed, out)
 
 
 def main(argv=None) -> int:
@@ -611,11 +613,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{name} must be >= 0, got {seed}")
         if args.seeds < 1:
             raise ConfigError("--seeds must be >= 1")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    out = Path(args.out)
-    try:
+        out = Path(args.out)
         if args.seeds == 1:
             summary = _run_one(args.scenario, cfg, seed, out)
             print(json.dumps({k: v for k, v in summary.items() if k != "config"}, sort_keys=True))

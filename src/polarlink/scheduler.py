@@ -66,18 +66,12 @@ def run_link(
     default CHSH_WINDOW_SETTINGS over and over; the link also stops when it
     runs out.  With stabilized=False the sessions still measure fidelities
     (one check cycle, for logging) but never actuate the controller.
-
-    Without a plan, a ``duration`` that could hold more than MAX_WINDOWS
-    windows, each at least one check cycle plus the uptime window long, is
-    refused before the link starts.
+    Without a plan, ``_window_cap`` refuses ``duration`` before the link starts.
     """
     if duration < 0:
         raise SchedulerError("duration must be >= 0")
-    shortest = sched_cfg.uptime_window_s + apc_cfg.cycle_time_s
-    if plan is None and not duration / shortest <= MAX_WINDOWS:
-        raise SchedulerError(
-            f"{duration:g} s in windows of at least {shortest:g} s is over {MAX_WINDOWS:,} windows"
-        )
+    if plan is None:
+        _window_cap(duration, sched_cfg.uptime_window_s, apc_cfg.cycle_time_s)
     t0 = ch.sim_time
     windows = []
     for setting in itertools.cycle(CHSH_WINDOW_SETTINGS) if plan is None else plan:
@@ -88,6 +82,16 @@ def run_link(
         idler = compose_quat(ctrl.quat, ch.advance(sched_cfg.uptime_window_s))
         windows.append(Window(record, start, ch.sim_time, setting, idler))
     return windows
+
+
+def _window_cap(duration: float, uptime_window_s: float, cycle_time_s: float) -> None:
+    """Refuse a ``duration`` that could hold more than MAX_WINDOWS windows, each
+    at least one check cycle plus the uptime window long."""
+    shortest = uptime_window_s + cycle_time_s
+    if not duration / shortest <= MAX_WINDOWS:
+        raise SchedulerError(
+            f"{duration:g} s in windows of at least {shortest:g} s is over {MAX_WINDOWS:,} windows"
+        )
 
 
 def uptime_fraction(windows: list[Window]) -> float:

@@ -1,8 +1,7 @@
-"""Entangled-pair source, detection chain, time tagging and coincidences.
+"""Entangled-pair source, detection chain and coincidence rates.
 
-Two simulation fidelities are provided: rate-level (Poisson counts per
-analyzer setting, used by the scheduler and analysis pipeline) and tag-level
-(full timestamp streams, used to validate the coincidence engine).
+Detection is simulated at rate level: each window's port coincidence rates,
+from which the scheduler draws Poisson counts for the analysis pipeline.
 """
 
 from __future__ import annotations
@@ -11,17 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .polmath import AnalyzerSetting, PolTransform, TwoQubitPolState, coincidence_probs
 
 DEFAULT_PAIR_RATE = 2e5  # locally detected pairs/s
 DEFAULT_DETECTOR_EFFICIENCY = 0.70
 DEFAULT_COINCIDENCE_WINDOW = 1.6e-9  # s
-TIME_RESOLUTION = 1e-12  # tag quantization, s
-
-
-class SourceError(ValueError):
-    """Invalid time-tag stream or tag-level argument."""
 
 
 @dataclass(frozen=True)
@@ -37,21 +30,6 @@ class DetectionChain:
     idler_efficiency: float = DEFAULT_DETECTOR_EFFICIENCY
     dark_rate: float = 0.0
     coincidence_window: float = DEFAULT_COINCIDENCE_WINDOW
-
-
-@dataclass(frozen=True)
-class TimeTagStream:
-    """Sorted arrival times for one detector channel."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1:
-            raise SourceError("times must be a 1-d array")
-        if t.size > 1 and np.any(np.diff(t) < 0):
-            raise SourceError("time tags must be non-decreasing")
-        object.__setattr__(self, "times", t)
 
 
 def singles_rates(src: PairSource, chain: DetectionChain) -> tuple[float, float]:
@@ -121,39 +99,3 @@ def expected_coincidence_rate(
     """Expected single-port coincidence rate at analyzer settings (a, b)."""
     return float(port_rates(src, chain, a, b, idler_transform)[0])
 
-
-def generate_timetags(rate: float, duration: float, rng: np.random.Generator) -> TimeTagStream:
-    """Homogeneous Poisson process: exponential inter-arrival times."""
-    if rate < 0 or duration <= 0:
-        raise SourceError("rate must be >= 0 and duration > 0")
-    if rate == 0:
-        return TimeTagStream(np.empty(0))
-    n_guess = int(rate * duration + 10 * np.sqrt(rate * duration) + 10)
-    tags = np.cumsum(rng.exponential(1.0 / rate, size=n_guess))
-    while tags.size and tags[-1] < duration:
-        extra = np.cumsum(rng.exponential(1.0 / rate, size=n_guess)) + tags[-1]
-        tags = np.concatenate([tags, extra])
-    tags = tags[tags < duration]
-    tags = np.round(tags / TIME_RESOLUTION) * TIME_RESOLUTION
-    return TimeTagStream(np.sort(tags))
-
-
-def find_coincidences(
-    signal: TimeTagStream,
-    idler: TimeTagStream,
-    window: float,
-    relative_delay: float = 0.0,
-) -> int:
-    """Count coincidences between two sorted tag streams.
-
-    Idler tags are shifted back by ``relative_delay`` (the fixed offset
-    introduced by the parallel timing fiber), then each idler tag is matched
-    greedily to the nearest unused signal tag within +-window/2.
-    """
-    if window <= 0:
-        raise SourceError("window must be > 0")
-    return int(
-        _kernels.greedy_match(
-            signal.times, idler.times - relative_delay, window / 2.0
-        )
-    )

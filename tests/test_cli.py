@@ -157,15 +157,21 @@ BAD_SCHEDULES = [
 ]
 
 # (scenario, {field path: value}, path the message names): walks longer than
-# channel.MAX_WALK_STEPS exit 2 before anything is allocated for them.
+# channel.MAX_WALK_STEPS exit 2 before the run directory is made.
 LONG_WALKS = [
     ("probe", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
     ("fringe", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
     ("longrun", {"channel.max_step_s": 1.0e-300}, "channel.max_step_s"),
     ("fringe", {"scheduler.uptime_window_s": 1.0e12}, "scheduler.uptime_window_s"),
+    # 8 cycles a 1.6e5 s advance, which only a stabilized session takes
+    ("longrun", {"apc.cycle_time_s": 2.0e4}, "apc.cycle_time_s"),
+    # refused though a zero-length longrun walks nothing: no cap asks how far the walk gets
+    ("longrun", {"duration_s": 0.0, "scheduler.uptime_window_s": 1.0e12}, "uptime_window_s"),
     ("probe", {"duration_s": 1.0e20}, "duration_s"),
     ("probe", {"duration_s": 1.0e300, "probe.sample_dt_s": 1.0e-300}, "probe.sample_dt_s"),
     ("calibrate", {"calibrate.target_time_s": 1.0e300}, "calibrate.target_time_s"),
+    # every scenario's config holds a calibrate block, and every one is checked
+    ("fringe", {"calibrate.target_time_s": 1.0e300}, "calibrate.target_time_s"),
     # 4 x target_time_s overflows: an infinite walk
     ("calibrate", {"calibrate.target_time_s": 1.0e308}, "calibrate.target_time_s"),
 ]
@@ -272,28 +278,36 @@ class TestConfigHandling:
         assert f"config error: {field} must" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_schedule_times_are_checked_compressed(self, tmp_path, capsys):
-        # a period > 0 as written, but 0 once divided by time_compression
-        schedule = {**segments(0.0), "period_s": 5.0e-324}
-        data = probe_cfg(channel={"schedule": schedule}, time_compression=10.0)
+    @pytest.mark.parametrize(
+        "extra,field,value",
+        [
+            (
+                {"channel": {"schedule": {**segments(0.0), "period_s": 5.0e-324}}},
+                "channel.schedule.period_s",
+                "5e-324",
+            ),
+            ({"duration_s": 1.0e-323}, "duration_s", "1e-323"),
+        ],
+        ids=["period_s", "duration_s"],
+    )
+    def test_times_are_checked_compressed(self, tmp_path, capsys, extra, field, value):
+        # a time > 0 as written, but 0 once divided by time_compression
+        data = probe_cfg(time_compression=10.0, **extra)
         out = tmp_path / "o"
         assert run(["probe", "--config", write_cfg(tmp_path, data), "--out", out]) == 2
         err = capsys.readouterr().err
-        assert (
-            "config error: channel.schedule.period_s must be > 0 after dividing by"
-            " time_compression, got 5e-324"
-        ) in err
+        rule = "must be > 0 after dividing by time_compression"
+        assert err == f"config error: {field} {rule}, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["fringe", "longrun"])
     def test_window_mean_over_the_poisson_limit_exits_2(self, tmp_path, capsys, scenario):
-        # refused once the link is built, before the walk: the run directory stays empty
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, scenario_cfg(scenario, {"source.local_pair_rate": 1.0e20}))
         assert run([scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "source.local_pair_rate" in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_session_cycle_cap(self, tmp_path, capsys):
         # a timeout may span apc.MAX_SESSION_CYCLES cycles, not one more
@@ -314,10 +328,7 @@ class TestConfigHandling:
         assert run([scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert field in err and "walk too long" in err
-        if scenario == "calibrate":  # checked with the config's ranges
-            assert not out.exists()
-        else:  # checked once the channel is built
-            assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_calibration_walk_cap_boundary(self):
         # 4 x 25,000 s in 0.1 s steps is exactly MAX_WALK_STEPS
@@ -326,6 +337,17 @@ class TestConfigHandling:
         cfg["calibrate"]["target_time_s"] = 25000.01
         with pytest.raises(cli.ConfigError, match="walk too long"):
             cli._check_ranges(cfg, "calibrate")
+
+    def test_only_a_stabilized_link_walks_8_cycles(self):
+        # 8 x 12,500 s in 0.1 s steps is exactly MAX_WALK_STEPS; a session that
+        # does not actuate walks one cycle at a time
+        cfg = cli.resolve_config(scenario_cfg("longrun", {"apc.cycle_time_s": 12500.0}))
+        cli._check_ranges(cfg, "longrun")
+        cfg["apc"]["cycle_time_s"] = 20000.0
+        with pytest.raises(cli.ConfigError, match="apc.cycle_time_s.*walk too long"):
+            cli._check_ranges(cfg, "longrun")
+        cfg["scheduler"]["stabilized"] = False
+        cli._check_ranges(cfg, "longrun")
 
     def test_calibration_at_fidelity_1_does_not_walk(self, tmp_path, capsys):
         values = {"calibrate.target_time_s": 1.0e6, "calibrate.target_fidelity": 1.0}
@@ -355,7 +377,7 @@ class TestConfigHandling:
         for field in ("duration_s", "time_compression", "uptime_window_s", "apc.cycle_time_s"):
             assert field in err
         assert "too many windows" in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_cycles_that_cannot_move_the_clock_exit_2(self, tmp_path):
         # 8e-300 s of iterations leaves a session's clock where it was, so its
@@ -486,7 +508,7 @@ class TestFringe:
         assert run(["fringe", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "source.local_pair_rate, detection.dark_rate" in err and "overflow" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [1.0e-300, 1.0e-160])
     def test_vanishing_measure_window_exits_2_naming_it(self, tmp_path, capsys, value):

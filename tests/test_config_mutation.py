@@ -2,10 +2,11 @@
 
 Every leaf of every shipped config is deleted, renamed, retyped, made
 non-finite, negated, zeroed or set to a huge or a tiny magnitude.  Each
-mutant runs in-process through ``cli.main`` and must exit 0, 2 (bad config)
-or 3 (runtime error), with a message on stderr for 2 and 3, and without a
-``RuntimeWarning`` such as numpy's overflow or division by zero.  The configs
-are shortened first so a mutant that still runs stays cheap.
+mutant runs in-process through ``cli.main`` and must exit 0, 2 (bad config,
+before the run directory is made) or 3 (runtime error), with a message on
+stderr for 2 and 3, and without a ``RuntimeWarning`` such as numpy's
+overflow or division by zero.  The configs are shortened first so a mutant
+that still runs stays cheap.
 """
 
 import copy
@@ -136,11 +137,12 @@ def test_mutants_exit_cleanly(tmp_path, capsys):
     for i, (mid, scenario, cfg) in enumerate(mutants()):
         path = tmp_path / f"m{i}.yaml"
         path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / f"o{i}"
         # Warnings are recorded, not raised, so each mutant runs as it would.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                code = cli.main([scenario, "--config", str(path), "--out", str(tmp_path / f"o{i}")])
+                code = cli.main([scenario, "--config", str(path), "--out", str(out)])
             except Exception as e:  # a traceback is the failure this test looks for
                 failures.append(f"{mid}: {type(e).__name__}: {e}")
                 continue
@@ -152,6 +154,8 @@ def test_mutants_exit_cleanly(tmp_path, capsys):
             failures.append(f"{mid}: exit {code}")
         elif code != 0 and not err.strip():
             failures.append(f"{mid}: exit {code} with empty stderr")
+        elif code == 2 and out.exists():
+            failures.append(f"{mid}: exit 2 after making the run directory")
     assert not failures, "\n".join(failures)
 
 

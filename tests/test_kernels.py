@@ -134,6 +134,42 @@ class TestGreedyMatch:
         w = 2e-6
         assert _kernels.greedy_match(a, b, w) == brute_force_match(a, b, w)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_against_brute_force_on_long_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        a = np.sort(rng.uniform(0, 1e-3, 1000))
+        b = np.sort(rng.uniform(0, 1e-3, 1000))
+        assert _kernels.greedy_match(a, b, 2e-6) == brute_force_match(a, b, 2e-6)
+
+    def test_swap_symmetry_with_negated_delay(self):
+        # with at most one partner per window the matching is a bijection, so
+        # swapping the streams while negating the idler delay keeps the count
+        rng = np.random.default_rng(6)
+        base = np.arange(500) * 1e-5
+        a = base + rng.uniform(-1e-7, 1e-7, 500)
+        keep = rng.random(500) < 0.8
+        b = (base + rng.uniform(-1e-7, 1e-7, 500))[keep]
+        delay = 1.3e-7
+        n = _kernels.greedy_match(a, b - delay, 5e-7)
+        assert n == _kernels.greedy_match(b, a + delay, 5e-7)
+        assert 0 < n <= keep.sum()
+
+    def test_invariant_under_common_shift(self):
+        # a fixed-delay timing link adds the same offset to both streams
+        rng = np.random.default_rng(7)
+        a = np.sort(rng.uniform(0, 1e-4, 300))
+        b = np.sort(rng.uniform(0, 1e-4, 300))
+        n = _kernels.greedy_match(a, b - 2e-7, 5e-7)
+        assert n == _kernels.greedy_match(a + 0.5, (b + 0.5) - 2e-7, 5e-7)
+
+    def test_recovers_delay(self):
+        # a 10 ms Poisson stream at 1e5 /s on a 1 ps grid, seen 3.7 us later
+        rng = np.random.default_rng(8)
+        a = np.round(np.cumsum(rng.exponential(1e-5, 1000)) / 1e-12) * 1e-12
+        b = a + 3.7e-6
+        assert _kernels.greedy_match(a, b - 3.7e-6, 0.8e-9) == len(a)
+        assert _kernels.greedy_match(a, b, 0.8e-9) < len(a) / 10
+
     @staticmethod
     def matched_streams(rng, n, spacing, jitter=50e-12, lost=0.0, extra=0.0):
         """Two tag streams of ``n`` common pair times, each tag off its pair

@@ -1,4 +1,4 @@
-"""Pair source rates, time tags and coincidences."""
+"""Pair source, detection chain and coincidence rates."""
 
 import numpy as np
 import pytest
@@ -19,16 +19,11 @@ from polarlink.source import (
     DetectionChain,
     accidental_rate,
     PairSource,
-    SourceError,
-    TimeTagStream,
     coincidence_rates,
     expected_coincidence_rate,
-    find_coincidences,
-    generate_timetags,
     port_rates,
 )
 from tests.oracles import IDENTITY_QUAT, haar_quat, matrix
-from tests.test_kernels import brute_force_match
 
 
 def loss_only_chain(loss_db=21.0):
@@ -192,66 +187,3 @@ class TestBatchedRates:
         assert counts.shape == (0, 4)
         assert rng.bit_generator.state == state
 
-
-class TestTimeTags:
-    def test_stream_rejects_unsorted(self):
-        with pytest.raises(SourceError):
-            TimeTagStream(np.array([2.0, 1.0]))
-
-    def test_generated_count_near_mean(self):
-        s = generate_timetags(1e4, 1.0, np.random.default_rng(3))
-        assert abs(len(s.times) - 1e4) < 5 * np.sqrt(1e4)
-        assert np.all(np.diff(s.times) >= 0)
-        assert s.times[-1] < 1.0
-
-
-class TestFindCoincidences:
-    def test_identical_streams(self):
-        s = generate_timetags(1e4, 0.1, np.random.default_rng(5))
-        assert find_coincidences(s, s, 1.6e-9) == len(s.times)
-
-    def test_disjoint_streams(self):
-        a = TimeTagStream(np.linspace(0, 1e-3, 100))
-        b = TimeTagStream(np.linspace(1.0, 1.001, 100))
-        assert find_coincidences(a, b, 1.6e-9) == 0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_against_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        a = TimeTagStream(np.sort(rng.uniform(0, 1e-3, 1000)))
-        b = TimeTagStream(np.sort(rng.uniform(0, 1e-3, 1000)))
-        window = 4e-6
-        assert find_coincidences(a, b, window) == brute_force_match(
-            a.times, b.times, window / 2
-        )
-
-    def test_swap_symmetry_with_negated_delay(self):
-        # with at most one partner per window the matching is a bijection, so
-        # swapping the streams while negating the delay preserves the count
-        rng = np.random.default_rng(6)
-        base = np.arange(500) * 1e-5
-        a = TimeTagStream(base + rng.uniform(-1e-7, 1e-7, 500))
-        keep = rng.random(500) < 0.8
-        b = TimeTagStream((base + rng.uniform(-1e-7, 1e-7, 500))[keep])
-        delay = 1.3e-7
-        n = find_coincidences(a, b, 1e-6, delay)
-        assert n == find_coincidences(b, a, 1e-6, -delay)
-        assert 0 < n <= keep.sum()
-
-    def test_invariant_under_common_shift(self):
-        # the fixed-delay timing link adds the same offset to both streams
-        rng = np.random.default_rng(7)
-        a = TimeTagStream(np.sort(rng.uniform(0, 1e-4, 300)))
-        b = TimeTagStream(np.sort(rng.uniform(0, 1e-4, 300)))
-        n0 = find_coincidences(a, b, 1e-6, 2e-7)
-        n1 = find_coincidences(
-            TimeTagStream(a.times + 0.5), TimeTagStream(b.times + 0.5), 1e-6, 2e-7
-        )
-        assert n0 == n1
-
-    def test_recovers_delay(self):
-        rng = np.random.default_rng(8)
-        a = generate_timetags(1e5, 1e-2, rng)
-        b = TimeTagStream(a.times + 3.7e-6)
-        assert find_coincidences(a, b, 1.6e-9, relative_delay=3.7e-6) == len(a.times)
-        assert find_coincidences(a, b, 1.6e-9, relative_delay=0.0) < len(a.times) / 10
