@@ -30,10 +30,10 @@ sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
 or per-window counterpart.  Last, it times one APC ``compensation_step``
-(µs per call) over 1,000 random (channel, setting) pairs, against the same
-step with every cost composed from three full ``compose_quat`` products, the
-oracle kept here; it exits 1 if any returned setting differs from the
-oracle's, signs of zero included.
+(µs per call) over 1,000 random (channel, setting) pairs, each repeat on
+fresh controllers, against the same step with every rotation composed from
+three full ``compose_quat`` products, the oracle kept here; it exits 1 if
+any setting a step leaves differs from the oracle's, signs of zero included.
 
 Run from the repository root:
 
@@ -288,20 +288,25 @@ def bench_spawn(n_seeds, repeats):
     )
 
 
-def three_product_cost(params, channel_quat):
-    """The cost of setting ``params``, its controller composed from three full
-    ``compose_quat`` products of the axis quaternions."""
+def three_product_quat(params):
+    """The controller rotation of ``params`` from three full ``compose_quat``
+    products of the axis quaternions."""
     s = [math.sin(a / 2) for a in params]
     c = [math.cos(a / 2) for a in params]
     q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
     q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
-    q = compose_quat(q, (0.0, 0.0, s[3], c[3]))
-    return apc.cost(apc._fidelities(compose_quat(q, channel_quat)))
+    return compose_quat(q, (0.0, 0.0, s[3], c[3]))
+
+
+def three_product_cost(params, channel_quat):
+    """The cost of setting ``params``, its rotation from ``three_product_quat``."""
+    return apc.cost(apc._fidelities(compose_quat(three_product_quat(params), channel_quat)))
 
 
 def three_product_step(channel_quat, ctrl, cfg, rng):
-    """``compensation_step`` with every setting's cost from ``three_product_cost``."""
-    params = ctrl.params.tolist()
+    """``compensation_step`` with every setting's rotation from ``three_product_quat``,
+    in place like it."""
+    params = ctrl.params
     d = cfg.fd_delta
     base = three_product_cost(params, channel_quat)
     grad = []
@@ -311,14 +316,17 @@ def three_product_step(channel_quat, ctrl, cfg, rng):
         diff = three_product_cost(plus, channel_quat) - three_product_cost(minus, channel_quat)
         grad.append(diff / (2.0 * d))
     if math.sqrt(sum(g * g for g in grad)) < 1e-9:
-        return Controller(params)
+        return
     step = cfg.step_size
     for _ in range(6):
         candidate = [p - step * g for p, g in zip(params, grad)]
-        if three_product_cost(candidate, channel_quat) <= base:
-            return Controller(candidate)
+        q = three_product_quat(candidate)
+        if apc.cost(apc._fidelities(compose_quat(q, channel_quat))) <= base:
+            ctrl.params, ctrl.quat = tuple(candidate), q
+            return
         step *= 0.5
-    return Controller(ctrl.params + rng.normal(0.0, d, size=4))
+    kicked = np.add(params, rng.normal(0.0, d, size=4)).tolist()
+    ctrl.params, ctrl.quat = tuple(kicked), three_product_quat(kicked)
 
 
 def bench_compensation_step(n_pairs, repeats):
@@ -327,24 +335,27 @@ def bench_compensation_step(n_pairs, repeats):
     rng = np.random.default_rng(0)
     channels = rng.normal(size=(n_pairs, 4))
     channels /= np.linalg.norm(channels, axis=1)[:, None]
-    pairs = [
-        (tuple(q), Controller(p))
-        for q, p in zip(channels.tolist(), rng.uniform(-np.pi, np.pi, (n_pairs, 4)))
-    ]
+    channels = [tuple(q) for q in channels.tolist()]
+    settings = rng.uniform(-np.pi, np.pi, (n_pairs, 4))
     cfg = ApcConfig()
-    for i, (q, ctrl) in enumerate(pairs):
-        got = compensation_step(q, ctrl, cfg, np.random.default_rng(i)).params
-        expected = three_product_step(q, ctrl, cfg, np.random.default_rng(i)).params
-        same_signs = np.array_equal(np.signbit(got), np.signbit(expected))
-        if not (np.array_equal(got, expected) and same_signs):
+    for i, (q, p) in enumerate(zip(channels, settings)):
+        got, expected = Controller(p), Controller(p)
+        compensation_step(q, got, cfg, np.random.default_rng(i))
+        three_product_step(q, expected, cfg, np.random.default_rng(i))
+        same_signs = np.array_equal(np.signbit(got.params), np.signbit(expected.params))
+        if not (np.array_equal(got.params, expected.params) and same_signs):
             sys.exit(f"compensation_step differs from the three-product step at pair {i}")
 
     def steps(step):
-        def run():
-            for q, ctrl in pairs:
+        # a step moves its controller, so each repeat steps fresh ones
+        best = math.inf
+        for _ in range(repeats):
+            ctrls = [Controller(p) for p in settings]
+            t0 = time.perf_counter()
+            for q, ctrl in zip(channels, ctrls):
                 step(q, ctrl, cfg, rng)
-
-        return timeit(run, repeats) / n_pairs
+            best = min(best, time.perf_counter() - t0)
+        return best / n_pairs
 
     incremental, three_product = steps(compensation_step), steps(three_product_step)
     print(

@@ -9,7 +9,6 @@ S = 2 sqrt(2) * mean(V).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,9 +221,3 @@ def chsh_result_to_dict(result: ChshResult) -> dict:
         ],
         "corrected": result.corrected,
     }
-
-
-def write_chsh_json(path, result: ChshResult) -> None:
-    with open(path, "w") as f:
-        json.dump(chsh_result_to_dict(result), f, indent=2, sort_keys=True)
-        f.write("\n")

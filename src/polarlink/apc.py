@@ -30,37 +30,22 @@ _MAX_HALVINGS = 5
 MAX_SESSION_CYCLES = 10**6
 
 
-class ApcError(ValueError):
-    """Controller angles that are not four numbers."""
-
-
 @dataclass
 class Controller:
     """Four-retarder in-line controller: rotations about alternating s1/s3 axes.
 
     The x-z-x-z angle parameterization is surjective onto SO(3) with one
     redundant degree of freedom, which avoids gimbal lock during descent.
-    ``params`` is held as a read-only copy, so the quaternion that ``quat``
-    caches stays valid until ``params`` is set again.
+    ``params`` holds the four angles as a tuple of Python floats and ``quat``
+    their rotation; ``compensation_step``, which picks new angles, sets both.
     """
 
-    params: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    params: tuple = (0.0, 0.0, 0.0, 0.0)
+    quat: tuple = field(init=False, repr=False)
 
-    def __setattr__(self, name, value):
-        if name == "params":
-            value = np.array(value, dtype=float)
-            if value.shape != (4,):
-                raise ApcError("controller needs exactly 4 retarder angles")
-            value.setflags(write=False)
-            object.__setattr__(self, "_quat", None)
-        object.__setattr__(self, name, value)
-
-    @property
-    def quat(self) -> tuple:
-        """The controller's rotation as a quaternion (x, y, z, w) of Python floats."""
-        if self._quat is None:
-            self._quat = _params_quat(self.params.tolist())
-        return self._quat
+    def __post_init__(self):
+        self.params = tuple(map(float, self.params))
+        self.quat = _params_quat(self.params)
 
     def to_transform(self) -> PolTransform:
         return PolTransform.trusted(quaternion_matrix(*self.quat))
@@ -92,7 +77,7 @@ def _times_rz(n: tuple, s: float, c: float) -> tuple:
     return c * x + y * s, c * y - x * s, w * s + c * z, w * c - z * s
 
 
-def _params_quat(params: list) -> tuple:
+def _params_quat(params) -> tuple:
     """The rotation of the four angles ``params``."""
     h0, h1, h2, h3 = params[0] / 2, params[1] / 2, params[2] / 2, params[3] / 2
     m = _rz_rx(math.sin(h1), math.cos(h1), math.sin(h0), math.cos(h0))
@@ -153,13 +138,16 @@ def compensation_step(
     ctrl: Controller,
     cfg: ApcConfig,
     rng: np.random.Generator,
-) -> Controller:
-    """One gradient-descent iteration with backtracking line search.
+) -> None:
+    """One gradient-descent iteration with backtracking line search, in place.
 
     The gradient is estimated by central finite differences (two measurement
     cycles per parameter).  The step length starts at step_size and is halved
     up to five times until the cost does not increase; if no descent direction
-    is found the parameters get a small random kick to escape a saddle.
+    is found the parameters get a small random kick to escape a saddle.  The
+    step sets ``ctrl.params`` and ``ctrl.quat`` together: a gradient under
+    ``_GRADIENT_TOL`` leaves ``ctrl`` as it is, and an accepted candidate
+    keeps the rotation its cost was evaluated on.
 
     Each evaluation is ``cost`` of the setting's fidelities, whose rotation
     is built from the sin and cos of its half-angles, taken once per angle.
@@ -170,7 +158,7 @@ def compensation_step(
     them; so are a trial's, whose unmoved entries keep their sin and cos
     (p + 0.0 differs from p only in the sign of a zero).
     """
-    params = ctrl.params.tolist()
+    params = ctrl.params
     d = cfg.fd_delta
     s0, s1, s2, s3 = [math.sin(a / 2) for a in params]
     c0, c1, c2, c3 = [math.cos(a / 2) for a in params]
@@ -193,14 +181,17 @@ def compensation_step(
             trial.append(cost(_fidelities(compose_quat(q, channel_quat))))
         grad.append((trial[0] - trial[1]) / (2.0 * d))
     if math.sqrt(sum([g * g for g in grad])) < _GRADIENT_TOL:
-        return Controller(params)
+        return
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
         candidate = [p - step * g for p, g in zip(params, grad)]
-        if cost(_fidelities(compose_quat(_params_quat(candidate), channel_quat))) <= base:
-            return Controller(candidate)
+        q = _params_quat(candidate)
+        if cost(_fidelities(compose_quat(q, channel_quat))) <= base:
+            ctrl.params, ctrl.quat = tuple(candidate), q
+            return
         step *= 0.5
-    return Controller(ctrl.params + rng.normal(0.0, d, size=4))
+    kicked = tuple(np.add(params, rng.normal(0.0, d, size=4)).tolist())
+    ctrl.params, ctrl.quat = kicked, _params_quat(kicked)
 
 
 def run_session(
@@ -236,8 +227,7 @@ def run_session(
     iterations = 0
     min_after = min_before
     while True:
-        stepped = compensation_step(ch.quat, ctrl, cfg, rng)
-        ctrl.params = stepped.params
+        compensation_step(ch.quat, ctrl, cfg, rng)
         ch.advance(8 * cfg.cycle_time_s)
         fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
         iterations += 1

@@ -143,13 +143,9 @@ class FiberChannel:
 
     schedule: DriftSchedule
     rng: np.random.Generator
-    loss_db: float = DEFAULT_LOSS_DB
     sim_time: float = 0.0
     max_step_s: float = MAX_STEP_S
     quat: tuple = field(default=(0.0, 0.0, 0.0, 1.0), init=False, repr=False)
-
-    def transmittance(self) -> float:
-        return loss_transmittance(self.loss_db)
 
     def advance(self, duration: float) -> tuple:
         """Advance by ``duration``; the quaternion at its start.

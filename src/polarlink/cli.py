@@ -196,7 +196,7 @@ def resolve_config(cfg) -> dict:
 def load_config(path) -> dict:
     """The resolved config read from the YAML file at ``path``."""
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:
             cfg = yaml.safe_load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
@@ -374,17 +374,16 @@ def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
     else:
         segments = tuple((s["start_s"] / c, s["rate"]) for s in sched["segments"])
         schedule = DriftSchedule(segments, sched["period_s"] / c, tuple(bursts))
-    return FiberChannel(schedule, rng, loss_db=block["loss_db"], max_step_s=block["max_step_s"])
+    return FiberChannel(schedule, rng, max_step_s=block["max_step_s"])
 
 
 def build_link(cfg: dict, rng: np.random.Generator) -> tuple:
     """The channel, pair source, detection chain, APC and scheduler settings."""
-    ch = build_channel(cfg, rng)
     src = cfg["source"]
     return (
-        ch,
+        build_channel(cfg, rng),
         PairSource(src["local_pair_rate"], TwoQubitPolState(src["visibility"])),
-        DetectionChain(ch.transmittance(), **cfg["detection"]),
+        DetectionChain(channel.loss_transmittance(cfg["channel"]["loss_db"]), **cfg["detection"]),
         ApcConfig(**cfg["apc"]),
         SchedulerConfig(**cfg["scheduler"]),
     )
@@ -454,14 +453,14 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
     write_sessions_csv(out / "sessions.csv", [w.session for w in windows])
     fits = [analysis.fit_fringe(d) for d in datasets]
     result = analysis.chsh_from_visibilities(fits)
-    analysis.write_chsh_json(out / "chsh.json", result)
     summary = {"scenario": "fringe", "chsh": analysis.chsh_result_to_dict(result)}
+    _write_json(out / "chsh.json", summary["chsh"])
     if any(w.post_timeout for w in windows):
         corrected = analysis.chsh_from_visibilities(
             [analysis.corrected_fit(d) for d in datasets], corrected=True
         )
-        analysis.write_chsh_json(out / "chsh_corrected.json", corrected)
         summary["chsh_corrected"] = analysis.chsh_result_to_dict(corrected)
+        _write_json(out / "chsh_corrected.json", summary["chsh_corrected"])
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
 

@@ -18,12 +18,11 @@ from polarlink.analysis import (
     fit_fringe,
     longrun_series,
     summarize_longrun,
-    write_chsh_json,
     write_fringe_csv,
 )
 from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
 from polarlink.polmath import AnalyzerSetting, PolTransform
-from polarlink.cli import _measure, load_config
+from polarlink.cli import _measure, _write_json, load_config
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
 from tests.oracles import csv_writer_text, loop_longrun_series
 
@@ -290,8 +289,9 @@ class TestSerialization:
         fits = [FitResult(1.0, v, 0.0, v, 0.02, 0.0) for v in (0.8, 0.8, 0.8, 0.8)]
         res = chsh_from_visibilities(fits)
         path = tmp_path / "chsh.json"
-        write_chsh_json(path, res)
+        _write_json(path, chsh_result_to_dict(res))
         payload = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["S"] == pytest.approx(res.s_value)
         assert [v["basis"] for v in payload["visibilities"]] == ["H", "D", "V", "A"]
         assert chsh_result_to_dict(res)["corrected"] is False

@@ -10,7 +10,6 @@ from polarlink.apc import (
     OUTCOME_SKIPPED,
     OUTCOME_TIMEOUT,
     ApcConfig,
-    ApcError,
     Controller,
     compensation_step,
     cost,
@@ -45,39 +44,52 @@ class TestController:
         t = Controller().to_transform()
         assert np.allclose(t.rotation, np.eye(3), atol=1e-12)
 
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ApcError):
-            Controller(np.zeros(3))
-        with pytest.raises(ApcError):
-            Controller().params = np.zeros(5)
+    def test_step_sets_the_rotation_it_built(self, monkeypatch):
+        # each step builds one rotation per line-search candidate and per
+        # kick, and stores the one it accepts; the re-measure cycle builds none
+        real_quat, real_cost, real_step = apc._params_quat, apc.cost, apc.compensation_step
+        built, costs, kicks, steps = [], [], [], []
 
-    def test_cached_quat_follows_every_params_assignment(self):
-        class Recording(Controller):
-            @property
-            def quat(self):
-                q = Controller.quat.fget(self)
-                seen.append((self.params, q))
-                return q
+        def recording_quat(params):
+            built.append(real_quat(params))
+            return built[-1]
 
-        seen = []
-        ch = static_channel(seed=9)
-        ch.quat = haar_quat(np.random.default_rng(9))
-        ctrl = Recording()
-        rec = run_session(ch, ctrl, ApcConfig(), np.random.default_rng(9))
-        assert rec.iterations >= 2
-        assert len(seen) == 1 + rec.iterations  # the check cycle, then one per assignment
-        for params, q in seen:
-            assert q == Controller(params).quat
-        assert Controller.quat.fget(ctrl) is Controller.quat.fget(ctrl)
+        def recording_cost(fidelities):
+            costs.append(1)
+            return real_cost(fidelities)
 
-    def test_params_cannot_change_under_the_cache(self):
-        ctrl = Controller(np.ones(4))
-        before = ctrl.to_transform().rotation
-        with pytest.raises(ValueError):
-            ctrl.params[0] = 0.0
-        ctrl.params = np.zeros(4)
-        assert not np.array_equal(ctrl.to_transform().rotation, before)
-        assert np.allclose(ctrl.to_transform().rotation, np.eye(3), atol=1e-12)
+        class KickCounting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, *args, **kwargs):
+                kicks.append(1)
+                return self.rng.normal(*args, **kwargs)
+
+        def checked_step(channel_quat, ctrl, cfg, rng):
+            before = len(built), len(costs), len(kicks)
+            real_step(channel_quat, ctrl, cfg, rng)
+            n_built, n_costs, n_kicks = [len(x) - n for x, n in zip((built, costs, kicks), before)]
+            assert n_built == (n_costs - 9) + n_kicks  # the setting and 8 trials come first
+            assert n_built == 0 or ctrl.quat is built[-1]
+            assert hexes(ctrl.quat) == hexes(real_quat(ctrl.params))
+            steps.append(n_built)
+
+        # a step size of 1e4 overshoots in every halving, which ends in a kick
+        sessions = [(ApcConfig(), Controller()), (ApcConfig(step_size=1e4), Controller())]
+        monkeypatch.setattr(apc, "_params_quat", recording_quat)
+        monkeypatch.setattr(apc, "cost", recording_cost)
+        monkeypatch.setattr(apc, "compensation_step", checked_step)
+        for cfg, ctrl in sessions:
+            built.clear()
+            steps.clear()
+            ch = static_channel(seed=9)
+            ch.quat = haar_quat(np.random.default_rng(9))
+            rec = run_session(ch, ctrl, cfg, KickCounting(np.random.default_rng(9)))
+            assert rec.iterations == len(steps) >= 2
+            assert len(built) == sum(steps)
+            assert ctrl.quat is built[-1]
+        assert kicks
 
     def test_parameterization_reaches_random_rotations(self):
         # the x-z-x-z chain is surjective: a controller exists for any
@@ -122,8 +134,8 @@ class TestMeasureAndCost:
             composite = controller_matrix(params) @ matrix(chan)
             oracle = 0.5 * (1.0 + np.einsum("ij,ij->i", m, m @ composite.T))
             assert np.abs(np.array(fids) - oracle).max() <= 1e-15
-            assert _cost_at(ctrl.params.tolist(), chan) == cost(fids)
-            assert abs(_cost_at(ctrl.params.tolist(), chan) - (1 - oracle.mean())) <= 1e-15
+            assert _cost_at(ctrl.params, chan) == cost(fids)
+            assert abs(_cost_at(ctrl.params, chan) - (1 - oracle.mean())) <= 1e-15
         for chan, params in pairs[:40]:
             composite = controller_matrix(params) @ matrix(chan)
             expected = [0.5 * (1 + s @ composite @ s) for s in m]
@@ -208,7 +220,7 @@ def step_cases(rng, n_random):
     cases += [(haar_quat(rng), rng.uniform(-10.0, 10.0, 4)) for _ in range(20)]
     cases += [(IDENTITY_QUAT, np.array([0.0, -0.0, 0.0, -0.0]))]
     for chan, params in cases[:20]:
-        cases.append((chan, controller_for(matrix(chan).T).params))
+        cases.append((chan, np.array(controller_for(matrix(chan).T).params)))
     return cases
 
 
@@ -248,8 +260,8 @@ class TestCompensationStep:
             chan = haar_quat(rng)
             ctrl = Controller(rng.uniform(-np.pi, np.pi, 4))
             before = cost(measure_fidelities(chan, ctrl))
-            stepped = compensation_step(chan, ctrl, cfg, rng)
-            after = cost(measure_fidelities(chan, stepped))
+            compensation_step(chan, ctrl, cfg, rng)
+            after = cost(measure_fidelities(chan, ctrl))
             # a random kick (stall escape) may increase cost slightly
             assert after <= before + 0.05
 
@@ -262,20 +274,23 @@ class TestCompensationStep:
         cases += [(haar_quat(rng), np.array([0.0, -0.0, -0.0, 0.0])) for _ in range(20)]
         cases += [(IDENTITY_QUAT, np.array([0.0, -0.0, 0.0, -0.0]))]
         for chan, params in cases[:30]:
-            cases.append((chan, controller_for(matrix(chan).T).params))
+            cases.append((chan, np.array(controller_for(matrix(chan).T).params)))
         for i, (chan, params) in enumerate(cases):
             cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
-            got = compensation_step(chan, Controller(params), cfg, np.random.default_rng(i))
+            ctrl = Controller(params)
+            compensation_step(chan, ctrl, cfg, np.random.default_rng(i))
             expected = numpy_compensation_step(chan, params, cfg, np.random.default_rng(i))
-            assert np.array_equal(np.signbit(got.params), np.signbit(expected))
-            assert np.array_equal(got.params, expected)
+            assert np.array_equal(np.signbit(ctrl.params), np.signbit(expected))
+            assert np.array_equal(ctrl.params, expected)
+            assert ctrl.quat == _controller_quat(ctrl.params)
 
     def test_fixed_point_at_optimum(self):
         rng = np.random.default_rng(6)
         chan = haar_quat(rng)
         ctrl = controller_for(matrix(chan).T)
-        stepped = compensation_step(chan, ctrl, ApcConfig(), rng)
-        assert np.allclose(stepped.params, ctrl.params, atol=1e-12)
+        before = ctrl.params
+        compensation_step(chan, ctrl, ApcConfig(), rng)
+        assert np.allclose(ctrl.params, before, atol=1e-12)
 
 
 class TestRunSession:

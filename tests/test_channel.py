@@ -127,15 +127,13 @@ class TestStepScales:
 
 class TestTransmittance:
     def test_lossless(self):
-        assert make_channel(0.0, 0, loss_db=0.0).transmittance() == pytest.approx(1.0)
+        assert channel.loss_transmittance(0.0) == pytest.approx(1.0)
 
     def test_21_db(self):
-        ch = make_channel(0.0, 0, loss_db=21.0)
-        assert ch.transmittance() == pytest.approx(0.007943, abs=1e-6)
+        assert channel.loss_transmittance(21.0) == pytest.approx(0.007943, abs=1e-6)
 
     def test_3_db(self):
-        ch = make_channel(0.0, 0, loss_db=3.0)
-        assert ch.transmittance() == pytest.approx(0.5012, abs=1e-4)
+        assert channel.loss_transmittance(3.0) == pytest.approx(0.5012, abs=1e-4)
 
 
 class TestStep:

@@ -234,6 +234,15 @@ class TestConfigHandling:
         path.write_text("scenario: [unclosed\n")
         assert run(["probe", "--config", path]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        # PyYAML decodes the bytes itself, so a bad byte is a YAML error
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"scenario: probe\nduration_s: 1.0\n# \xff\n")
+        out = tmp_path / "o"
+        assert run(["probe", "--config", path, "--out", out]) == 2
+        assert "config error: invalid YAML" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scenario_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, probe_cfg())
         assert run(["fringe", "--config", cfg]) == 2
