@@ -44,6 +44,18 @@ class TestController:
         t = Controller().to_transform()
         assert np.allclose(t.rotation, np.eye(3), atol=1e-12)
 
+    def test_params_are_a_float_tuple_built_with_their_quat(self):
+        # whatever sequence the angles come in, they are stored as Python
+        # floats that cannot change in place, with the rotation built from them
+        for given in ([0, 1, -2, 3], np.array([0.1, -0.2, 3.0, -np.pi])):
+            ctrl = Controller(given)
+            assert type(ctrl.params) is tuple
+            assert [type(p) for p in ctrl.params] == [float] * 4
+            assert ctrl.params == tuple(float(p) for p in given)
+            assert hexes(ctrl.quat) == hexes(apc._params_quat(ctrl.params))
+            with pytest.raises(TypeError):
+                ctrl.params[0] = 0.0
+
     def test_step_sets_the_rotation_it_built(self, monkeypatch):
         # each step builds one rotation per line-search candidate and per
         # kick, and stores the one it accepts; the re-measure cycle builds none
