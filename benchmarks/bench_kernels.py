@@ -58,17 +58,10 @@ from polarlink.channel import (
     _step_scales,
     _walk_steps,
     first_crossing_time,
-    probe_crossing_times,
-    spawned_generators,
 )
 from polarlink.apc import ApcConfig, Controller, compensation_step
-from polarlink.cli import (
-    _resolved_duration,
-    build_channel,
-    build_link,
-    load_config,
-    median_crossing_time,
-)
+from polarlink.calibrate import median_crossing_time, probe_crossing_times, spawned_generators
+from polarlink.cli import _resolved_duration, build_channel, build_link, load_config
 from polarlink.polmath import PolTransform, StokesVector, compose_quat, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
 from polarlink.source import port_rates
@@ -229,24 +222,22 @@ def numpy_spawned_generators(seed, n):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
+def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed):
     """One ``FiberChannel.probe_trace`` per seed, as calibration walked before batching."""
     sched = DriftSchedule.constant(rate)
     times = []
     for rng in numpy_spawned_generators(seed, n_seeds):
         ch = FiberChannel(sched, rng)
-        t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, sample_dt)
+        t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, MAX_STEP_S)
         crossing = first_crossing_time(t, fid, threshold)
         times.append(crossing if crossing is not None else max_time_s)
     return float(np.median(times))
 
 
-def full_walk_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed, sample_dt=0.1):
+def full_walk_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed):
     """``median_crossing_time`` with the batched walk run until every seed has crossed."""
     rngs = numpy_spawned_generators(seed, n_seeds)
-    times = probe_crossing_times(
-        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after=len(rngs)
-    )
+    times = probe_crossing_times(rate, rngs, max_time_s, threshold, len(rngs), math.inf)
     return float(np.median(np.where(np.isnan(times), max_time_s, times)))
 
 

@@ -38,11 +38,6 @@ MAX_WALK_STEPS = 10**6  # most steps of one advance, probe trace or calibration 
 # the sampling noise of 4 x 10^5 walks of each; at 10 steps it is 0.003.
 COARSE_MIN_STEPS = 20
 
-# Steps drawn per seed at a time by probe_crossing_times, so that its memory
-# does not grow with the length of the walk: a step holds 4 normals and a
-# 4 x 4 step matrix per seed, 32 KB at 200 seeds.
-_CHUNK_STEPS = 25
-
 
 class ChannelError(ValueError):
     """Invalid walk duration or step, or a walk over MAX_WALK_STEPS steps."""
@@ -268,183 +263,6 @@ def _probe_grid(duration: float, sample_dt: float, max_step_s: float):
     substeps = _walk_steps(sample_dt, max_step_s)
     _walk_steps(duration, sample_dt / substeps)  # the whole trace
     return substeps, int(round(duration / sample_dt))
-
-
-def _probe_s1_chunks(schedule: DriftSchedule, rngs, duration: float, sample_dt: float):
-    """s1 of each channel's H-probe output at its samples, a chunk at a time.
-
-    Yields (index of the chunk's first sample after t = 0, s1 array of shape
-    (samples, channels)).  Column j takes the draws of ``rngs[j]`` that
-    ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
-    takes.  The channels' rotations are the columns of one (4, channels)
-    array of unit quaternions (x, y, z, w); each walk step left-multiplies
-    every column by the matrix of its step quaternion, one einsum for the
-    whole batch, and s1 is the rotation's R00, x² - y² - z² + w².
-    """
-    substeps, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
-    n_steps = n_samples * substeps
-    scale = np.broadcast_to(_step_scales(schedule, 0.0, n_steps, sample_dt / substeps), n_steps)
-    n = len(rngs)
-    chunk = substeps * max(1, _CHUNK_STEPS // substeps)
-    draws = np.empty((n, chunk, 4))
-    # Once a chunk's draws are spent on its step matrices, their buffer holds
-    # the rotations after each of its steps.
-    after = draws.reshape(chunk, 4, n)
-    # left[i] holds, per channel, the matrix of q -> p q for step i's
-    # quaternion p = (x, y, z, c), as _kernels._compose_steps multiplies:
-    # rows [c, -z, y, x], [z, c, -x, y], [-y, x, c, z], [-x, -y, -z, c].
-    left = np.empty((chunk, 4, 4, n))
-    q = np.zeros((4, n))
-    q[3] = 1.0
-    for start in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - start)
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=draws[j, :m])
-        # (step, channel) views; the draws are consumed in place
-        x, y, z, half = draws[:, :m].transpose(2, 1, 0)
-        half *= scale[start : start + m, None]
-        half *= 0.5
-        norm = x * x
-        norm += y * y
-        norm += z * z
-        np.sqrt(norm, out=norm)
-        zero = norm == 0
-        norm[zero] = 1.0
-        half[zero] = 0.0  # an all-zero axis is the identity step
-        step = left[:m]
-        step[:, 0, 0] = step[:, 1, 1] = step[:, 2, 2] = step[:, 3, 3] = np.cos(half)
-        s = np.divide(np.sin(half), norm, out=norm)
-        x *= s
-        y *= s
-        z *= s
-        step[:, 0, 3] = step[:, 2, 1] = x
-        step[:, 0, 2] = step[:, 1, 3] = y
-        step[:, 1, 0] = step[:, 2, 3] = z
-        step[:, 1, 2] = step[:, 3, 0] = np.negative(x, out=x)
-        step[:, 2, 0] = step[:, 3, 1] = np.negative(y, out=y)
-        step[:, 0, 1] = step[:, 3, 2] = np.negative(z, out=z)
-        rotation = q
-        for i in range(m):
-            rotation = np.einsum("ijn,jn->in", step[i], rotation, out=after[i])
-        q[...] = rotation
-        x, y, z, w = after[substeps - 1 : m : substeps].transpose(1, 0, 2)
-        s1 = x * x
-        s1 -= y * y
-        s1 -= z * z
-        s1 += w * w
-        yield start // substeps, s1
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 0xFFFFFFFF
-
-
-@lru_cache(maxsize=None)
-def _pcg64_seed_type() -> type:
-    """A seed sequence that holds the four uint64 words seeding one PCG64.
-
-    Defined at first use: numpy imports ``numpy.random`` only when a run
-    first reads it, and its import (about 14 ms) would otherwise be added to
-    every run's start-up, calibrate or not.
-    """
-
-    class Pcg64Seed(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("holds the 4 uint64 words of one PCG64 seed only")
-            return self.words
-
-    return Pcg64Seed
-
-
-def _hashmix(words: np.ndarray, h: int, mult: int) -> tuple:
-    """numpy's hash of uint32 ``words`` under hash constant ``h``, and the next constant."""
-    following = h * mult & _WORD
-    value = (words ^ np.uint32(h)) * np.uint32(following)
-    value ^= value >> 16
-    return value, following
-
-
-def spawned_generators(seed: int, n: int) -> list:
-    """``[np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]``.
-
-    The same generators in the same states, with numpy's SeedSequence
-    arithmetic done once over all ``n`` children as uint32 arrays.  Child i's
-    entropy is the parent's, zero-padded to the 4-word pool, then the word i,
-    so its pool is the parent's pool mixed with i by one more round of 4
-    hashmix/mix steps, whose hash constant goes on from where the parent's
-    mixing stopped: 4 + 12 hashmix calls, and 4 more per seed word past the
-    fourth.  Each child's PCG64 seed is then ``generate_state(4, np.uint64)``
-    of that pool.
-    """
-    pool = np.random.SeedSequence(seed).pool
-    seed_words = max(1, -(-int(seed).bit_length() // 32))
-    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _WORD
-    key = np.arange(n, dtype=np.uint32)
-    mixed = np.empty((4, n), np.uint32)
-    for i in range(4):  # mix(pool[i], hashmix(key))
-        value, h = _hashmix(key, h, _MULT_A)
-        value = np.uint32(_MIX_MULT_L * int(pool[i]) & _WORD) - value * np.uint32(_MIX_MULT_R)
-        value ^= value >> 16
-        mixed[i] = value
-    state = np.empty((n, 8), np.uint32)
-    h = _INIT_B
-    for k in range(8):  # generate_state: the pool words in turn
-        state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)
-    # word pairs as little-endian uint64, as generate_state joins them
-    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
-    seed_type = _pcg64_seed_type()
-    return [np.random.Generator(np.random.PCG64(seed_type(row))) for row in seeds]
-
-
-def probe_crossing_times(
-    schedule: DriftSchedule,
-    rngs,
-    duration: float,
-    sample_dt: float,
-    threshold: float,
-    stop_after: int | None = None,
-    horizon: float = math.inf,
-) -> np.ndarray:
-    """First time each channel's H-probe fidelity drops below ``threshold``.
-
-    Element j is ``first_crossing_time`` of the trace that
-    ``FiberChannel(schedule, rngs[j]).probe_trace(H, duration, sample_dt)``
-    gives, or NaN where that is None, from the same draws of ``rngs[j]``.
-    The walk stops once ``stop_after`` channels (default: all) have crossed;
-    a channel that has not crossed by then reads NaN.  Since the walk goes
-    forward in time, such a channel's crossing, if any, comes after every
-    crossing it returns.
-
-    It also stops after a chunk of samples whose last sample time is at or
-    past ``horizon``, if fewer than n - n // 2 of the n channels have crossed
-    by then: the (n - n // 2)-th crossing, and with it the median crossing
-    time, lies past ``horizon``.
-    """
-    n = len(rngs)
-    if stop_after is None:
-        stop_after = n
-    _, n_samples = _probe_grid(duration, sample_dt, MAX_STEP_S)
-    times = sample_dt * np.arange(n_samples + 1)
-    # The output of the identity transform at t = 0 is H itself, fidelity 1.
-    crossing = np.full(n, times[0] if 1.0 < threshold else np.nan)
-    for first, s1 in _probe_s1_chunks(schedule, rngs, duration, sample_dt):
-        # Fidelity against the initial output H is 0.5 * (1 + s1).
-        below = 0.5 * (1.0 + s1) < threshold
-        new = below.any(axis=0) & np.isnan(crossing)
-        crossing[new] = times[1 + first + below.argmax(axis=0)[new]]
-        crossed = np.count_nonzero(~np.isnan(crossing))
-        if crossed >= stop_after or (times[first + len(s1)] >= horizon and crossed < n - n // 2):
-            break
-    return crossing
 
 
 def first_crossing_time(times: np.ndarray, fidelity: np.ndarray, threshold: float):

@@ -18,16 +18,11 @@ import numpy as np
 import yaml
 
 from . import __version__, analysis, apc, channel, scheduler, source
-# run_session stays importable from cli, where perfbench's tracer wraps it.
+# run_session and median_crossing_time stay importable from cli for perfbench's tracer.
 from .apc import ApcConfig, Controller, run_session, write_sessions_csv  # noqa: F401
-from .channel import (
-    Burst,
-    DriftSchedule,
-    FiberChannel,
-    first_crossing_time,
-    probe_crossing_times,
-    spawned_generators,
-)
+from .calibrate import MAX_CALIBRATE_SEEDS, CalibrationError, bisect_day_rate
+from .calibrate import median_crossing_time  # noqa: F401
+from .channel import Burst, DriftSchedule, FiberChannel, first_crossing_time
 from .polmath import AnalyzerSetting, StokesVector, TwoQubitPolState
 from .scheduler import (
     SchedulerConfig,
@@ -50,18 +45,10 @@ UMD_SWEEP_DEG = tuple(float(a) for a in range(0, 181, 10))
 # Largest mean count a window may have: numpy's Poisson draw refuses means
 # above about 9.2e18, and this leaves room for rounding in the port rates.
 MAX_WINDOW_MEAN = 1e18
-# Most calibration seeds; each holds a generator and a walk row in every
-# bisection step.  At 2,000 seeds a calibration takes about 14 MB, and a step
-# about 0.08 s, or 0.35 s where the walk runs all 800 samples (2-core x86-64).
-MAX_CALIBRATE_SEEDS = 10**4
 
 
 class ConfigError(ValueError):
     """Invalid configuration value; message carries the field path."""
-
-
-class CalibrationError(RuntimeError):
-    """Calibration search failed to converge."""
 
 
 _NOUNS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
@@ -193,11 +180,30 @@ def resolve_config(cfg) -> dict:
     return _resolve_block(_SCHEMA, _check(dict, cfg, "config root"), "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a repeated key, whose earlier value YAML drops.
+
+    ``<<`` merge keys load as SafeLoader loads them.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so that SafeLoader itself refuses an unhashable key
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> dict:
     """The resolved config read from the YAML file at ``path``."""
     try:
         with open(path, "rb") as f:
-            cfg = yaml.safe_load(f)
+            cfg = yaml.load(f, Loader=_UniqueKeyLoader)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
     except yaml.YAMLError as e:
@@ -501,76 +507,17 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     return summary
 
 
-def median_crossing_time(
-    rate: float,
-    threshold: float,
-    n_seeds: int,
-    max_time_s: float,
-    seed: int,
-    sample_dt: float = 0.1,
-    horizon: float = math.inf,
-) -> float:
-    """Median first time the probe fidelity drops below ``threshold``, if at most ``horizon``.
-
-    Seeds that never cross within ``max_time_s`` count as ``max_time_s``.
-    Returns the exact median when it is <= ``horizon``, and math.inf
-    otherwise.  The walk stops once ``n_seeds // 2 + 1`` seeds have crossed:
-    a seed still to cross crosses later, or counts as ``max_time_s``, which
-    lies past every sample but the last, so the median is fixed bit for bit.
-    It also stops at the horizon once the median lies past it; the median
-    then reads ``max_time_s``, past the horizon unless the walk had ended.
-    """
-    rngs = spawned_generators(seed, n_seeds)
-    stop_after = n_seeds // 2 + 1
-    times = probe_crossing_times(
-        DriftSchedule.constant(rate), rngs, max_time_s, sample_dt, threshold, stop_after, horizon
-    )
-    median = float(np.median(np.where(np.isnan(times), max_time_s, times)))
-    return median if median <= horizon else math.inf
-
-
 def cmd_calibrate(cfg: dict, seed: int, out: Path) -> dict:
     settings = cfg["calibrate"]
-    target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
-    n_seeds = settings["n_seeds"]
-    if target_fidelity == 1.0:
-        day_rate, median = 0.0, target_time
-    else:
-        max_time = 4.0 * target_time
-        band = 0.5 * settings["tolerance"] * target_time
-        # Past the horizon a median is above the band as the test below rounds
-        # it: median - target_time is exact up to twice the target, and over
-        # target_time > band beyond.  (target_time * (1 + tolerance / 2) can
-        # round below a median in the band: 30.75 s at 30 s and 0.05.)
-        horizon = target_time + band if band < target_time else math.inf
-        lo, hi = 1e-5, 1.0
-        day_rate, median = None, None
-        for iteration in range(40):
-            mid = float(np.sqrt(lo * hi))
-            median = median_crossing_time(
-                mid, target_fidelity, n_seeds, max_time, seed + iteration, horizon=horizon
-            )
-            if abs(median - target_time) <= band:
-                day_rate = mid
-                break
-            if median > target_time:
-                lo = mid
-            else:
-                hi = mid
-        if day_rate is None:
-            last = f"{median:.2f} s" if median <= horizon else f"over {horizon:.2f} s"
-            raise CalibrationError(
-                f"calibration did not converge (last median {last} "
-                f"for target {target_time:.2f} s)"
-            )
+    day_rate, median = bisect_day_rate(settings, seed)
     payload = {
         "scenario": "calibrate",
         "day_rate": day_rate,
         "night_rate": day_rate / settings["night_ratio"] if day_rate else 0.0,
-        "target_fidelity": target_fidelity,
-        "target_time_s": target_time,
+        "target_fidelity": settings["target_fidelity"],
+        "target_time_s": settings["target_time_s"],
         "achieved_median_s": median,
-        "n_seeds": n_seeds,
+        "n_seeds": settings["n_seeds"],
     }
     _write_json(out / "schedule.json", payload)
     _write_summary(out / "summary.json", cfg, seed, payload)
@@ -585,9 +532,9 @@ def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
     _check_ranges(cfg, scenario)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # a file in the way, or no permission
+        return _COMMANDS[scenario](cfg, seed, out)
+    except OSError as e:  # a file or directory in the way, or no permission
         raise ConfigError(f"--out: {e}") from e
-    return _COMMANDS[scenario](cfg, seed, out)
 
 
 def main(argv=None) -> int:
@@ -620,8 +567,10 @@ def main(argv=None) -> int:
             seeds = [seed + i for i in range(args.seeds)]
             results = [_run_one(args.scenario, cfg, s, out / f"seed_{s:04d}") for s in seeds]
             aggregate = {"scenario": args.scenario, "seeds": seeds, "runs": results}
-            out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / "aggregate.json", aggregate)
+            try:  # the runs have made out
+                _write_json(out / "aggregate.json", aggregate)
+            except OSError as e:
+                raise ConfigError(f"--out: {e}") from e
             print(json.dumps({"scenario": args.scenario, "n_runs": len(results)}))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

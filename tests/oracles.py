@@ -9,6 +9,7 @@ products, as the package did before its axis-aligned products.
 ``loop_longrun_series`` is ``analysis.longrun_series`` as one loop over the
 groups, as the package computed it before its whole-array pass.
 ``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
+``ScriptedDraws`` stands in for a generator whose normals a test picks.
 """
 
 import csv
@@ -142,3 +143,21 @@ def csv_writer_text(rows) -> str:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
+
+
+class ScriptedDraws:
+    """A generator stand-in whose standard normals are ``values``, in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.taken = 0
+
+    def standard_normal(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        n = int(np.prod(shape))
+        values = self.values[self.taken : self.taken + n].reshape(shape)
+        self.taken += n
+        if out is None:
+            return values
+        out[...] = values
+        return out

@@ -7,7 +7,7 @@ line and then asserts, so a full ``pytest`` run doubles as the checklist.
 import numpy as np
 import pytest
 
-from polarlink import _kernels, analysis, cli
+from polarlink import _kernels, analysis, calibrate, cli
 from polarlink.apc import (
     ApcConfig,
     Controller,
@@ -223,7 +223,7 @@ class TestAcceptance:
     def test_09_calibration(self, tmp_path):
         cfg = cli.load_config("configs/calibrate.yaml")
         payload = cli._run_one("calibrate", cfg, int(cfg.get("seed", 0)), tmp_path)
-        held_out = cli.median_crossing_time(
+        held_out = calibrate.median_crossing_time(
             payload["day_rate"], 0.95, n_seeds=200, max_time_s=80.0, seed=987654
         )
         ok = abs(held_out - 20.0) <= 0.05 * 20.0

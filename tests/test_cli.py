@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import polarlink
-from polarlink import cli
+from polarlink import calibrate, cli
 from polarlink.apc import MAX_SESSION_CYCLES, ApcConfig
 from polarlink.channel import DAY_RATE
 
@@ -117,7 +117,7 @@ BAD_FIELDS = [
     ("calibrate", "calibrate.n_seeds", 0),
     ("calibrate", "calibrate.n_seeds", 2.5),
     ("calibrate", "calibrate.n_seeds", True),
-    ("calibrate", "calibrate.n_seeds", cli.MAX_CALIBRATE_SEEDS + 1),
+    ("calibrate", "calibrate.n_seeds", calibrate.MAX_CALIBRATE_SEEDS + 1),
     ("calibrate", "calibrate.tolerance", -1.0),
     ("calibrate", "calibrate.target_time_s", 0.0),
     ("calibrate", "calibrate.target_time_s", float("nan")),
@@ -242,6 +242,38 @@ class TestConfigHandling:
         assert run(["probe", "--config", path, "--out", out]) == 2
         assert "config error: invalid YAML" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("apc:\n  step_size: 1.0\napc:\n  timeout_s: 10.0\n", "'apc'"),
+            ("apc:\n  step_size: 1.0\n  timeout_s: 10.0\n  step_size: 2.0\n", "'step_size'"),
+        ],
+        ids=["block", "field"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        # a repeated key would silently drop the values before it
+        path = tmp_path / "repeated.yaml"
+        path.write_text("scenario: fringe\n" + text)
+        out = tmp_path / "o"
+        assert run(["fringe", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid YAML: found duplicate key {key}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unhashable_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "unhashable.yaml"
+        path.write_text("? [apc]\n: 1\n")
+        assert run(["probe", "--config", path, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid YAML") and "Traceback" not in err
+
+    def test_merge_key_still_loads(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("apc:\n  <<: {step_size: 2.0, timeout_s: 9.0}\n  step_size: 1.0\n")
+        block = cli.load_config(path)["apc"]
+        assert (block["step_size"], block["timeout_s"]) == (1.0, 9.0)
 
     def test_scenario_mismatch_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, probe_cfg())
@@ -376,6 +408,22 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: --out: ") and "Traceback" not in err
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "scenario,seeds,name",
+        [
+            ("probe", 1, "probe.csv"),
+            ("calibrate", 1, "schedule.json"),
+            ("probe", 2, "aggregate.json"),
+        ],
+    )
+    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys, scenario, seeds, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        config = f"{CONFIG_DIR}/{scenario}.yaml"
+        assert run([scenario, "--config", config, "--seeds", seeds, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and name in err and "Traceback" not in err
 
     @pytest.mark.parametrize("values", TOO_MANY_WINDOWS, ids=["duration", "short-windows"])
     def test_too_many_windows_exits_2(self, tmp_path, capsys, values):
