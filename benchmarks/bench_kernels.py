@@ -62,7 +62,7 @@ from polarlink.channel import (
 from polarlink.apc import ApcConfig, Controller, compensation_step
 from polarlink.calibrate import median_crossing_time, probe_crossing_times, spawned_generators
 from polarlink.cli import _resolved_duration, build_channel, build_link, load_config
-from polarlink.polmath import PolTransform, StokesVector, compose_quat, quaternion_matrix
+from polarlink.polmath import PolTransform, compose_quat, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
 from polarlink.source import port_rates
 
@@ -228,7 +228,7 @@ def per_seed_median_crossing_time(rate, threshold, n_seeds, max_time_s, seed):
     times = []
     for rng in numpy_spawned_generators(seed, n_seeds):
         ch = FiberChannel(sched, rng)
-        t, _, fid = ch.probe_trace(StokesVector(1, 0, 0), max_time_s, MAX_STEP_S)
+        t, _, fid = ch.probe_trace(np.array([1.0, 0.0, 0.0]), max_time_s, MAX_STEP_S)
         crossing = first_crossing_time(t, fid, threshold)
         times.append(crossing if crossing is not None else max_time_s)
     return float(np.median(times))

@@ -105,13 +105,13 @@ class SessionRecord:
 
 
 def measure_fidelities(channel_quat: tuple, ctrl: Controller) -> tuple:
-    """Fidelity of each of the six ``CARDINAL_STATES`` through channel then controller."""
+    """Fidelities of the six cardinal states (H, V, D, A, R, L) through channel then controller."""
     return _fidelities(compose_quat(ctrl.quat, channel_quat))
 
 
 def _fidelities(q) -> tuple:
     """½(1 + s·Cs) for s = ±e_i is ½(1 + C_ii) for either sign, where C is
-    the matrix of quaternion ``q``: the six fidelities in ``CARDINAL_STATES``
+    the matrix of quaternion ``q``: the six fidelities in (H, V, D, A, R, L)
     order, as Python floats, with C_ii as ``quaternion_matrix`` rounds it."""
     x, y, z, w = q
     x2, y2, z2, w2 = x * x, y * y, z * z, w * w

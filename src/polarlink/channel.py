@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .polmath import StokesVector, quaternion_matrix
+from .polmath import quaternion_matrix
 
 # Day-time diffusion rate (rad^2/s), set for the median fidelity of a transmitted
 # SOP to first drop below 0.95 at t = 20 s; it gives about 20.7 s (5 x 2,000 seeds),
@@ -203,8 +203,8 @@ class FiberChannel:
         )
         return samples
 
-    def probe_trace(self, input_sop: StokesVector, duration: float, sample_dt: float):
-        """Inject a probe SOP and sample the transformed output over time.
+    def probe_trace(self, input_sop: np.ndarray, duration: float, sample_dt: float):
+        """Inject a probe SOP, a unit Stokes vector, and sample its output over time.
 
         Returns (times, stokes_out (n, 3), fidelity_vs_start (n,)), including
         the initial sample at t = sim_time.  Fidelity is relative to the
@@ -213,7 +213,7 @@ class FiberChannel:
         substeps, n_samples = _probe_grid(duration, sample_dt, self.max_step_s)
         t0, start = self.sim_time, self.quat
         samples = self._walk(n_samples * substeps, sample_dt / substeps, sample_stride=substeps)
-        outs = quaternion_matrix(*np.array([start, *samples]).T) @ input_sop.as_array()
+        outs = quaternion_matrix(*np.array([start, *samples]).T) @ input_sop
         times = t0 + sample_dt * np.arange(n_samples + 1)
         fidelity = 0.5 * (1.0 + outs @ outs[0])
         return times, outs, fidelity

@@ -23,7 +23,7 @@ from .apc import ApcConfig, Controller, run_session, write_sessions_csv  # noqa:
 from .calibrate import MAX_CALIBRATE_SEEDS, CalibrationError, bisect_day_rate
 from .calibrate import median_crossing_time  # noqa: F401
 from .channel import Burst, DriftSchedule, FiberChannel, first_crossing_time
-from .polmath import AnalyzerSetting, StokesVector, TwoQubitPolState
+from .polmath import AnalyzerSetting
 from .scheduler import (
     SchedulerConfig,
     run_link,
@@ -120,7 +120,7 @@ _SCHEMA = {
         "max_step_s": (float, channel.MAX_STEP_S),
         "schedule": (_schedule, {}),
     },
-    "source": {"local_pair_rate": (float, source.DEFAULT_PAIR_RATE), "visibility": (float, 1.0)},
+    "source": _fields_of(PairSource),
     # Efficiencies default to 1.0, not DetectionChain's 0.70, so counts follow
     # the loss-only pair-rate budget.
     "detection": {
@@ -385,10 +385,9 @@ def build_channel(cfg: dict, rng: np.random.Generator) -> FiberChannel:
 
 def build_link(cfg: dict, rng: np.random.Generator) -> tuple:
     """The channel, pair source, detection chain, APC and scheduler settings."""
-    src = cfg["source"]
     return (
         build_channel(cfg, rng),
-        PairSource(src["local_pair_rate"], TwoQubitPolState(src["visibility"])),
+        PairSource(**cfg["source"]),
         DetectionChain(channel.loss_transmittance(cfg["channel"]["loss_db"]), **cfg["detection"]),
         ApcConfig(**cfg["apc"]),
         SchedulerConfig(**cfg["scheduler"]),
@@ -414,7 +413,7 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     rng = np.random.default_rng(seed)
     ch = build_channel(cfg, rng)
     times, stokes, fidelity = ch.probe_trace(
-        StokesVector(1, 0, 0), _resolved_duration(cfg), cfg["probe"]["sample_dt_s"]
+        np.array([1.0, 0.0, 0.0]), _resolved_duration(cfg), cfg["probe"]["sample_dt_s"]
     )
     with open(out / "probe.csv", "w", newline="") as f:
         f.write("t_s,s1,s2,s3,fidelity\n")
@@ -537,6 +536,26 @@ def _run_one(scenario: str, cfg: dict, seed: int, out: Path) -> dict:
         raise ConfigError(f"--out: {e}") from e
 
 
+def _run_seeds(scenario: str, cfg: dict, seeds: list, out: Path) -> None:
+    """Run ``seeds`` into ``out/seed_NNNN`` and their summaries into ``out/aggregate.json``,
+    opened before the first run: an ``out`` that cannot take it makes no run."""
+    _check_ranges(cfg, scenario)  # before out is made
+    path = out / "aggregate.json"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as f:
+            try:
+                results = [_run_one(scenario, cfg, s, out / f"seed_{s:04d}") for s in seeds]
+            except BaseException:
+                path.unlink()
+                raise
+            aggregate = {"scenario": scenario, "seeds": seeds, "runs": results}
+            json.dump(aggregate, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as e:  # a file or directory in the way, or no permission
+        raise ConfigError(f"--out: {e}") from e
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="polarlink",
@@ -565,13 +584,8 @@ def main(argv=None) -> int:
             print(json.dumps({k: v for k, v in summary.items() if k != "config"}, sort_keys=True))
         else:
             seeds = [seed + i for i in range(args.seeds)]
-            results = [_run_one(args.scenario, cfg, s, out / f"seed_{s:04d}") for s in seeds]
-            aggregate = {"scenario": args.scenario, "seeds": seeds, "runs": results}
-            try:  # the runs have made out
-                _write_json(out / "aggregate.json", aggregate)
-            except OSError as e:
-                raise ConfigError(f"--out: {e}") from e
-            print(json.dumps({"scenario": args.scenario, "n_runs": len(results)}))
+            _run_seeds(args.scenario, cfg, seeds, out)
+            print(json.dumps({"scenario": args.scenario, "n_runs": len(seeds)}))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,83 +1,37 @@
 """Polarization math on the Poincare sphere.
 
 Pure states of polarization are unit Stokes vectors (s1, s2, s3); lossless
-fiber and controller transformations act on them as proper rotations.  The
-two-photon state is a visibility-parameterized mixture around |Phi+>, which is
-all the link-level observables (fringe visibility, CHSH S) depend on.
+fiber and controller transformations act on them as proper rotations, which
+the package carries as unit quaternions (x, y, z, w).  The two-photon state
+is a mixture V |Phi+><Phi+| + (1 - V) I/4 of visibility V, which is all the
+link-level observables (fringe visibility, CHSH S) depend on.
 
 Convention: s1 <-> H/V, s2 <-> D/A, s3 <-> R/L.  A linear analyzer at angle
 theta (degrees from H) projects onto the Stokes direction
-(cos 2theta, sin 2theta, 0).  In the Jones picture this maps (s1, s2, s3) to
-the Pauli triple (sigma_z, sigma_x, sigma_y).
+(cos 2theta, sin 2theta, 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_NORM_TOL = 1e-6
 _MATRIX_TOL = 1e-9
-
-# Pauli matrices ordered to match the (s1, s2, s3) Stokes convention.
-_PAULI = np.array(
-    [
-        [[1, 0], [0, -1]],  # sigma_z
-        [[0, 1], [1, 0]],  # sigma_x
-        [[0, -1j], [1j, 0]],  # sigma_y
-    ],
-    dtype=complex,
-)
-
-# |Phi+> = (|HH> + |VV>)/sqrt(2) in the H/V product basis.
-_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 # Correlation matrix of |Phi+> for linear analyzers: E(a, b) = n_a . T . n_b.
 _PHI_PLUS_T = np.diag([1.0, 1.0, -1.0])
 
 
 class PolarizationError(ValueError):
-    """Invalid polarization-state or transform input."""
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Pure state of polarization as a unit vector on the Poincare sphere."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        if abs(self.norm() - 1.0) > _NORM_TOL:
-            raise PolarizationError(
-                f"Stokes vector not normalized: |s| = {self.norm():.8f}"
-            )
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.s1**2 + self.s2**2 + self.s3**2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
-
-
-# The six cardinal states: H, V, D, A, right/left circular.
-H = StokesVector(1, 0, 0)
-V = StokesVector(-1, 0, 0)
-D = StokesVector(0, 1, 0)
-A = StokesVector(0, -1, 0)
-R_CIRC = StokesVector(0, 0, 1)
-L_CIRC = StokesVector(0, 0, -1)
-
-CARDINAL_STATES = (H, V, D, A, R_CIRC, L_CIRC)
+    """A matrix that is not a proper rotation."""
 
 
 @dataclass(frozen=True)
 class PolTransform:
     """Lossless polarization transformation: a proper rotation of Stokes space."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    rotation: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float)
@@ -94,23 +48,11 @@ class PolTransform:
         """Wrap a float 3x3 rotation that the package built itself, unchecked.
 
         Skips the orthogonality and determinant checks of the constructor, for
-        matrices of the package's own quaternions: the channel's and the
-        controller's.
+        the matrix of a controller's quaternion (``Controller.to_transform``).
         """
         t = object.__new__(cls)
         object.__setattr__(t, "rotation", r)
         return t
-
-    @classmethod
-    def identity(cls) -> "PolTransform":
-        return cls(np.eye(3))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "PolTransform":
-        """Rotation drawn uniformly (Haar) over SO(3), from a normalized Gaussian quaternion."""
-        x, y, z, w = rng.normal(size=4)
-        n = np.sqrt(x * x + y * y + z * z + w * w)
-        return cls(quaternion_matrix(x / n, y / n, z / n, w / n))
 
 
 def quaternion_matrix(x, y, z, w) -> np.ndarray:
@@ -144,17 +86,6 @@ def compose_quat(p, q) -> tuple:
 
 
 @dataclass(frozen=True)
-class TwoQubitPolState:
-    """Visibility-parameterized two-photon state: V |Phi+><Phi+| + (1-V) I/4."""
-
-    visibility: float
-
-    def density_matrix(self) -> np.ndarray:
-        pure = np.outer(_PHI_PLUS, _PHI_PLUS.conj())
-        return self.visibility * pure + (1.0 - self.visibility) * np.eye(4) / 4.0
-
-
-@dataclass(frozen=True)
 class AnalyzerSetting:
     """Linear-polarization analyzer angle in degrees, reduced modulo 180."""
 
@@ -167,72 +98,12 @@ class AnalyzerSetting:
         two_theta = 2.0 * np.deg2rad(self.angle_deg)
         return np.array([np.cos(two_theta), np.sin(two_theta), 0.0])
 
-    def jones(self) -> np.ndarray:
-        theta = np.deg2rad(self.angle_deg)
-        return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-
     def orthogonal(self) -> "AnalyzerSetting":
         return AnalyzerSetting(self.angle_deg + 90.0)
 
     def stokes_pair(self) -> np.ndarray:
         """(2, 3): the Stokes vectors of this setting and of its orthogonal."""
         return np.array([self.stokes(), self.orthogonal().stokes()])
-
-
-def su2_from_transform(t: PolTransform) -> np.ndarray:
-    """Jones-space unitary whose Pauli conjugation reproduces the Stokes rotation.
-
-    With the (sigma_z, sigma_x, sigma_y) ordering, U (n . sigma) U^dagger
-    equals (R n) . sigma for U = w I - i (x, y, z) . sigma, the quaternion
-    q = (x, y, z, w) of R read off the row of 4 q q^T with the largest diagonal.
-    """
-    r = t.rotation
-    tr = np.trace(r)
-    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    k = np.block([[r + r.T + (1 - tr) * np.eye(3), v[:, None]], [v, 1 + tr]])
-    j = np.argmax(np.diag(k))
-    x, y, z, w = k[j] / (2 * np.sqrt(k[j, j]))
-    return w * np.eye(2) - 1j * np.tensordot([x, y, z], _PAULI, axes=1)
-
-
-def coincidence_prob(
-    state: TwoQubitPolState,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    idler_channel: PolTransform | None = None,
-) -> float:
-    """Probability that both photons pass their linear analyzers.
-
-    Computed in the Jones picture: the idler channel is lifted to an SU(2)
-    unitary and the transformed density matrix is projected onto the product
-    of the two analyzer states.  With an identity channel this reduces to
-    (1 + V cos 2(a - b)) / 4.
-    """
-    if idler_channel is None:
-        idler_channel = PolTransform.identity()
-    u = su2_from_transform(idler_channel)
-    u_full = np.kron(np.eye(2, dtype=complex), u)
-    rho = u_full @ state.density_matrix() @ u_full.conj().T
-    ket = np.kron(a.jones(), b.jones())
-    p = float(np.real(ket.conj() @ rho @ ket))
-    return min(max(p, 0.0), 1.0)
-
-
-def coincidence_prob_stokes(
-    state: TwoQubitPolState,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    idler_channel: PolTransform | None = None,
-) -> float:
-    """Fast closed-form coincidence probability via the Stokes-rotation path.
-
-    P = (1 + V * n_a . T . R^T n_b) / 4 where T is the |Phi+> correlation
-    matrix for linear analyzers.  Agrees with ``coincidence_prob`` to 1e-9.
-    One row of ``coincidence_probs``.
-    """
-    r = np.eye(3) if idler_channel is None else idler_channel.rotation
-    p = coincidence_probs(state.visibility, r[None], a.stokes_pair()[None], b.stokes_pair()[None])
-    return float(p[0, 0])
 
 
 def coincidence_probs(

@@ -6,11 +6,11 @@ from which the scheduler draws Poisson counts for the analysis pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .polmath import AnalyzerSetting, PolTransform, TwoQubitPolState, coincidence_probs
+from .polmath import AnalyzerSetting, PolTransform, coincidence_probs
 
 DEFAULT_PAIR_RATE = 2e5  # locally detected pairs/s
 DEFAULT_DETECTOR_EFFICIENCY = 0.70
@@ -19,8 +19,10 @@ DEFAULT_COINCIDENCE_WINDOW = 1.6e-9  # s
 
 @dataclass(frozen=True)
 class PairSource:
+    """Pair rate and the visibility V of the state V |Phi+><Phi+| + (1 - V) I/4."""
+
     local_pair_rate: float = DEFAULT_PAIR_RATE
-    state: TwoQubitPolState = field(default_factory=lambda: TwoQubitPolState(1.0))
+    visibility: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def coincidence_rates(
     two output ports at matched bases recovers the full transmitted-pair
     rate.  Accidentals are added on top.
     """
-    p = coincidence_probs(src.state.visibility, rotations, a_pairs, b_pairs)
+    p = coincidence_probs(src.visibility, rotations, a_pairs, b_pairs)
     prefactor = (
         src.local_pair_rate
         * chain.idler_transmittance

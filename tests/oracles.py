@@ -3,7 +3,12 @@
 The package walks the channel and composes the controller as unit
 quaternions (x, y, z, w) in Python floats.  These oracles do the same in
 3x3 rotation matrices, one Rodrigues matrix per step, as the package did
-before, so the tests can bound the difference.  ``_controller_quat`` and
+before, so the tests can bound the difference.  ``haar_rotation`` is the
+Haar draw the tests pin to scipy's ``Rotation.random``.  The Jones path
+(``su2_from_rotation``, ``density_matrix``, ``jones``,
+``coincidence_prob``) computes coincidence probabilities by projecting
+the two-photon density matrix, the oracle of the package's closed-form
+Stokes path ``polmath.coincidence_probs``.  ``_controller_quat`` and
 ``_cost_at`` compose the controller from three full ``compose_quat``
 products, as the package did before its axis-aligned products.
 ``loop_longrun_series`` is ``analysis.longrun_series`` as one loop over the
@@ -21,7 +26,7 @@ from scipy.spatial.transform import Rotation
 
 from polarlink.analysis import FitError, SeriesPoint
 from polarlink.apc import _fidelities, cost
-from polarlink.polmath import compose_quat, quaternion_matrix
+from polarlink.polmath import AnalyzerSetting, compose_quat, quaternion_matrix
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
@@ -68,11 +73,76 @@ def quat_of(rotation) -> tuple:
     return tuple(Rotation.from_matrix(rotation).as_quat().tolist())
 
 
+def haar_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Rotation drawn uniformly (Haar) over SO(3), from a normalized Gaussian quaternion."""
+    x, y, z, w = rng.normal(size=4)
+    n = np.sqrt(x * x + y * y + z * z + w * w)
+    return quaternion_matrix(x / n, y / n, z / n, w / n)
+
+
 def haar_quat(rng: np.random.Generator) -> tuple:
-    """A Haar-random unit quaternion, from the draws ``PolTransform.random`` takes."""
+    """A Haar-random unit quaternion, from the draws ``haar_rotation`` takes."""
     x, y, z, w = rng.normal(size=4).tolist()
     n = math.sqrt(x * x + y * y + z * z + w * w)
     return x / n, y / n, z / n, w / n
+
+
+# Pauli matrices ordered to match the (s1, s2, s3) Stokes convention.
+PAULI = np.array(
+    [
+        [[1, 0], [0, -1]],  # sigma_z
+        [[0, 1], [1, 0]],  # sigma_x
+        [[0, -1j], [1j, 0]],  # sigma_y
+    ],
+    dtype=complex,
+)
+
+# |Phi+> = (|HH> + |VV>)/sqrt(2) in the H/V product basis.
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def density_matrix(visibility: float) -> np.ndarray:
+    """V |Phi+><Phi+| + (1-V) I/4."""
+    pure = np.outer(_PHI_PLUS, _PHI_PLUS.conj())
+    return visibility * pure + (1.0 - visibility) * np.eye(4) / 4.0
+
+
+def jones(a: AnalyzerSetting) -> np.ndarray:
+    """Jones vector of the linear analyzer ``a``."""
+    theta = np.deg2rad(a.angle_deg)
+    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+
+
+def su2_from_rotation(r: np.ndarray) -> np.ndarray:
+    """Jones-space unitary whose Pauli conjugation reproduces the Stokes rotation ``r``.
+
+    With the (sigma_z, sigma_x, sigma_y) ordering, U (n . sigma) U^dagger
+    equals (R n) . sigma for U = w I - i (x, y, z) . sigma, the quaternion
+    q = (x, y, z, w) of R read off the row of 4 q q^T with the largest diagonal.
+    """
+    tr = np.trace(r)
+    v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    k = np.block([[r + r.T + (1 - tr) * np.eye(3), v[:, None]], [v, 1 + tr]])
+    j = np.argmax(np.diag(k))
+    x, y, z, w = k[j] / (2 * np.sqrt(k[j, j]))
+    return w * np.eye(2) - 1j * np.tensordot([x, y, z], PAULI, axes=1)
+
+
+def coincidence_prob(
+    visibility: float, a: AnalyzerSetting, b: AnalyzerSetting, idler_rotation=None
+) -> float:
+    """Probability that both photons pass their linear analyzers, in the Jones picture.
+
+    The idler rotation is lifted to an SU(2) unitary and the transformed
+    density matrix is projected onto the product of the two analyzer states.
+    With no rotation this reduces to (1 + V cos 2(a - b)) / 4.
+    """
+    u = su2_from_rotation(np.eye(3) if idler_rotation is None else idler_rotation)
+    u_full = np.kron(np.eye(2, dtype=complex), u)
+    rho = u_full @ density_matrix(visibility) @ u_full.conj().T
+    ket = np.kron(jones(a), jones(b))
+    p = float(np.real(ket.conj() @ rho @ ket))
+    return min(max(p, 0.0), 1.0)
 
 
 def controller_matrix(params):

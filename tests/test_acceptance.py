@@ -14,15 +14,9 @@ from polarlink.apc import (
     run_session,
 )
 from polarlink.channel import DriftSchedule, FiberChannel
-from polarlink.polmath import (
-    AnalyzerSetting,
-    PolTransform,
-    TwoQubitPolState,
-    coincidence_prob,
-    coincidence_prob_stokes,
-)
+from polarlink.polmath import AnalyzerSetting, coincidence_probs
 from polarlink.source import DetectionChain, PairSource, expected_coincidence_rate
-from tests.oracles import haar_quat, matrix
+from tests.oracles import coincidence_prob, haar_quat, haar_rotation, matrix
 
 
 def verdict(number, ok, detail):
@@ -60,7 +54,7 @@ class TestAcceptance:
         )
 
     def test_02_rate_budget(self):
-        src = PairSource(local_pair_rate=2e5, state=TwoQubitPolState(0.8))
+        src = PairSource(local_pair_rate=2e5, visibility=0.8)
         chain = DetectionChain(
             idler_transmittance=10 ** (-2.1), signal_efficiency=1.0, idler_efficiency=1.0
         )
@@ -79,19 +73,17 @@ class TestAcceptance:
             v = rng.uniform()
             a = AnalyzerSetting(rng.uniform(0, 180))
             b = AnalyzerSetting(rng.uniform(0, 180))
-            p = coincidence_prob(TwoQubitPolState(v), a, b)
+            p = coincidence_prob(v, a, b)
             closed = (1.0 + v * np.cos(2.0 * np.deg2rad(a.angle_deg - b.angle_deg))) / 4.0
             worst_identity = max(worst_identity, abs(p - closed))
         worst_paths = 0.0
         for _ in range(100):
-            st = TwoQubitPolState(rng.uniform())
+            v = rng.uniform()
             a = AnalyzerSetting(rng.uniform(0, 180))
             b = AnalyzerSetting(rng.uniform(0, 180))
-            t = PolTransform.random(rng)
-            worst_paths = max(
-                worst_paths,
-                abs(coincidence_prob(st, a, b, t) - coincidence_prob_stokes(st, a, b, t)),
-            )
+            r = haar_rotation(rng)
+            stokes = coincidence_probs(v, r[None], a.stokes_pair()[None], b.stokes_pair()[None])
+            worst_paths = max(worst_paths, abs(coincidence_prob(v, a, b, r) - stokes[0, 0]))
         ok = worst_identity < 1e-9 and worst_paths < 1e-9
         verdict(
             3,

@@ -21,10 +21,10 @@ from polarlink.analysis import (
     write_fringe_csv,
 )
 from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
-from polarlink.polmath import AnalyzerSetting, PolTransform
+from polarlink.polmath import AnalyzerSetting
 from polarlink.cli import _measure, _write_json, load_config
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
-from tests.oracles import csv_writer_text, loop_longrun_series
+from tests.oracles import IDENTITY_QUAT, csv_writer_text, loop_longrun_series
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -134,7 +134,7 @@ def make_window(idx, counts, start=0.0, post_timeout=False, min_f=0.995):
     outcome = OUTCOME_TIMEOUT if post_timeout else OUTCOME_CONVERGED
     session = SessionRecord(outcome, 0.12, 0.9, min_f, 1, start - 0.12)
     setting = CHSH_WINDOW_SETTINGS[idx]
-    return Window(session, start, start + 3.0, setting, PolTransform.identity()), np.asarray(counts)
+    return Window(session, start, start + 3.0, setting, IDENTITY_QUAT), np.asarray(counts)
 
 
 def series_of(group):

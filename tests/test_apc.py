@@ -18,7 +18,6 @@ from polarlink.apc import (
     write_sessions_csv,
 )
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
-from polarlink.polmath import CARDINAL_STATES
 from tests.oracles import (
     IDENTITY_QUAT,
     _controller_quat,
@@ -132,7 +131,8 @@ class TestMeasureAndCost:
         # agree to 1e-15 with the 6x3 matmul over the cardinal stack of the
         # matrix path (scipy's controller matrix times the channel matrix),
         # and to 1e-12 with the per-state (1 + s.Rs)/2 evaluation
-        m = np.array([s.as_array() for s in CARDINAL_STATES])
+        # the Stokes vectors of H, V, D, A, R, L
+        m = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
         rng = np.random.default_rng(3)
         # identity and half-turns about each axis (signed zeros), controller angles of ±π
         channels = [IDENTITY_QUAT, (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]

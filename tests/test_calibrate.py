@@ -13,10 +13,9 @@ from polarlink.calibrate import (
     probe_crossing_times,
 )
 from polarlink.channel import DAY_RATE, MAX_STEP_S, DriftSchedule, FiberChannel, first_crossing_time
-from polarlink.polmath import StokesVector
 from tests.oracles import ScriptedDraws
 
-H = StokesVector(1, 0, 0)
+H = np.array([1.0, 0.0, 0.0])
 
 
 class TestProbeCrossingTimes:

@@ -24,10 +24,9 @@ from polarlink.channel import (
     first_crossing_time,
 )
 from polarlink.cli import build_channel, load_config
-from polarlink.polmath import StokesVector
 from tests.oracles import ScriptedDraws, haar_quat, matrix, per_step_walk
 
-H = StokesVector(1, 0, 0)
+H = np.array([1.0, 0.0, 0.0])
 
 
 def make_channel(rate, seed, **kw):
@@ -193,7 +192,7 @@ class TestStep:
         for seed in range(400):
             ch = make_channel(DAY_RATE, seed)
             ch.advance(10.0)
-            imgs.append(matrix(ch.quat) @ H.as_array())
+            imgs.append(matrix(ch.quat) @ H)
         mean = np.mean(imgs, axis=0)
         assert abs(mean[1]) < 0.05 and abs(mean[2]) < 0.05
         assert mean[0] > 0.1  # still correlated with the input at t=10 s
@@ -205,8 +204,8 @@ class TestStep:
             ch = make_channel(DAY_RATE, seed)
             for j, dt in enumerate([5.0, 5.0, 5.0, 5.0]):
                 ch.advance(dt)
-                h_out = matrix(ch.quat) @ H.as_array()
-                fids[seed, j] = 0.5 * (1 + H.as_array() @ h_out)
+                h_out = matrix(ch.quat) @ H
+                fids[seed, j] = 0.5 * (1 + H @ h_out)
         means = fids.mean(axis=0)
         sem = fids.std(axis=0, ddof=1) / np.sqrt(fids.shape[0])
         for j in range(3):
@@ -481,15 +480,17 @@ class TestProbeTrace:
             mins.append(f.min())
         assert np.median(mins) >= 0.99
 
-    def test_trace_matches_stepwise_walk(self):
+    @pytest.mark.parametrize("sop", [H, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], ids=["H", "D", "R"])
+    def test_trace_matches_stepwise_walk(self, sop):
         ch1 = make_channel(DAY_RATE, 7)
-        _, s, _ = ch1.probe_trace(H, 5.0, 0.1)
+        _, s, f = ch1.probe_trace(np.asarray(sop), 5.0, 0.1)
         ch2 = make_channel(DAY_RATE, 7)
-        outs = [matrix(ch2.quat) @ H.as_array()]
+        outs = [matrix(ch2.quat) @ sop]
         for _ in range(50):
             ch2.advance(0.1)
-            outs.append(matrix(ch2.quat) @ H.as_array())
+            outs.append(matrix(ch2.quat) @ sop)
         assert np.allclose(s, outs, atol=1e-12)
+        assert np.allclose(f, 0.5 * (1.0 + np.array(outs) @ outs[0]), atol=1e-12)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ChannelError):

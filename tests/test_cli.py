@@ -424,6 +424,7 @@ class TestConfigHandling:
         assert run([scenario, "--config", config, "--seeds", seeds, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: --out: ") and name in err and "Traceback" not in err
+        assert not list(out.glob("seed_*"))  # refused before any run
 
     @pytest.mark.parametrize("values", TOO_MANY_WINDOWS, ids=["duration", "short-windows"])
     def test_too_many_windows_exits_2(self, tmp_path, capsys, values):
@@ -724,6 +725,21 @@ class TestSeedFanout:
         assert (out / "seed_0041" / "probe.csv").read_bytes() == (
             single / "probe.csv"
         ).read_bytes()
+
+    def test_failed_run_leaves_no_aggregate(self, tmp_path, capsys):
+        data = yaml.safe_load(Path(CONFIG_DIR, "calibrate.yaml").read_text())
+        data["calibrate"].update(n_seeds=3, tolerance=0.004)  # seed 0 does not converge
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, data)
+        assert run(["calibrate", "--config", cfg, "--seed", "0", "--seeds", "2", "--out", out]) == 3
+        assert (out / "seed_0000").is_dir() and not (out / "aggregate.json").exists()
+
+    def test_config_error_makes_no_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"scenario": "fringe", "apc": {"fd_delta": 0}})
+        out = tmp_path / "o"
+        assert run(["fringe", "--config", cfg, "--seeds", "2", "--out", out]) == 2
+        assert "apc.fd_delta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_zero_seeds(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, probe_cfg(duration=5.0))

@@ -16,8 +16,7 @@ from scipy.spatial.transform import Rotation
 
 import polarlink
 from polarlink.apc import Controller
-from polarlink.polmath import _PAULI, PolTransform, su2_from_transform
-from tests.oracles import controller_matrix
+from tests.oracles import PAULI, controller_matrix, haar_rotation, su2_from_rotation
 
 
 def test_controller_within_1e15_of_scipy():
@@ -34,7 +33,7 @@ def test_controller_within_1e15_of_scipy():
 def test_haar_draw_matches_scipy_bit_for_bit():
     for seed in range(1000):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        r = PolTransform.random(ours).rotation
+        r = haar_rotation(ours)
         # positional: older scipy names the generator random_state, newer rng
         assert np.array_equal(r, Rotation.random(None, theirs).as_matrix()), seed
         # the same draws were taken, so the generators continue alike
@@ -56,11 +55,11 @@ SU2_CASES = {
 
 
 def pauli(v):
-    return np.tensordot(v, _PAULI, axes=1)
+    return np.tensordot(v, PAULI, axes=1)
 
 
 def assert_lift(r):
-    u = su2_from_transform(PolTransform(r))
+    u = su2_from_rotation(r)
     assert abs(np.linalg.det(u) - 1.0) < 1e-12
     for n in np.eye(3):
         # U (n . sigma) U^dagger = (R n) . sigma
@@ -75,7 +74,7 @@ def test_su2_lift_at_identity_and_half_turns(name):
 def test_su2_lift_of_haar_draws():
     rng = np.random.default_rng(77)
     for _ in range(2000):
-        assert_lift(PolTransform.random(rng).rotation)
+        assert_lift(haar_rotation(rng))
 
 
 def test_package_runs_without_scipy(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from polarlink.apc import OUTCOME_SKIPPED, OUTCOME_TIMEOUT, ApcConfig, Controller
 from polarlink.channel import DAY_RATE, NIGHT_RATE, DriftSchedule, FiberChannel
 from polarlink import scheduler
-from polarlink.polmath import AnalyzerSetting, PolTransform, TwoQubitPolState
+from polarlink.polmath import AnalyzerSetting, PolTransform
 from polarlink.scheduler import (
     CHSH_WINDOW_SETTINGS,
     SchedulerConfig,
@@ -32,7 +32,7 @@ def make_link(rate, seed, duration, stabilized=True, plan=None):
     return windows, ch, ctrl, cfg
 
 
-SRC = PairSource(state=TwoQubitPolState(0.8))
+SRC = PairSource(visibility=0.8)
 
 
 class TestRunLink:
@@ -144,7 +144,7 @@ class TestWindowCounts:
         for a, b in CHSH_WINDOW_SETTINGS:
             group = [c for w, c in zip(windows, counts) if w.setting == (a, b)]
             total = np.sum(group, axis=0)
-            rates = port_rates(SRC, chain, a, b, PolTransform.identity())
+            rates = port_rates(SRC, chain, a, b)
             expected = rates * cfg.measure_window_s * len(group)
             sigma = np.sqrt(np.maximum(expected, 1.0))
             assert np.all(np.abs(total - expected) < 5 * sigma)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from polarlink.polmath import (
-    CANONICAL_CHSH_ANGLES,
-    AnalyzerSetting,
-    PolTransform,
-    TwoQubitPolState,
-)
+from polarlink.polmath import CANONICAL_CHSH_ANGLES, AnalyzerSetting, PolTransform
 from polarlink.scheduler import (
     CHSH_WINDOW_SETTINGS,
     SchedulerConfig,
@@ -23,7 +18,7 @@ from polarlink.source import (
     expected_coincidence_rate,
     port_rates,
 )
-from tests.oracles import IDENTITY_QUAT, haar_quat, matrix
+from tests.oracles import IDENTITY_QUAT, haar_quat, haar_rotation, matrix
 
 
 def loss_only_chain(loss_db=21.0):
@@ -38,7 +33,7 @@ class TestExpectedRate:
     def test_rate_budget_21_db(self):
         # 2e5 pairs/s through 21 dB, summed over the idler's two output ports
         # at matched bases, recovers the transmitted-pair rate ~1589/s
-        src = PairSource(local_pair_rate=2e5, state=TwoQubitPolState(0.8))
+        src = PairSource(local_pair_rate=2e5, visibility=0.8)
         chain = loss_only_chain()
         a = b = AnalyzerSetting(0.0)
         total = expected_coincidence_rate(src, chain, a, b) + expected_coincidence_rate(
@@ -47,7 +42,7 @@ class TestExpectedRate:
         assert total == pytest.approx(1588.66, abs=1.0)
 
     def test_zero_transmittance_leaves_accidentals(self):
-        src = PairSource(state=TwoQubitPolState(1.0))
+        src = PairSource(visibility=1.0)
         chain = DetectionChain(idler_transmittance=0.0, dark_rate=100.0)
         rate = expected_coincidence_rate(src, chain, AnalyzerSetting(0), AnalyzerSetting(0))
         r_s = 0.5 * src.local_pair_rate * chain.signal_efficiency + 100.0
@@ -56,7 +51,7 @@ class TestExpectedRate:
     def test_crossed_45_port_is_half_of_matched_sum(self):
         # at 45 degrees the fringe term vanishes: the single-port rate is half
         # the matched two-port budget
-        src = PairSource(state=TwoQubitPolState(1.0))
+        src = PairSource(visibility=1.0)
         chain = loss_only_chain()
         acc = accidental_rate(src, chain)
         a = AnalyzerSetting(0.0)
@@ -70,13 +65,13 @@ class TestExpectedRate:
         # above the accidental floor, the four port rates sum to 2x the
         # transmitted-pair budget by the single-port normalization convention
         rng = np.random.default_rng(0)
-        src = PairSource(state=TwoQubitPolState(0.6))
+        src = PairSource(visibility=0.6)
         chain = loss_only_chain()
         acc = accidental_rate(src, chain)
         for _ in range(20):
             a = AnalyzerSetting(rng.uniform(0, 180))
             b = AnalyzerSetting(rng.uniform(0, 180))
-            t = PolTransform.random(rng)
+            t = PolTransform(haar_rotation(rng))
             rates = port_rates(src, chain, a, b, t)
             budget = src.local_pair_rate * chain.idler_transmittance
             assert rates.sum() - 4.0 * acc == pytest.approx(2.0 * budget, rel=1e-9)
@@ -92,7 +87,7 @@ def per_window_rates(src, chain, a, b, idler_quat=None):
         if idler_quat is not None:
             n_b = matrix(idler_quat).T @ n_b
         corr = float(sa.stokes() @ np.diag([1.0, 1.0, -1.0]) @ n_b)
-        p = 0.25 * (1.0 + src.state.visibility * corr)
+        p = 0.25 * (1.0 + src.visibility * corr)
         p = min(max(p, 0.0), 1.0)
         rate = (
             src.local_pair_rate
@@ -131,9 +126,9 @@ def batch_windows(seed, n):
 
 
 CHAINS = [
-    (PairSource(state=TwoQubitPolState(0.8)), loss_only_chain()),
-    (PairSource(2.5e5, TwoQubitPolState(1.0)), DetectionChain(0.0123, 0.61, 0.77, 350.0, 1.1e-9)),
-    (PairSource(3.3e4, TwoQubitPolState(0.0)), DetectionChain(1.0, 1.0, 0.5, 0.0, 2e-9)),
+    (PairSource(visibility=0.8), loss_only_chain()),
+    (PairSource(2.5e5, 1.0), DetectionChain(0.0123, 0.61, 0.77, 350.0, 1.1e-9)),
+    (PairSource(3.3e4, 0.0), DetectionChain(1.0, 1.0, 0.5, 0.0, 2e-9)),
 ]
 
 
