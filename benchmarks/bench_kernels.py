@@ -1,4 +1,4 @@
-"""Benchmark the hot-loop kernels: the rotation walk and the tag matcher.
+"""Benchmark the hot loops: the rotation walk, the channel's draws and more.
 
 Also times one ``advance`` of the channel, one quaternion walk, at the link's
 three advance lengths (a 0.12 s check cycle, a 0.96 s finite-difference block
@@ -10,10 +10,11 @@ walked, so the fixed cost of a walk shows beside its per-step cost.  It exits
 row times a check cycle and an uptime window as ``run_link`` runs them; it
 exits 1 if the rotations at the start of each advance differ by more than
 1e-12 from those of a per-step matrix walk of the same draws, the oracle kept
-here.  The matcher is timed on independent
-streams and on 3,200 matched tags (common pair times with 50 ps jitter),
-where it exits 1 if its count differs from that of the per-tag scan it
-replaced, also kept here.  Also times
+here.  The "draws" row times one such window's normals (a 2-step and a
+30-step walk at the day rate) drawn per call, one ``standard_normal`` call
+per walk as the channel drew them before, against the channel's
+``NormalStream``; it exits 1 if any value differs, or if the synced
+generator's state differs from that of the per-call draws.  Also times
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 80 s walks sampled every 0.1 s) as one batched numpy walk that stops once
 the median is fixed, against the same walk run until every seed has crossed
@@ -37,7 +38,7 @@ any setting a step leaves differs from the oracle's, signs of zero included.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py [--walk-steps N] [--tags N] [--repeats R]
+    python3 benchmarks/bench_kernels.py [--walk-steps N] [--repeats R]
 """
 
 import argparse
@@ -54,6 +55,7 @@ from polarlink.channel import (
     MAX_STEP_S,
     DriftSchedule,
     FiberChannel,
+    NormalStream,
     _step_grid,
     _step_scales,
     _walk_steps,
@@ -172,50 +174,47 @@ def bench_window(calls, repeats, cycle_s=0.12, uptime_s=3.0):
     return timeit(windows, repeats) / calls
 
 
-def bench_greedy_match(n_tags, repeats):
-    rng = np.random.default_rng(1)
-    span = n_tags * 5e-6
-    ref = np.sort(rng.uniform(0, span, n_tags))
-    tags = np.sort(rng.uniform(0, span, n_tags))
-    half_window = 2e-6
-    return timeit(lambda: _kernels.greedy_match(ref, tags, half_window), repeats)
+# The walks of a check cycle and an uptime window at the day rate.
+WINDOW_STEPS = (2, 30)
 
 
-def scan_match(ref_times, tag_times, half_window):
-    """The matcher's former loop: each tag scans past every used reference."""
-    n = ref_times.shape[0]
-    used = np.zeros(n, dtype=bool)
-    count = 0
-    right_of = np.searchsorted(ref_times, tag_times)
-    for j in range(tag_times.shape[0]):
-        t = tag_times[j]
-        left = right_of[j] - 1
-        while left >= 0 and used[left]:
-            left -= 1
-        right = right_of[j]
-        while right < n and used[right]:
-            right += 1
-        dl = t - ref_times[left] if left >= 0 else np.inf
-        dr = ref_times[right] - t if right < n else np.inf
-        best, dist = (left, dl) if dl <= dr else (right, dr)
-        if dist <= half_window:
-            used[best] = True
-            count += 1
-    return count
+def per_call_draws(rng, windows):
+    """The axes and angle normals of ``windows`` windows' walks, one
+    ``standard_normal`` call per walk."""
+    out = []
+    for _ in range(windows):
+        for n in WINDOW_STEPS:
+            draws = rng.standard_normal((n, 4))
+            out.append((draws[:, :3].tolist(), draws[:, 3].tolist()))
+    return out
 
 
-def bench_matched_tags(n_tags, repeats, jitter=50e-12, half_window=1e-9):
-    """The matcher on two streams of ``n_tags`` common pair times, each tag
-    ``jitter`` off its pair time: every reference gets used in turn."""
-    rng = np.random.default_rng(2)
-    pairs = rng.uniform(0.0, n_tags * 5e-6, n_tags)
-    ref = np.sort(pairs + rng.normal(0.0, jitter, n_tags))
-    tags = np.sort(pairs + rng.normal(0.0, jitter, n_tags))
-    count = _kernels.greedy_match(ref, tags, half_window)
-    if count != scan_match(ref, tags, half_window):
-        sys.exit(f"greedy_match and the per-tag scan disagree on {n_tags} matched tags")
-    seconds = timeit(lambda: _kernels.greedy_match(ref, tags, half_window), repeats)
-    print(f"{'matched_tags':<16} n={n_tags:<9} python {seconds * 1e3:9.2f} ms   ({count} matches)")
+def stream_draws(stream, windows):
+    """The same from a ``NormalStream``, sliced as ``FiberChannel._walk`` slices them."""
+    out = []
+    for _ in range(windows):
+        for n in WINDOW_STEPS:
+            draws = stream.take(4 * n)
+            out.append((list(zip(draws[0::4], draws[1::4], draws[2::4])), draws[3::4]))
+    return out
+
+
+def bench_draws(windows, repeats):
+    """Seconds per window of the walks' draws, per call and from the stream."""
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    stream = NormalStream(rng)
+    got, expected = stream_draws(stream, windows), per_call_draws(twin, windows)
+    if got != [([tuple(a) for a in axes], angles) for axes, angles in expected]:
+        sys.exit("the stream's normals differ from per-call draws")
+    if stream.sync().bit_generator.state != twin.bit_generator.state:
+        sys.exit("the synced generator's state differs from that of per-call draws")
+    per_call = timeit(lambda: per_call_draws(twin, windows), repeats) / windows
+    streamed = timeit(lambda: stream_draws(stream, windows), repeats) / windows
+    steps = sum(WINDOW_STEPS)
+    print(
+        f"{'draws':<16} n={steps:<9} per call {per_call * 1e6:6.2f} us per window"
+        f"   stream {streamed * 1e6:6.2f} us per window   speedup {per_call / streamed:6.1f}x"
+    )
 
 
 def numpy_spawned_generators(seed, n):
@@ -370,9 +369,9 @@ def per_window_counts(windows, src, chain, sched_cfg, rng, noiseless=False):
 def bench_sampler(repeats):
     """The window sampler over a 23 h stabilized link's windows."""
     cfg = load_config("configs/longrun_stabilized.yaml")
-    rng = np.random.default_rng(11)
-    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
-    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg), rng)
+    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(11))
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg), ch.normals)
+    rng = ch.rng
     state = rng.bit_generator.state
 
     def sample(sampler, noiseless):
@@ -400,7 +399,6 @@ def report(name, size, seconds):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--walk-steps", type=int, default=200_000)
-    parser.add_argument("--tags", type=int, default=200_000)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     report("rotation_walk", args.walk_steps, bench_rotation_walk(args.walk_steps, args.repeats))
@@ -415,8 +413,7 @@ def main():
     steps = walked_steps(channel, 0.12) + walked_steps(channel, 3.0)
     seconds = bench_window(1000, args.repeats)
     print(f"{'window':<16} n={steps:<9} 0.12 s + 3 s  {seconds * 1e6:7.1f} us per window")
-    report("greedy_match", args.tags, bench_greedy_match(args.tags, args.repeats))
-    bench_matched_tags(3200, args.repeats)
+    bench_draws(1000, args.repeats)
     bench_median_crossing(200, args.repeats)
     bench_spawn(200, args.repeats)
     bench_sampler(args.repeats)

@@ -10,6 +10,7 @@ S = 2 sqrt(2) * mean(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,7 @@ def chsh_from_visibilities(fits, corrected: bool = False) -> ChshResult:
     return ChshResult(s, sigma_s, fits, corrected)
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     time_s: float
     min_ref_fidelity: float
     s_value: float

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,7 @@ class ApcConfig:
     cycle_time_s: float = 0.12
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
     outcome: str
     duration_s: float
     min_fidelity_before: float
@@ -144,8 +144,10 @@ def compensation_step(
     The gradient is estimated by central finite differences (two measurement
     cycles per parameter).  The step length starts at step_size and is halved
     up to five times until the cost does not increase; if no descent direction
-    is found the parameters get a small random kick to escape a saddle.  The
-    step sets ``ctrl.params`` and ``ctrl.quat`` together: a gradient under
+    is found the parameters get a small random kick, ``rng.normal(0.0,
+    fd_delta, size=4)``, to escape a saddle; ``rng`` is a generator or a
+    channel's ``NormalStream``, which draws the same kick.  The step sets
+    ``ctrl.params`` and ``ctrl.quat`` together: a gradient under
     ``_GRADIENT_TOL`` leaves ``ctrl`` as it is, and an accepted candidate
     keeps the rotation its cost was evaluated on.
 

@@ -7,13 +7,19 @@ from a day/night schedule with optional burst multipliers.  A long advance at
 a slow constant rate takes two steps of the same variance and fourth
 cumulant instead (``FiberChannel.advance``).  Loss is a scalar
 in dB; there is no polarization-dependent loss.
+
+A link draws every random number from one generator, in the order of
+per-call draws: each walk's and each descent kick's normals as the link
+runs (``NormalStream``, which draws them in blocks), then the window
+sampler's Poisson counts.  Other code reads that generator only through the
+channel, as ``FiberChannel.rng`` or ``FiberChannel.normals``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,10 +43,16 @@ MAX_WALK_STEPS = 10**6  # most steps of one advance, probe trace or calibration 
 # two is within a KS distance of 0.002 of that after the time rule's steps,
 # the sampling noise of 4 x 10^5 walks of each; at 10 steps it is 0.003.
 COARSE_MIN_STEPS = 20
+# Standard normals a NormalStream draws at a time: 32 kB as Python floats.
+STREAM_BLOCK = 1024
 
 
 class ChannelError(ValueError):
     """Invalid walk duration or step, or a walk over MAX_WALK_STEPS steps."""
+
+
+class StreamError(RuntimeError):
+    """A draw made on a generator directly while its NormalStream was ahead."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,16 @@ class DriftSchedule:
         object.__setattr__(self, "_rates", rates)
         object.__setattr__(self, "_start_list", starts.tolist())
         object.__setattr__(self, "_rate_list", rates.tolist())
+        # Every burst's start and end, sorted, and the multipliers in force,
+        # in burst order, in each region between them: a burst covers all of
+        # [lo, hi) or none of it, as no edge lies inside.
+        ends = [(b.start_s, b.start_s + b.duration_s, b.multiplier) for b in self.bursts]
+        edges = sorted(e for start, end, _ in ends for e in (start, end))
+        regions = [()]
+        for lo, hi in zip(edges, edges[1:]):
+            regions.append(tuple(m for start, end, m in ends if start <= lo and end >= hi))
+        object.__setattr__(self, "_burst_edges", edges)
+        object.__setattr__(self, "_burst_multipliers", regions + [()])
 
     @classmethod
     def constant(cls, rate: float, bursts=()) -> "DriftSchedule":
@@ -119,28 +141,103 @@ class DriftSchedule:
         if not (phase0 <= phase1 and bisect_right(self._start_list, phase1) == seg):
             return None
         rate = self._rate_list[seg - 1]
-        for b in self.bursts:
-            end = b.start_s + b.duration_s
-            if t0 < b.start_s <= t1 or t0 < end <= t1:
-                return None
-            if b.start_s <= t0 < end:
-                rate *= b.multiplier
+        # the first burst edge past t0 must lie past t1 too
+        region = bisect_right(self._burst_edges, t0)
+        if region < len(self._burst_edges) and self._burst_edges[region] <= t1:
+            return None
+        for multiplier in self._burst_multipliers[region]:
+            rate *= multiplier
         return rate
 
 
-@dataclass
+class NormalStream:
+    """The standard normals of one generator, drawn STREAM_BLOCK at a time and
+    handed out in order as Python floats.
+
+    ``take(k)`` gives the values that ``rng.standard_normal(k)`` would, and
+    ``normal(loc, scale, size)`` those of ``rng.normal``, bit for bit, as
+    lists.  The stream runs ahead of what it has handed out; ``sync`` puts
+    the generator back where per-call draws would have left it, by restoring
+    the block's starting state and redrawing the values taken.  A draw made
+    on the generator directly while the stream is ahead would come out of
+    order, so the next refill or sync raises StreamError instead.
+    """
+
+    __slots__ = ("_rng", "_block", "_pos", "_start", "_end")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._block, self._pos = [], 0
+        self._start = self._end = None  # the generator's state before and after the block
+
+    def take(self, k: int) -> list:
+        """The next ``k`` standard normals."""
+        pos = self._pos
+        end = pos + k
+        if end <= len(self._block):
+            self._pos = end
+            return self._block[pos:end]
+        if k > STREAM_BLOCK:  # drawn at once, with no block held
+            return self.sync().standard_normal(k).tolist()
+        head = self._block[pos:]
+        self._check()
+        bits = self._rng.bit_generator
+        self._start = bits.state
+        self._block = self._rng.standard_normal(STREAM_BLOCK).tolist()
+        self._end = bits.state
+        self._pos = k - len(head)
+        return head + self._block[: self._pos]
+
+    def normal(self, loc: float, scale: float, size: int) -> list:
+        """``rng.normal(loc, scale, size)``, which is loc + scale * z for each
+        standard normal z."""
+        return [loc + scale * z for z in self.take(size)]
+
+    def sync(self):
+        """The generator, where per-call draws of the values taken would have left it."""
+        if self._pos < len(self._block):
+            self._check()
+            self._rng.bit_generator.state = self._start
+            self._rng.standard_normal(self._pos)
+        self._block, self._pos = [], 0
+        return self._rng
+
+    def _check(self) -> None:
+        if self._pos < len(self._block) and self._rng.bit_generator.state != self._end:
+            raise StreamError(
+                "the channel's generator was drawn from directly while its normal"
+                " stream was ahead; draw through FiberChannel.rng or .normals"
+            )
+
+
 class FiberChannel:
     """Single-owner mutable channel state: accumulated rotation plus clock.
 
     ``quat`` is the rotation as a unit quaternion (x, y, z, w) of Python
-    floats; each advance composes its steps onto it at once.
+    floats; each advance composes its steps onto it at once.  The walks draw
+    from ``normals``, the NormalStream of ``rng``, in the order of per-call
+    draws; so does a caller that passes ``normals`` to the descent for its
+    kicks.  Read the generator itself as ``rng``, which syncs the stream
+    first; the window sampler, which draws after the link, does.
     """
 
-    schedule: DriftSchedule
-    rng: np.random.Generator
-    sim_time: float = 0.0
-    max_step_s: float = MAX_STEP_S
-    quat: tuple = field(default=(0.0, 0.0, 0.0, 1.0), init=False, repr=False)
+    def __init__(
+        self,
+        schedule: DriftSchedule,
+        rng: np.random.Generator,
+        sim_time: float = 0.0,
+        max_step_s: float = MAX_STEP_S,
+    ):
+        self.schedule = schedule
+        self.normals = NormalStream(rng)
+        self.sim_time = sim_time
+        self.max_step_s = max_step_s
+        self.quat = (0.0, 0.0, 0.0, 1.0)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator, where per-call draws would have left it."""
+        return self.normals.sync()
 
     def advance(self, duration: float) -> tuple:
         """Advance by ``duration``; the quaternion at its start.
@@ -180,7 +277,7 @@ class FiberChannel:
         whose fourth cumulant is zero, adds the remaining variance.  The
         clock moves as under the time rule.
         """
-        x, y, z, angle, *gaussian = self.rng.standard_normal(7).tolist()
+        x, y, z, angle, *gaussian = self.normals.take(7)
         self.sim_time += _step_grid(n, duration / n)[1]
         variance = rate * duration
         part = variance / math.sqrt(n)
@@ -192,15 +289,21 @@ class FiberChannel:
 
     def _walk(self, n: int, dt: float, scale=None, sample_stride: int = 0) -> list:
         """Draw ``n`` steps of ``dt`` seconds, compose them onto ``quat`` and
-        move the clock past them; the samples of ``rotation_walk``.  ``scale``
-        is the steps' sqrt(rate * dt), if the caller knows it."""
+        move the clock past them; the samples of ``rotation_walk``.  Step i
+        takes normals 4i to 4i + 3 of the stream, its axis and its angle's.
+        ``scale`` is the steps' sqrt(rate * dt), if the caller knows it."""
         if scale is None:
             scale = _step_scales(self.schedule, self.sim_time, n, dt)
-        draws = self.rng.standard_normal((n, 4))
+        draws = self.normals.take(4 * n)
+        axes = zip(draws[0::4], draws[1::4], draws[2::4])
+        if isinstance(scale, float):
+            angles = [a * scale for a in draws[3::4]]
+        else:
+            angles = (np.array(draws[3::4]) * scale).tolist()
+        if sample_stride:  # sliced by the walk, which need not hold the draws as well
+            axes, draws = list(axes), None
         self.sim_time += _step_grid(n, dt)[1]
-        self.quat, samples = _kernels.rotation_walk(
-            self.quat, draws[:, :3].tolist(), (draws[:, 3] * scale).tolist(), sample_stride
-        )
+        self.quat, samples = _kernels.rotation_walk(self.quat, axes, angles, sample_stride)
         return samples
 
     def probe_trace(self, input_sop: np.ndarray, duration: float, sample_dt: float):
@@ -238,7 +341,7 @@ def _step_scales(schedule: DriftSchedule, t0: float, n: int, dt: float):
     """
     rate = schedule.constant_rate(t0, t0 + _step_grid(n, dt)[0])
     if rate is not None:
-        return np.sqrt(rate * dt)
+        return math.sqrt(rate * dt)
     dts = np.full(n, dt)
     times = t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))
     return np.sqrt(schedule.rate_at(times) * dts)

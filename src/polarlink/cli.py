@@ -431,12 +431,12 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
 
 def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     """Run the seeded link along ``plan`` (to its end; with none, for duration_s)
-    and sample every window's counts after the walk, from the same rng."""
-    rng = np.random.default_rng(seed)
-    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, rng)
+    and sample every window's counts after the walk, from the same generator:
+    the walks and kicks through the channel's stream, then the sampler."""
+    ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(seed))
     duration = math.inf if plan is not None else _resolved_duration(cfg)
-    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, rng, plan=plan)
-    return windows, simulate_window_counts(windows, src, chain, sched_cfg, rng, noiseless)
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, ch.normals, plan=plan)
+    return windows, simulate_window_counts(windows, src, chain, sched_cfg, ch.rng, noiseless)
 
 
 def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:

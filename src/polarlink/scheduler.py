@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ class SchedulerConfig:
     stabilized: bool = True
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """One compensation session and the uptime window that follows it.
 
     The window runs from ``start_s``, the end of the session, to ``end_s``;
@@ -67,6 +67,8 @@ def run_link(
     runs out.  With stabilized=False the sessions still measure fidelities
     (one check cycle, for logging) but never actuate the controller.
     Without a plan, ``_window_cap`` refuses ``duration`` before the link starts.
+    ``rng`` draws the descent's kicks: a link on one generator passes the
+    channel's ``ch.normals``, whose draws keep the order of the walks'.
     """
     if duration < 0:
         raise SchedulerError("duration must be >= 0")

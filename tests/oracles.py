@@ -15,11 +15,17 @@ products, as the package did before its axis-aligned products.
 groups, as the package computed it before its whole-array pass.
 ``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
 ``ScriptedDraws`` stands in for a generator whose normals a test picks.
+``loop_constant_rate`` is ``DriftSchedule.constant_rate`` with its bursts
+checked one by one, as the package did before its sorted burst edges.
+``greedy_match`` is the windowed coincidence matcher of acceptance
+criterion 4, which no run of the package reaches since it counts rates, not
+time tags.
 """
 
 import csv
 import io
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -216,18 +222,99 @@ def csv_writer_text(rows) -> str:
 
 
 class ScriptedDraws:
-    """A generator stand-in whose standard normals are ``values``, in order."""
+    """A generator stand-in whose standard normals are ``values``, in order,
+    then NaN.
+
+    Its ``bit_generator.state`` is the count of values taken, which a
+    channel's ``NormalStream`` reads and restores as it would a generator's.
+    """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float).ravel()
         self.taken = 0
 
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.taken
+
+    @state.setter
+    def state(self, taken):
+        self.taken = taken
+
     def standard_normal(self, size=None, out=None):
         shape = out.shape if out is not None else size
         n = int(np.prod(shape))
-        values = self.values[self.taken : self.taken + n].reshape(shape)
+        values = np.full(n, np.nan)
+        scripted = self.values[self.taken : self.taken + n]
+        values[: scripted.size] = scripted
         self.taken += n
         if out is None:
-            return values
-        out[...] = values
+            return values.reshape(shape)
+        out[...] = values.reshape(shape)
         return out
+
+
+def loop_constant_rate(schedule, t0: float, t1: float):
+    """Oracle of ``DriftSchedule.constant_rate``: the segment lookup, then
+    each burst in turn, multiplying in the ones in force at t0."""
+    if not (0.0 <= t0 <= t1 and t1 - t0 < schedule.period_s):
+        return None
+    phase0, phase1 = math.fmod(t0, schedule.period_s), math.fmod(t1, schedule.period_s)
+    seg = bisect_right(schedule._start_list, phase0)
+    if not (phase0 <= phase1 and bisect_right(schedule._start_list, phase1) == seg):
+        return None
+    rate = schedule._rate_list[seg - 1]
+    for b in schedule.bursts:
+        end = b.start_s + b.duration_s
+        if t0 < b.start_s <= t1 or t0 < end <= t1:
+            return None
+        if b.start_s <= t0 < end:
+            rate *= b.multiplier
+    return rate
+
+
+def greedy_match(ref_times, tag_times, half_window):
+    """Count matches of ``tag_times`` against ``ref_times``.
+
+    Both arrays must be sorted ascending.  Tags are processed in time order;
+    each tag is matched to the nearest still-unused reference time within
+    ``half_window`` (ties go to the earlier reference).  Each reference is
+    used at most once.  Used references are skipped through "nearest unused
+    reference" pointers under path halving, in amortised near-constant time.
+    """
+    ref_times = np.asarray(ref_times, dtype=np.float64)
+    tag_times = np.asarray(tag_times, dtype=np.float64)
+    n = ref_times.shape[0]
+    right_of = np.searchsorted(ref_times, tag_times).tolist()
+    ref = ref_times.tolist()
+    # Slot i of ``below`` leads to the nearest unused reference under index
+    # i (slot 0: none); slot i of ``above`` to the nearest unused one at or
+    # over index i (slot n: none).
+    below = list(range(n + 1))
+    above = list(range(n + 1))
+    count = 0
+    for t, r in zip(tag_times.tolist(), right_of):
+        left = _root(below, r) - 1
+        right = _root(above, r)
+        dl = t - ref[left] if left >= 0 else math.inf
+        dr = ref[right] - t if right < n else math.inf
+        if dl <= dr:
+            best, dist = left, dl
+        else:
+            best, dist = right, dr
+        if dist <= half_window:
+            below[best + 1] = best
+            above[best] = best + 1
+            count += 1
+    return count
+
+
+def _root(parent: list, i: int) -> int:
+    """The slot that ``i`` leads to, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i

@@ -7,7 +7,7 @@ line and then asserts, so a full ``pytest`` run doubles as the checklist.
 import numpy as np
 import pytest
 
-from polarlink import _kernels, analysis, calibrate, cli
+from polarlink import analysis, calibrate, cli
 from polarlink.apc import (
     ApcConfig,
     Controller,
@@ -16,7 +16,7 @@ from polarlink.apc import (
 from polarlink.channel import DriftSchedule, FiberChannel
 from polarlink.polmath import AnalyzerSetting, coincidence_probs
 from polarlink.source import DetectionChain, PairSource, expected_coincidence_rate
-from tests.oracles import coincidence_prob, haar_quat, haar_rotation, matrix
+from tests.oracles import coincidence_prob, greedy_match, haar_quat, haar_rotation, matrix
 
 
 def verdict(number, ok, detail):
@@ -114,7 +114,7 @@ class TestAcceptance:
             a = np.sort(rng.uniform(0, span, n1))
             b = np.sort(rng.uniform(0, span, n2))
             w = rng.uniform(0.1, 10.0) * span / max(n1, n2)
-            if _kernels.greedy_match(a, b, w) != oracle(a, b, w):
+            if greedy_match(a, b, w) != oracle(a, b, w):
                 mismatches += 1
         verdict(4, mismatches == 0, f"{200 - mismatches}/200 stream pairs match the oracle")
 
@@ -127,7 +127,7 @@ class TestAcceptance:
             ch = FiberChannel(DriftSchedule.constant(0.0), rng)
             ch.quat = haar_quat(rng)
             ctrl = Controller()
-            rec = run_session(ch, ctrl, cfg, rng)
+            rec = run_session(ch, ctrl, cfg, ch.normals)
             if rec.outcome == "converged" and rec.min_fidelity_after >= 0.99:
                 converged += 1
                 composites.append(ctrl.to_transform().rotation @ matrix(ch.quat))

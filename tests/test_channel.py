@@ -14,17 +14,20 @@ from polarlink.channel import (
     MAX_STEP_S,
     MAX_WALK_STEPS,
     NIGHT_RATE,
+    STREAM_BLOCK,
     Burst,
     ChannelError,
     DriftSchedule,
     FiberChannel,
+    NormalStream,
+    StreamError,
     _step_grid,
     _step_scales,
     _walk_steps,
     first_crossing_time,
 )
 from polarlink.cli import build_channel, load_config
-from tests.oracles import ScriptedDraws, haar_quat, matrix, per_step_walk
+from tests.oracles import ScriptedDraws, haar_quat, loop_constant_rate, matrix, per_step_walk
 
 H = np.array([1.0, 0.0, 0.0])
 
@@ -121,6 +124,74 @@ class TestStepScales:
         assert EDGE_SCHEDULE.constant_rate(1.0, 11.0) is None  # a whole period
         assert EDGE_SCHEDULE.constant_rate(-1.0, -0.5) is None  # before t = 0
         assert EDGE_SCHEDULE.constant_rate(float("nan"), float("nan")) is None
+
+
+class TestConstantRate:
+    """The sorted-edge lookup against the per-burst loop it replaced, on
+    intervals whose ends sit at, or one ulp either side of, every segment
+    start, period boundary and burst edge."""
+
+    SCHEDULES = (
+        EDGE_SCHEDULE,
+        # zero-length bursts, one at a segment start, a burst from before
+        # t = 0, two identical ones and one across a period boundary
+        DriftSchedule(
+            segments=((0.0, 0.3), (2.5, 1.5)),
+            period_s=6.0,
+            bursts=(
+                Burst(-2.0, 3.0, 4.0),
+                Burst(2.5, 0.0, 5.0),
+                Burst(4.0, 0.0, 6.0),
+                Burst(5.0, 2.0, 1.5),
+                Burst(5.0, 2.0, 1.5),
+                Burst(8.0, 9.5, 0.5),
+            ),
+        ),
+        # nested bursts, and a burst starting where another ends
+        DriftSchedule.day_night(
+            day_rate=0.2,
+            night_rate=0.01,
+            day_start_s=1.0,
+            night_start_s=4.0,
+            period_s=5.0,
+            bursts=(Burst(0.5, 6.0, 2.0), Burst(1.5, 1.0, 3.0), Burst(6.5, 2.0, 7.0)),
+        ),
+    )
+
+    @staticmethod
+    def ends(schedule, periods=10):
+        """Every segment start and period boundary from -1 period on, every
+        burst edge, the floats either side of each, and three points
+        between each two, inside which a constant rate holds."""
+        points = {k * schedule.period_s + s for k in range(-1, periods + 1) for s, _ in schedule.segments}
+        points |= {e for b in schedule.bursts for e in (b.start_s, b.start_s + b.duration_s)}
+        points = sorted(points)
+        mids = {a + f * (b - a) for a, b in zip(points, points[1:]) for f in (0.25, 0.5, 0.75)}
+        near = {math.nextafter(p, d) for p in points for d in (-math.inf, math.inf)}
+        return sorted(set(points) | near | mids)
+
+    def test_equals_the_per_burst_loop(self):
+        checked = rated = 0
+        for schedule in self.SCHEDULES:
+            ends = self.ends(schedule)
+            for t0 in ends:
+                for t1 in ends:
+                    got, expected = schedule.constant_rate(t0, t1), loop_constant_rate(schedule, t0, t1)
+                    assert got == expected and (got is None) == (expected is None), (t0, t1)
+                    checked += 1
+                    rated += got is not None
+        assert checked > 150_000 and rated > 2_000
+
+    def test_multiplies_in_burst_order(self):
+        # (rate * a) * b and (rate * b) * a round apart here: the lookup
+        # applies the multipliers in force in the loop's order
+        rate, a, b = 0.7243246320173747, 23.647459905774813, 94.5817988598383
+        assert (rate * a) * b != (rate * b) * a
+        for first, second in ((a, b), (b, a)):
+            bursts = (Burst(0.0, 2.0, first), Burst(0.5, 3.0, second))
+            schedule = DriftSchedule.constant(rate, bursts=bursts)
+            assert schedule.constant_rate(1.0, 1.5) == (rate * first) * second
+            assert schedule.constant_rate(1.0, 1.5) == loop_constant_rate(schedule, 1.0, 1.5)
 
 
 class TestTransmittance:
@@ -320,6 +391,78 @@ class TestQuaternionWalk:
         assert np.array_equal(outs[2], outs[1]) and not np.array_equal(outs[1], outs[0])
         ch = FiberChannel(DriftSchedule.constant(1.0), ScriptedDraws(draws[1]))
         assert ch.advance(0.1) == ch.quat == (0.0, 0.0, 0.0, 1.0)
+
+
+class TestNormalStream:
+    """A NormalStream hands out the values of per-call draws on its generator."""
+
+    @staticmethod
+    def interleave(seed, ops):
+        """``ops`` random stream reads, kicks and syncs against per-call
+        draws on a twin generator; every value and synced state must agree."""
+        pick = np.random.default_rng(1000 + seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        stream = NormalStream(rng)
+        for _ in range(ops):
+            op = pick.random()
+            if op < 0.7:
+                k = int(pick.choice([1, 4, 7, 8, 40, 120, STREAM_BLOCK - 1, STREAM_BLOCK]))
+                if pick.random() < 0.3:
+                    k = int(pick.integers(1, STREAM_BLOCK + 50))
+                assert stream.take(k) == twin.standard_normal(k).tolist()
+            elif op < 0.85:
+                loc, d = float(pick.choice([0.0, 0.3])), float(pick.choice([0.02, 1.5]))
+                assert stream.normal(loc, d, size=4) == twin.normal(loc, d, size=4).tolist()
+            else:
+                assert stream.sync() is rng
+                assert rng.bit_generator.state == twin.bit_generator.state
+                # once synced, the generator may be drawn from directly
+                assert rng.standard_normal() == twin.standard_normal()
+        assert stream.sync().bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_reads_kicks_and_syncs_equal_per_call_draws(self, seed):
+        self.interleave(seed, 300)
+
+    def test_a_probe_sized_read(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        stream = NormalStream(rng)
+        assert stream.take(5) == twin.standard_normal(5).tolist()
+        assert stream.take(4 * 10**5) == twin.standard_normal(4 * 10**5).tolist()
+        assert stream.take(9) == twin.standard_normal(9).tolist()
+        assert stream.sync().bit_generator.state == twin.bit_generator.state
+
+    def test_sync_at_the_block_edges(self):
+        # nothing taken, a block taken to its last value, and one past it
+        for taken in ([], [STREAM_BLOCK], [STREAM_BLOCK - 3, 3], [STREAM_BLOCK, 1]):
+            rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+            stream = NormalStream(rng)
+            for k in taken:
+                assert stream.take(k) == twin.standard_normal(k).tolist()
+            assert stream.sync().bit_generator.state == twin.bit_generator.state
+
+    def test_a_direct_draw_while_ahead_raises(self):
+        for then in ("sync", "refill"):
+            rng = np.random.default_rng(5)
+            stream = NormalStream(rng)
+            stream.take(8)
+            rng.standard_normal()  # out of order: the stream holds values drawn before it
+            with pytest.raises(StreamError):
+                stream.sync() if then == "sync" else stream.take(STREAM_BLOCK)
+
+    def test_a_channel_raises_on_a_direct_draw_while_ahead(self):
+        rng = np.random.default_rng(6)
+        ch = FiberChannel(DriftSchedule.constant(DAY_RATE), rng)
+        ch.advance(0.12)
+        rng.normal(size=4)
+        with pytest.raises(StreamError):
+            ch.rng
+        # ... but not once synced
+        ch = FiberChannel(DriftSchedule.constant(DAY_RATE), rng)
+        ch.advance(0.12)
+        ch.rng.normal(size=4)
+        ch.advance(3.0)
+        assert ch.rng is rng
 
 
 def h_fidelity(q):

@@ -1,4 +1,5 @@
-"""Correctness of the hot-loop kernels."""
+"""Correctness of the rotation walk kernel, and of the coincidence matcher
+that acceptance criterion 4 runs (``tests.oracles.greedy_match``)."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from polarlink import _kernels
 from polarlink.polmath import quaternion_matrix
-from tests.oracles import IDENTITY_QUAT, haar_quat, matrix, per_step_walk
+from tests.oracles import IDENTITY_QUAT, greedy_match, haar_quat, matrix, per_step_walk
 
 
 def _random_walk_inputs(seed, n):
@@ -31,6 +32,27 @@ def brute_force_match(ref, tags, half_window):
             if d < dist:
                 best, dist = i, d
         if best is not None and dist <= half_window:
+            used[best] = True
+            count += 1
+    return count
+
+
+def scan_match(ref_times, tag_times, half_window):
+    """The matcher's former loop: each tag scans past every used reference."""
+    ref, n = ref_times.tolist(), len(ref_times)
+    used = [False] * n
+    count = 0
+    for t, r in zip(tag_times.tolist(), np.searchsorted(ref_times, tag_times).tolist()):
+        left = r - 1
+        while left >= 0 and used[left]:
+            left -= 1
+        right = r
+        while right < n and used[right]:
+            right += 1
+        dl = t - ref[left] if left >= 0 else math.inf
+        dr = ref[right] - t if right < n else math.inf
+        best, dist = (left, dl) if dl <= dr else (right, dr)
+        if dist <= half_window:
             used[best] = True
             count += 1
     return count
@@ -112,19 +134,19 @@ class TestRotationWalk:
 class TestGreedyMatch:
     def test_identical_streams(self):
         t = np.sort(np.random.default_rng(3).uniform(0, 1, 100))
-        assert _kernels.greedy_match(t, t, 1e-9) == 100
+        assert greedy_match(t, t, 1e-9) == 100
 
     def test_disjoint_streams(self):
         a = np.arange(10.0)
         b = np.arange(10.0) + 100.0
-        assert _kernels.greedy_match(a, b, 0.5) == 0
+        assert greedy_match(a, b, 0.5) == 0
 
     def test_tie_goes_to_earlier(self):
         # tag exactly between two refs: the earlier one is consumed
-        assert _kernels.greedy_match(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1.0) == 2
+        assert greedy_match(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1.0) == 2
         # the second tag reaches only the later ref, so a tie to the later one loses it
         a, b = np.array([0.0, 2.0]), np.array([1.0, 2.5])
-        assert _kernels.greedy_match(a, b, 1.0) == brute_force_match(a, b, 1.0) == 2
+        assert greedy_match(a, b, 1.0) == brute_force_match(a, b, 1.0) == 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_against_brute_force(self, seed):
@@ -132,14 +154,14 @@ class TestGreedyMatch:
         a = np.sort(rng.uniform(0, 1e-3, 200))
         b = np.sort(rng.uniform(0, 1e-3, 180))
         w = 2e-6
-        assert _kernels.greedy_match(a, b, w) == brute_force_match(a, b, w)
+        assert greedy_match(a, b, w) == brute_force_match(a, b, w)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_brute_force_on_long_streams(self, seed):
         rng = np.random.default_rng(seed)
         a = np.sort(rng.uniform(0, 1e-3, 1000))
         b = np.sort(rng.uniform(0, 1e-3, 1000))
-        assert _kernels.greedy_match(a, b, 2e-6) == brute_force_match(a, b, 2e-6)
+        assert greedy_match(a, b, 2e-6) == brute_force_match(a, b, 2e-6)
 
     def test_swap_symmetry_with_negated_delay(self):
         # with at most one partner per window the matching is a bijection, so
@@ -150,8 +172,8 @@ class TestGreedyMatch:
         keep = rng.random(500) < 0.8
         b = (base + rng.uniform(-1e-7, 1e-7, 500))[keep]
         delay = 1.3e-7
-        n = _kernels.greedy_match(a, b - delay, 5e-7)
-        assert n == _kernels.greedy_match(b, a + delay, 5e-7)
+        n = greedy_match(a, b - delay, 5e-7)
+        assert n == greedy_match(b, a + delay, 5e-7)
         assert 0 < n <= keep.sum()
 
     def test_invariant_under_common_shift(self):
@@ -159,16 +181,26 @@ class TestGreedyMatch:
         rng = np.random.default_rng(7)
         a = np.sort(rng.uniform(0, 1e-4, 300))
         b = np.sort(rng.uniform(0, 1e-4, 300))
-        n = _kernels.greedy_match(a, b - 2e-7, 5e-7)
-        assert n == _kernels.greedy_match(a + 0.5, (b + 0.5) - 2e-7, 5e-7)
+        n = greedy_match(a, b - 2e-7, 5e-7)
+        assert n == greedy_match(a + 0.5, (b + 0.5) - 2e-7, 5e-7)
 
     def test_recovers_delay(self):
         # a 10 ms Poisson stream at 1e5 /s on a 1 ps grid, seen 3.7 us later
         rng = np.random.default_rng(8)
         a = np.round(np.cumsum(rng.exponential(1e-5, 1000)) / 1e-12) * 1e-12
         b = a + 3.7e-6
-        assert _kernels.greedy_match(a, b - 3.7e-6, 0.8e-9) == len(a)
-        assert _kernels.greedy_match(a, b, 0.8e-9) < len(a) / 10
+        assert greedy_match(a, b - 3.7e-6, 0.8e-9) == len(a)
+        assert greedy_match(a, b, 0.8e-9) < len(a) / 10
+
+    def test_equals_the_per_tag_scan_on_3200_matched_tags(self):
+        # common pair times, each tag 50 ps off its own: every reference gets
+        # used in turn, so the scan walks past every used one
+        rng = np.random.default_rng(2)
+        pairs = rng.uniform(0.0, 3200 * 5e-6, 3200)
+        ref = np.sort(pairs + rng.normal(0.0, 50e-12, 3200))
+        tags = np.sort(pairs + rng.normal(0.0, 50e-12, 3200))
+        count = greedy_match(ref, tags, 1e-9)
+        assert count == scan_match(ref, tags, 1e-9) > 3000
 
     @staticmethod
     def matched_streams(rng, n, spacing, jitter=50e-12, lost=0.0, extra=0.0):
@@ -196,4 +228,4 @@ class TestGreedyMatch:
         rng = np.random.default_rng(seed)
         for lost, extra in [(0.0, 0.0), (0.1, 0.0), (0.0, 0.15), (0.2, 0.2)]:
             a, b = self.matched_streams(rng, 300, spacing, lost=lost, extra=extra)
-            assert _kernels.greedy_match(a, b, half_window) == brute_force_match(a, b, half_window)
+            assert greedy_match(a, b, half_window) == brute_force_match(a, b, half_window)
