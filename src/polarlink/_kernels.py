@@ -10,7 +10,8 @@ def rotation_walk(q, axes, angles, sample_stride=0):
     ``angles[i]`` about the direction ``axes[i]``, an (x, y, z) triple of any
     length, on the left (new = step * old); a zero direction is the identity
     step.  If ``sample_stride`` > 0, the accumulated quaternion is recorded
-    after every ``sample_stride`` steps.  Lists of floats walk fastest.
+    after every ``sample_stride`` steps, and ``axes`` must be a sequence;
+    otherwise any iterable of triples will do.  Lists of floats walk fastest.
 
     Returns (final quaternion, list of sampled quaternions).
     """
