@@ -293,10 +293,10 @@ def three_product_cost(params, channel_quat):
     return apc.cost(apc._fidelities(compose_quat(three_product_quat(params), channel_quat)))
 
 
-def three_product_step(channel_quat, ctrl, cfg, rng):
+def three_product_step(ch, ctrl, cfg):
     """``compensation_step`` with every setting's rotation from ``three_product_quat``,
     in place like it."""
-    params = ctrl.params
+    channel_quat, params = ch.quat, ctrl.params
     d = cfg.fd_delta
     base = three_product_cost(params, channel_quat)
     grad = []
@@ -315,7 +315,7 @@ def three_product_step(channel_quat, ctrl, cfg, rng):
             ctrl.params, ctrl.quat = tuple(candidate), q
             return
         step *= 0.5
-    kicked = np.add(params, rng.normal(0.0, d, size=4)).tolist()
+    kicked = np.add(params, ch.normals.normal(0.0, d, 4)).tolist()
     ctrl.params, ctrl.quat = tuple(kicked), three_product_quat(kicked)
 
 
@@ -328,10 +328,19 @@ def bench_compensation_step(n_pairs, repeats):
     channels = [tuple(q) for q in channels.tolist()]
     settings = rng.uniform(-np.pi, np.pi, (n_pairs, 4))
     cfg = ApcConfig()
-    for i, (q, p) in enumerate(zip(channels, settings)):
+
+    def still_channels():
+        out = []
+        for i, q in enumerate(channels):
+            out.append(FiberChannel(DriftSchedule.constant(0.0), np.random.default_rng(i)))
+            out[-1].quat = q
+        return out
+
+    pairs = zip(still_channels(), still_channels(), settings)
+    for i, (ch, expected_ch, p) in enumerate(pairs):
         got, expected = Controller(p), Controller(p)
-        compensation_step(q, got, cfg, np.random.default_rng(i))
-        three_product_step(q, expected, cfg, np.random.default_rng(i))
+        compensation_step(ch, got, cfg)
+        three_product_step(expected_ch, expected, cfg)
         same_signs = np.array_equal(np.signbit(got.params), np.signbit(expected.params))
         if not (np.array_equal(got.params, expected.params) and same_signs):
             sys.exit(f"compensation_step differs from the three-product step at pair {i}")
@@ -341,9 +350,10 @@ def bench_compensation_step(n_pairs, repeats):
         best = math.inf
         for _ in range(repeats):
             ctrls = [Controller(p) for p in settings]
+            chs = still_channels()
             t0 = time.perf_counter()
-            for q, ctrl in zip(channels, ctrls):
-                step(q, ctrl, cfg, rng)
+            for ch, ctrl in zip(chs, ctrls):
+                step(ch, ctrl, cfg)
             best = min(best, time.perf_counter() - t0)
         return best / n_pairs
 
@@ -370,7 +380,7 @@ def bench_sampler(repeats):
     """The window sampler over a 23 h stabilized link's windows."""
     cfg = load_config("configs/longrun_stabilized.yaml")
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(11))
-    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg), ch.normals)
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg))
     rng = ch.rng
     state = rng.bit_generator.state
 

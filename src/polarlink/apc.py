@@ -15,8 +15,6 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import FiberChannel
 from .polmath import PolTransform, compose_quat, quaternion_matrix
 
@@ -133,20 +131,15 @@ def cost(fidelities) -> float:
     return float(1.0 - reduce(add, fidelities) / len(fidelities))
 
 
-def compensation_step(
-    channel_quat: tuple,
-    ctrl: Controller,
-    cfg: ApcConfig,
-    rng: np.random.Generator,
-) -> None:
+def compensation_step(ch: FiberChannel, ctrl: Controller, cfg: ApcConfig) -> None:
     """One gradient-descent iteration with backtracking line search, in place.
 
     The gradient is estimated by central finite differences (two measurement
     cycles per parameter).  The step length starts at step_size and is halved
     up to five times until the cost does not increase; if no descent direction
-    is found the parameters get a small random kick, ``rng.normal(0.0,
-    fd_delta, size=4)``, to escape a saddle; ``rng`` is a generator or a
-    channel's ``NormalStream``, which draws the same kick.  The step sets
+    is found the parameters get a small random kick, ``normal(0.0, fd_delta,
+    4)`` from the channel's stream ``ch.normals``, to escape a saddle.  The
+    channel is read at its current rotation ``ch.quat``.  The step sets
     ``ctrl.params`` and ``ctrl.quat`` together: a gradient under
     ``_GRADIENT_TOL`` leaves ``ctrl`` as it is, and an accepted candidate
     keeps the rotation its cost was evaluated on.
@@ -160,7 +153,7 @@ def compensation_step(
     them; so are a trial's, whose unmoved entries keep their sin and cos
     (p + 0.0 differs from p only in the sign of a zero).
     """
-    params = ctrl.params
+    channel_quat, params = ch.quat, ctrl.params
     d = cfg.fd_delta
     s0, s1, s2, s3 = [math.sin(a / 2) for a in params]
     c0, c1, c2, c3 = [math.cos(a / 2) for a in params]
@@ -192,16 +185,12 @@ def compensation_step(
             ctrl.params, ctrl.quat = tuple(candidate), q
             return
         step *= 0.5
-    kicked = tuple(np.add(params, rng.normal(0.0, d, size=4)).tolist())
+    kicked = tuple([p + k for p, k in zip(params, ch.normals.normal(0.0, d, 4))])
     ctrl.params, ctrl.quat = kicked, _params_quat(kicked)
 
 
 def run_session(
-    ch: FiberChannel,
-    ctrl: Controller,
-    cfg: ApcConfig,
-    rng: np.random.Generator,
-    actuate: bool = True,
+    ch: FiberChannel, ctrl: Controller, cfg: ApcConfig, actuate: bool = True
 ) -> SessionRecord:
     """Run one compensation session, advancing the channel clock as it goes.
 
@@ -229,7 +218,7 @@ def run_session(
     iterations = 0
     min_after = min_before
     while True:
-        compensation_step(ch.quat, ctrl, cfg, rng)
+        compensation_step(ch, ctrl, cfg)
         ch.advance(8 * cfg.cycle_time_s)
         fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
         iterations += 1

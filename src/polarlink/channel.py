@@ -216,9 +216,9 @@ class FiberChannel:
     ``quat`` is the rotation as a unit quaternion (x, y, z, w) of Python
     floats; each advance composes its steps onto it at once.  The walks draw
     from ``normals``, the NormalStream of ``rng``, in the order of per-call
-    draws; so does a caller that passes ``normals`` to the descent for its
-    kicks.  Read the generator itself as ``rng``, which syncs the stream
-    first; the window sampler, which draws after the link, does.
+    draws; so do the descent's kicks (``apc.compensation_step``).  Read the
+    generator itself as ``rng``, which syncs the stream first; the window
+    sampler, which draws after the link, does.
     """
 
     def __init__(

@@ -435,7 +435,7 @@ def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     the walks and kicks through the channel's stream, then the sampler."""
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(seed))
     duration = math.inf if plan is not None else _resolved_duration(cfg)
-    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, ch.normals, plan=plan)
+    windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, plan=plan)
     return windows, simulate_window_counts(windows, src, chain, sched_cfg, ch.rng, noiseless)
 
 

@@ -57,7 +57,6 @@ def run_link(
     apc_cfg: ApcConfig,
     sched_cfg: SchedulerConfig,
     duration: float,
-    rng: np.random.Generator,
     plan=None,
 ) -> list[Window]:
     """Alternate [compensation session -> uptime window] until ``duration``.
@@ -67,8 +66,7 @@ def run_link(
     runs out.  With stabilized=False the sessions still measure fidelities
     (one check cycle, for logging) but never actuate the controller.
     Without a plan, ``_window_cap`` refuses ``duration`` before the link starts.
-    ``rng`` draws the descent's kicks: a link on one generator passes the
-    channel's ``ch.normals``, whose draws keep the order of the walks'.
+    The descent's kicks draw from the channel's stream, in order with its walks.
     """
     if duration < 0:
         raise SchedulerError("duration must be >= 0")
@@ -79,7 +77,7 @@ def run_link(
     for setting in itertools.cycle(CHSH_WINDOW_SETTINGS) if plan is None else plan:
         if ch.sim_time - t0 >= duration:
             break
-        record = run_session(ch, ctrl, apc_cfg, rng, actuate=sched_cfg.stabilized)
+        record = run_session(ch, ctrl, apc_cfg, actuate=sched_cfg.stabilized)
         start = ch.sim_time
         idler = compose_quat(ctrl.quat, ch.advance(sched_cfg.uptime_window_s))
         windows.append(Window(record, start, ch.sim_time, setting, idler))

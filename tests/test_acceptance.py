@@ -127,7 +127,7 @@ class TestAcceptance:
             ch = FiberChannel(DriftSchedule.constant(0.0), rng)
             ch.quat = haar_quat(rng)
             ctrl = Controller()
-            rec = run_session(ch, ctrl, cfg, ch.normals)
+            rec = run_session(ch, ctrl, cfg)
             if rec.outcome == "converged" and rec.min_fidelity_after >= 0.99:
                 converged += 1
                 composites.append(ctrl.to_transform().rotation @ matrix(ch.quat))

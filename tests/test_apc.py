@@ -38,6 +38,27 @@ def static_channel(seed=0, rate=0.0):
     return FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
 
 
+class KickCounting:
+    """A channel's normal stream that counts the descent kicks drawn from it."""
+
+    def __init__(self, normals):
+        self.normals, self.kicks = normals, 0
+
+    def normal(self, *args):
+        self.kicks += 1
+        return self.normals.normal(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.normals, name)
+
+
+def channel_at(quat, seed=0):
+    """A still channel at rotation ``quat``, its kicks drawn as ``default_rng(seed)``'s."""
+    ch = static_channel(seed)
+    ch.quat = quat
+    return ch
+
+
 class TestController:
     def test_identity_at_zero(self):
         t = Controller().to_transform()
@@ -59,7 +80,7 @@ class TestController:
         # each step builds one rotation per line-search candidate and per
         # kick, and stores the one it accepts; the re-measure cycle builds none
         real_quat, real_cost, real_step = apc._params_quat, apc.cost, apc.compensation_step
-        built, costs, kicks, steps = [], [], [], []
+        built, costs, steps = [], [], []
 
         def recording_quat(params):
             built.append(real_quat(params))
@@ -69,18 +90,11 @@ class TestController:
             costs.append(1)
             return real_cost(fidelities)
 
-        class KickCounting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def normal(self, *args, **kwargs):
-                kicks.append(1)
-                return self.rng.normal(*args, **kwargs)
-
-        def checked_step(channel_quat, ctrl, cfg, rng):
-            before = len(built), len(costs), len(kicks)
-            real_step(channel_quat, ctrl, cfg, rng)
-            n_built, n_costs, n_kicks = [len(x) - n for x, n in zip((built, costs, kicks), before)]
+        def checked_step(ch, ctrl, cfg):
+            before = len(built), len(costs), ch.normals.kicks
+            real_step(ch, ctrl, cfg)
+            after = len(built), len(costs), ch.normals.kicks
+            n_built, n_costs, n_kicks = [a - b for a, b in zip(after, before)]
             assert n_built == (n_costs - 9) + n_kicks  # the setting and 8 trials come first
             assert n_built == 0 or ctrl.quat is built[-1]
             assert hexes(ctrl.quat) == hexes(real_quat(ctrl.params))
@@ -91,15 +105,18 @@ class TestController:
         monkeypatch.setattr(apc, "_params_quat", recording_quat)
         monkeypatch.setattr(apc, "cost", recording_cost)
         monkeypatch.setattr(apc, "compensation_step", checked_step)
+        kicks = 0
         for cfg, ctrl in sessions:
             built.clear()
             steps.clear()
             ch = static_channel(seed=9)
             ch.quat = haar_quat(np.random.default_rng(9))
-            rec = run_session(ch, ctrl, cfg, KickCounting(np.random.default_rng(9)))
+            ch.normals = KickCounting(ch.normals)
+            rec = run_session(ch, ctrl, cfg)
             assert rec.iterations == len(steps) >= 2
             assert len(built) == sum(steps)
             assert ctrl.quat is built[-1]
+            kicks += ch.normals.kicks
         assert kicks
 
     def test_parameterization_reaches_random_rotations(self):
@@ -258,7 +275,7 @@ class TestCompensationStep:
         for i, (chan, params) in enumerate(step_cases(rng, 400)):
             cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
             seen.clear()
-            compensation_step(chan, Controller(params), cfg, np.random.default_rng(i))
+            compensation_step(channel_at(chan, i), Controller(params), cfg)
             expected = oracle_costs(chan, params.tolist(), cfg)
             assert hexes(seen) == hexes(expected)
             assert len(seen) >= 9
@@ -268,11 +285,11 @@ class TestCompensationStep:
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
         cfg = ApcConfig()
-        for _ in range(30):
+        for i in range(30):
             chan = haar_quat(rng)
             ctrl = Controller(rng.uniform(-np.pi, np.pi, 4))
             before = cost(measure_fidelities(chan, ctrl))
-            compensation_step(chan, ctrl, cfg, rng)
+            compensation_step(channel_at(chan, i), ctrl, cfg)
             after = cost(measure_fidelities(chan, ctrl))
             # a random kick (stall escape) may increase cost slightly
             assert after <= before + 0.05
@@ -290,7 +307,7 @@ class TestCompensationStep:
         for i, (chan, params) in enumerate(cases):
             cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
             ctrl = Controller(params)
-            compensation_step(chan, ctrl, cfg, np.random.default_rng(i))
+            compensation_step(channel_at(chan, i), ctrl, cfg)
             expected = numpy_compensation_step(chan, params, cfg, np.random.default_rng(i))
             assert np.array_equal(np.signbit(ctrl.params), np.signbit(expected))
             assert np.array_equal(ctrl.params, expected)
@@ -301,14 +318,14 @@ class TestCompensationStep:
         chan = haar_quat(rng)
         ctrl = controller_for(matrix(chan).T)
         before = ctrl.params
-        compensation_step(chan, ctrl, ApcConfig(), rng)
+        compensation_step(channel_at(chan, 6), ctrl, ApcConfig())
         assert np.allclose(ctrl.params, before, atol=1e-12)
 
 
 class TestRunSession:
     def test_skip_when_aligned(self):
         ch = static_channel(seed=7)
-        rec = run_session(ch, Controller(), ApcConfig(), np.random.default_rng(7))
+        rec = run_session(ch, Controller(), ApcConfig())
         assert rec.outcome == OUTCOME_SKIPPED
         assert rec.iterations == 0
         assert rec.duration_s == pytest.approx(ApcConfig().cycle_time_s)
@@ -318,7 +335,7 @@ class TestRunSession:
         ch = static_channel(seed=8)
         ch.quat = haar_quat(np.random.default_rng(8))
         ctrl = Controller()
-        rec = run_session(ch, ctrl, ApcConfig(), np.random.default_rng(8), actuate=False)
+        rec = run_session(ch, ctrl, ApcConfig(), actuate=False)
         assert rec.outcome == OUTCOME_SKIPPED
         assert np.allclose(ctrl.params, 0.0)
         assert rec.min_fidelity_after == rec.min_fidelity_before
@@ -328,7 +345,7 @@ class TestRunSession:
         ch = static_channel(seed=9)
         ch.quat = haar_quat(np.random.default_rng(9))
         ctrl = Controller()
-        rec = run_session(ch, ctrl, cfg, np.random.default_rng(9))
+        rec = run_session(ch, ctrl, cfg)
         assert rec.outcome == OUTCOME_CONVERGED
         assert rec.min_fidelity_after >= cfg.target_threshold
         fids = measure_fidelities(ch.quat, ctrl)
@@ -340,7 +357,7 @@ class TestRunSession:
         for seed in range(5):
             ch = static_channel(seed=20 + seed)
             ch.quat = haar_quat(np.random.default_rng(20 + seed))
-            rec = run_session(ch, Controller(), cfg, np.random.default_rng(seed))
+            rec = run_session(ch, Controller(), cfg)
             assert rec.duration_s == pytest.approx(
                 cfg.cycle_time_s * (1 + 9 * rec.iterations)
             )
@@ -354,7 +371,7 @@ class TestRunSession:
         for seed in range(5):
             ch = FiberChannel(sched, np.random.default_rng(seed))
             ch.quat = haar_quat(np.random.default_rng(100 + seed))
-            rec = run_session(ch, Controller(), cfg, np.random.default_rng(seed))
+            rec = run_session(ch, Controller(), cfg)
             outcomes.append(rec.outcome)
             if rec.outcome == OUTCOME_TIMEOUT:
                 assert rec.duration_s >= cfg.timeout_s
@@ -379,16 +396,28 @@ class TestRunSession:
         sched = DriftSchedule.constant(DAY_RATE)
         ch = FiberChannel(sched, np.random.default_rng(5), sim_time=1.0e13)
         ch.quat = haar_quat(np.random.default_rng(5))
-        rec = run_session(ch, Controller(), cfg, np.random.default_rng(5))
+        rec = run_session(ch, Controller(), cfg)
         assert ch.sim_time == 1.0e13 and rec.duration_s == 0.0
         assert rec.outcome == OUTCOME_TIMEOUT
         assert rec.iterations == len(steps) == 11  # 1 + 9 * 11 = 100 cycles
+
+    def test_kicks_draw_from_the_channel_stream(self):
+        # a step size of 1e4 ends most descent steps in a kick; on a fast
+        # channel the kicks and the walks share the channel's stream, so 200
+        # sessions run without a StreamError and the generator still syncs
+        ch = FiberChannel(DriftSchedule.constant(20 * DAY_RATE), np.random.default_rng(1))
+        ch.normals = KickCounting(ch.normals)
+        ctrl, cfg = Controller(), ApcConfig(step_size=1e4)
+        records = [run_session(ch, ctrl, cfg) for _ in range(200)]
+        assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
+        assert ch.normals.kicks > 1000
+        ch.rng.standard_normal()
 
     def test_deterministic(self):
         def run(seed):
             ch = static_channel(seed=seed, rate=DAY_RATE)
             ch.quat = haar_quat(np.random.default_rng(40))
-            rec = run_session(ch, Controller(), ApcConfig(), np.random.default_rng(seed))
+            rec = run_session(ch, Controller(), ApcConfig())
             return rec
 
         assert run(3) == run(3)
@@ -398,7 +427,7 @@ class TestSessionsCsv:
     def test_writes_header_and_rows(self, tmp_path):
         ch = static_channel(seed=10)
         ch.quat = haar_quat(np.random.default_rng(10))
-        rec = run_session(ch, Controller(), ApcConfig(), np.random.default_rng(10))
+        rec = run_session(ch, Controller(), ApcConfig())
         path = tmp_path / "sessions.csv"
         write_sessions_csv(path, [rec])
         lines = path.read_text().strip().splitlines()
@@ -413,11 +442,11 @@ class TestSessionsCsv:
         for seed in range(4):
             ch = FiberChannel(sched, np.random.default_rng(seed))
             ch.quat = haar_quat(np.random.default_rng(30 + seed))
-            records.append(run_session(ch, Controller(), ApcConfig(), np.random.default_rng(seed)))
-        records.append(run_session(static_channel(seed=7), Controller(), ApcConfig(), None))
+            records.append(run_session(ch, Controller(), ApcConfig()))
+        records.append(run_session(static_channel(seed=7), Controller(), ApcConfig()))
         ch = static_channel(seed=9)
         ch.quat = haar_quat(np.random.default_rng(9))
-        records.append(run_session(ch, Controller(), ApcConfig(), np.random.default_rng(9)))
+        records.append(run_session(ch, Controller(), ApcConfig()))
         assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
         path = tmp_path / "sessions.csv"
         write_sessions_csv(path, records)

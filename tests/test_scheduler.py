@@ -27,8 +27,7 @@ def make_link(rate, seed, duration, stabilized=True, plan=None):
     ch = FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
     ctrl = Controller()
     cfg = SchedulerConfig(stabilized=stabilized)
-    rng = np.random.default_rng(seed + 1)
-    windows = run_link(ch, ctrl, ApcConfig(), cfg, duration, rng, plan=plan)
+    windows = run_link(ch, ctrl, ApcConfig(), cfg, duration, plan=plan)
     return windows, ch, ctrl, cfg
 
 
@@ -54,8 +53,7 @@ class TestRunLink:
             return record
 
         monkeypatch.setattr(scheduler, "run_session", spy)
-        rng = np.random.default_rng(seed + 1)
-        windows = run_link(ch, Controller(), ApcConfig(), SchedulerConfig(), 40.0, rng)
+        windows = run_link(ch, Controller(), ApcConfig(), SchedulerConfig(), 40.0)
         assert windows and all(isinstance(w, Window) for w in windows)
         assert windows[0].session.start_time_s == t0
         assert [w.start_s for w in windows] == session_ends
@@ -166,9 +164,7 @@ class TestWindowCounts:
         # post_timeout marks exactly the windows that follow them
         ch = FiberChannel(DriftSchedule.constant(20 * DAY_RATE), np.random.default_rng(8))
         apc_cfg = ApcConfig(timeout_s=0.5)
-        windows = run_link(
-            ch, Controller(), apc_cfg, SchedulerConfig(), 120.0, np.random.default_rng(9)
-        )
+        windows = run_link(ch, Controller(), apc_cfg, SchedulerConfig(), 120.0)
         outcomes = [w.session.outcome for w in windows]
         assert OUTCOME_TIMEOUT in outcomes and OUTCOME_SKIPPED in outcomes
         assert [w.post_timeout for w in windows] == [o == OUTCOME_TIMEOUT for o in outcomes]
