@@ -32,9 +32,10 @@ one batched ``simulate_window_counts`` call against a per-window
 ``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
 or per-window counterpart.  Last, it times one APC ``compensation_step``
 (µs per call) over 1,000 random (channel, setting) pairs, each repeat on
-fresh controllers, against the same step with every rotation composed from
-three full ``compose_quat`` products, the oracle kept here; it exits 1 if
-any setting a step leaves differs from the oracle's, signs of zero included.
+fresh controllers, against ``tests/oracles.py``'s ``three_product_step``,
+which takes central differences of the six-fidelity cost with every rotation
+composed from three full ``compose_quat`` products; it exits 1 if any angle
+a step leaves is over 1e-12 from the oracle's.
 
 Run from the repository root:
 
@@ -45,10 +46,11 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from polarlink import _kernels, apc
+from polarlink import _kernels
 from polarlink.channel import (
     COARSE_MIN_STEPS,
     DAY_RATE,
@@ -64,9 +66,12 @@ from polarlink.channel import (
 from polarlink.apc import ApcConfig, Controller, compensation_step
 from polarlink.calibrate import median_crossing_time, probe_crossing_times, spawned_generators
 from polarlink.cli import _resolved_duration, build_channel, build_link, load_config
-from polarlink.polmath import PolTransform, compose_quat, quaternion_matrix
+from polarlink.polmath import PolTransform, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
 from polarlink.source import port_rates
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root, for tests/
+from tests.oracles import three_product_step  # noqa: E402
 
 
 def timeit(fn, repeats):
@@ -278,50 +283,9 @@ def bench_spawn(n_seeds, repeats):
     )
 
 
-def three_product_quat(params):
-    """The controller rotation of ``params`` from three full ``compose_quat``
-    products of the axis quaternions."""
-    s = [math.sin(a / 2) for a in params]
-    c = [math.cos(a / 2) for a in params]
-    q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
-    q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
-    return compose_quat(q, (0.0, 0.0, s[3], c[3]))
-
-
-def three_product_cost(params, channel_quat):
-    """The cost of setting ``params``, its rotation from ``three_product_quat``."""
-    return apc.cost(apc._fidelities(compose_quat(three_product_quat(params), channel_quat)))
-
-
-def three_product_step(ch, ctrl, cfg):
-    """``compensation_step`` with every setting's rotation from ``three_product_quat``,
-    in place like it."""
-    channel_quat, params = ch.quat, ctrl.params
-    d = cfg.fd_delta
-    base = three_product_cost(params, channel_quat)
-    grad = []
-    for k in range(4):
-        plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
-        minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
-        diff = three_product_cost(plus, channel_quat) - three_product_cost(minus, channel_quat)
-        grad.append(diff / (2.0 * d))
-    if math.sqrt(sum(g * g for g in grad)) < 1e-9:
-        return
-    step = cfg.step_size
-    for _ in range(6):
-        candidate = [p - step * g for p, g in zip(params, grad)]
-        q = three_product_quat(candidate)
-        if apc.cost(apc._fidelities(compose_quat(q, channel_quat))) <= base:
-            ctrl.params, ctrl.quat = tuple(candidate), q
-            return
-        step *= 0.5
-    kicked = np.add(params, ch.normals.normal(0.0, d, 4)).tolist()
-    ctrl.params, ctrl.quat = tuple(kicked), three_product_quat(kicked)
-
-
 def bench_compensation_step(n_pairs, repeats):
     """One descent step on random (channel, setting) pairs, against the step
-    whose costs compose the controller from three full products."""
+    that takes central differences of the six-fidelity cost."""
     rng = np.random.default_rng(0)
     channels = rng.normal(size=(n_pairs, 4))
     channels /= np.linalg.norm(channels, axis=1)[:, None]
@@ -341,9 +305,8 @@ def bench_compensation_step(n_pairs, repeats):
         got, expected = Controller(p), Controller(p)
         compensation_step(ch, got, cfg)
         three_product_step(expected_ch, expected, cfg)
-        same_signs = np.array_equal(np.signbit(got.params), np.signbit(expected.params))
-        if not (np.array_equal(got.params, expected.params) and same_signs):
-            sys.exit(f"compensation_step differs from the three-product step at pair {i}")
+        if np.abs(np.subtract(got.params, expected.params)).max() > 1e-12:
+            sys.exit(f"compensation_step is over 1e-12 from the central-difference step at pair {i}")
 
     def steps(step):
         # a step moves its controller, so each repeat steps fresh ones
@@ -357,11 +320,11 @@ def bench_compensation_step(n_pairs, repeats):
             best = min(best, time.perf_counter() - t0)
         return best / n_pairs
 
-    incremental, three_product = steps(compensation_step), steps(three_product_step)
+    closed_form, differences = steps(compensation_step), steps(three_product_step)
     print(
-        f"{'compensation_step':<16} n={n_pairs:<9} three-product {three_product * 1e6:6.1f} us/call"
-        f"   incremental {incremental * 1e6:6.1f} us/call"
-        f"   speedup {three_product / incremental:6.1f}x"
+        f"{'compensation_step':<16} n={n_pairs:<9} differences {differences * 1e6:6.1f} us/call"
+        f"   closed form {closed_form * 1e6:6.1f} us/call"
+        f"   speedup {differences / closed_form:6.1f}x"
     )
 
 

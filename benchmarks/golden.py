@@ -5,7 +5,8 @@ configs/fringe_burst.yaml with ``apc.step_size: 1.0e4`` at seed 7, where
 every descent step overshoots into a random kick, which no shipped config
 reaches; and configs/calibrate.yaml at seeds 0, 3 and 17.  Each runs in
 process through ``polarlink.cli.main``, and its stdout is digested beside
-its files.  tests/golden.json holds the digests with the numpy version that
+its files; a run that exits other than 0 also records its exit code and
+stderr as ``<exit>``.  tests/golden.json holds the digests with the numpy version that
 wrote them, and tests/test_golden.py re-runs every run against it.
 
 Run from the repository root:
@@ -52,7 +53,8 @@ def _digest(data: bytes) -> dict:
 
 def digest_run(name: str, workdir: Path) -> dict:
     """Run ``name`` into a fresh directory under ``workdir``; the digest of
-    each output file, and of stdout as ``<stdout>``, by file name."""
+    each output file, and of stdout as ``<stdout>``, by file name, with the
+    exit code and stderr as ``<exit>`` if the run exits other than 0."""
     config, seed, apc = RUNS[name]
     path = ROOT / "configs" / config
     workdir = Path(workdir)
@@ -66,13 +68,13 @@ def digest_run(name: str, workdir: Path) -> dict:
     argv = [scenario, "--config", str(path), "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    if code != 0:
-        raise RuntimeError(f"{name}: polarlink exited {code}")
     digests = {f.name: _digest(f.read_bytes()) for f in sorted(out.iterdir())}
     digests["<stdout>"] = _digest(stdout.getvalue().encode())
+    if code != 0:
+        digests["<exit>"] = {"code": code, "stderr": stderr.getvalue()}
     return digests
 
 

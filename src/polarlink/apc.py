@@ -4,15 +4,14 @@ An injector cycles through the six cardinal SOPs (H, V, D, A, R, L); the
 compensator measures their fidelities after the fiber, derives a scalar cost,
 and runs finite-difference gradient descent on a four-retarder polarization
 controller until the minimum fidelity clears the target threshold or the
-session times out.
+session times out.  The cost and its finite differences are computed in
+closed form from the scalar part of the composite rotation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import NamedTuple
 
 from .channel import FiberChannel
@@ -50,37 +49,22 @@ class Controller:
         return PolTransform.trusted(quaternion_matrix(*self.quat))
 
 
-# The controller's rotation Rx(p2) [Rz(p1) Rx(p0)] Rz(p3), built from the sin
-# and cos (libm's) of its half-angles by three products, each written for its
-# axis-aligned factor: ``compose_quat`` with the axis quaternions
-# (s, 0, 0, c) and (0, 0, s, c), less its terms in a zero factor, in its
-# association and operand order.  A dropped term is a signed zero, so every
-# nonzero component has the bits ``compose_quat`` gives it, and a zero one at
-# most another sign.
-
-
-def _rz_rx(s1: float, c1: float, s0: float, c0: float) -> tuple:
-    """M = Rz(p1) Rx(p0)."""
-    return c1 * s0, s1 * s0, c0 * s1, c1 * c0
-
-
-def _rx_times(s: float, c: float, m: tuple) -> tuple:
-    """Rx(p) m."""
-    x, y, z, w = m
-    return c * x + w * s, c * y - s * z, c * z + s * y, c * w - s * x
-
-
-def _times_rz(n: tuple, s: float, c: float) -> tuple:
-    """n Rz(p)."""
-    x, y, z, w = n
-    return c * x + y * s, c * y - x * s, w * s + c * z, w * c - z * s
-
-
 def _params_quat(params) -> tuple:
-    """The rotation of the four angles ``params``."""
+    """The rotation Rx(p2) [Rz(p1) Rx(p0)] Rz(p3) of the four angles ``params``.
+
+    It is built from the sin and cos (libm's) of the half-angles by three
+    products, each ``compose_quat`` with an axis quaternion (s, 0, 0, c) or
+    (0, 0, s, c), less its terms in a zero factor, in its association and
+    operand order.  A dropped term is a signed zero, so every nonzero
+    component has the bits ``compose_quat`` gives it, and a zero one at most
+    another sign.
+    """
     h0, h1, h2, h3 = params[0] / 2, params[1] / 2, params[2] / 2, params[3] / 2
-    m = _rz_rx(math.sin(h1), math.cos(h1), math.sin(h0), math.cos(h0))
-    return _times_rz(_rx_times(math.sin(h2), math.cos(h2), m), math.sin(h3), math.cos(h3))
+    s0, c0, s1, c1 = math.sin(h0), math.cos(h0), math.sin(h1), math.cos(h1)
+    s2, c2, s3, c3 = math.sin(h2), math.cos(h2), math.sin(h3), math.cos(h3)
+    mx, my, mz, mw = c1 * s0, s1 * s0, c0 * s1, c1 * c0
+    nx, ny, nz, nw = c2 * mx + mw * s2, c2 * my - s2 * mz, c2 * mz + s2 * my, c2 * mw - s2 * mx
+    return c3 * nx + ny * s3, c3 * ny - nx * s3, nw * s3 + c3 * nz, nw * c3 - nz * s3
 
 
 @dataclass(frozen=True)
@@ -119,70 +103,61 @@ def _fidelities(q) -> tuple:
     return f0, f0, f1, f1, f2, f2
 
 
-def cost(fidelities) -> float:
-    """Feedback error signal: 1 - mean fidelity.
+def cost(w: float) -> float:
+    """Feedback error signal, 1 - the mean fidelity of the six cardinal states,
+    from the scalar part ``w`` of the composite rotation C (controller after
+    channel).
 
-    The mean gives a smooth gradient; convergence is gated separately on the
-    minimum fidelity against the target threshold.  It is summed left to
-    right, which is the order of ``np.mean`` for six elements, so the cost is
-    ``1 - np.mean(fidelities)`` bit for bit (not ``sum()``, which compensates
-    from Python 3.12 on).
+    The six fidelities average ½(1 + tr C / 3), and tr C = 4w² - 1, so the
+    cost is (2/3)(1 - w²).  The mean gives a smooth gradient; convergence is
+    gated separately on the minimum fidelity against the target threshold.
     """
-    return float(1.0 - reduce(add, fidelities) / len(fidelities))
+    return 2.0 / 3.0 * (1.0 - w * w)
 
 
 def compensation_step(ch: FiberChannel, ctrl: Controller, cfg: ApcConfig) -> None:
     """One gradient-descent iteration with backtracking line search, in place.
 
-    The gradient is estimated by central finite differences (two measurement
-    cycles per parameter).  The step length starts at step_size and is halved
-    up to five times until the cost does not increase; if no descent direction
-    is found the parameters get a small random kick, ``normal(0.0, fd_delta,
-    4)`` from the channel's stream ``ch.normals``, to escape a saddle.  The
-    channel is read at its current rotation ``ch.quat``.  The step sets
-    ``ctrl.params`` and ``ctrl.quat`` together: a gradient under
-    ``_GRADIENT_TOL`` leaves ``ctrl`` as it is, and an accepted candidate
-    keeps the rotation its cost was evaluated on.
+    The loop estimates the gradient by central finite differences, two
+    measurement cycles per angle; the step computes that estimate in closed
+    form.  With every other angle held, the composite's scalar part w is a
+    sinusoid in p_k / 2, so the cost is a sinusoid in p_k, and its central
+    difference over ±d is sin(d)/d times its derivative.  Moving p_k turns
+    the composite r = controller after channel about a_k, retarder k's axis
+    as the retarders before it turn it, so ∂w/∂p_k = -½ a_k · (r_x, r_y, r_z)
+    (twice that is w with retarder k's half-angle sin and cos swapped for
+    cos and -sin) and ∂cost/∂p_k = (2/3) w a_k · (r_x, r_y, r_z).
 
-    Each evaluation is ``cost`` of the setting's fidelities, whose rotation
-    is built from the sin and cos of its half-angles, taken once per angle.
-    A trial moves one angle: one on p3 starts from the current N =
-    Rx(p2) Rz(p1) Rx(p0), one on p2 from the current M = Rz(p1) Rx(p0), and
-    one on p0 or p1 is built in full, as are the line-search candidates.  A
-    candidate's entries are rounded as numpy's elementwise arithmetic rounds
-    them; so are a trial's, whose unmoved entries keep their sin and cos
-    (p + 0.0 differs from p only in the sign of a zero).
+    The step length starts at step_size and is halved up to five times until
+    the cost of the candidate's w does not exceed that of the setting; if no
+    descent direction is found the angles get a small random kick,
+    ``normal(0.0, fd_delta, 4)`` from the channel's stream ``ch.normals``, to
+    escape a saddle.  The channel is read at its current rotation
+    ``ch.quat``.  The step sets ``ctrl.params`` and ``ctrl.quat`` together: a
+    gradient under ``_GRADIENT_TOL`` leaves ``ctrl`` as it is, and an
+    accepted candidate keeps the rotation its cost was evaluated on.
     """
-    channel_quat, params = ch.quat, ctrl.params
+    cx, cy, cz, cw = ch.quat
+    rx, ry, rz, w = compose_quat(ctrl.quat, ch.quat)
+    base = cost(w)
+    params = ctrl.params
+    p0, p1, p2, _ = params
+    s0, c0, s1, c1 = math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1)
+    s2, c2 = math.sin(p2), math.cos(p2)
+    # a_k · (r_x, r_y, r_z) for a_0 = Rx(p2) Rz(p1) x, a_1 = Rx(p2) z, a_2 = x
+    # and a_3 = Rx(p2) Rz(p1) Rx(p0) z, where (r_x, u, v) is Rx(-p2) (r_x, r_y, r_z)
+    u, v = c2 * ry + s2 * rz, c2 * rz - s2 * ry
     d = cfg.fd_delta
-    s0, s1, s2, s3 = [math.sin(a / 2) for a in params]
-    c0, c1, c2, c3 = [math.cos(a / 2) for a in params]
-    m = _rz_rx(s1, c1, s0, c0)
-    n = _rx_times(s2, c2, m)
-    base = cost(_fidelities(compose_quat(_times_rz(n, s3, c3), channel_quat)))
-    grad = []
-    for k, p in enumerate(params):
-        trial = []
-        for a in (p + d, p - d):
-            sk, ck = math.sin(a / 2), math.cos(a / 2)
-            if k == 0:
-                q = _times_rz(_rx_times(s2, c2, _rz_rx(s1, c1, sk, ck)), s3, c3)
-            elif k == 1:
-                q = _times_rz(_rx_times(s2, c2, _rz_rx(sk, ck, s0, c0)), s3, c3)
-            elif k == 2:
-                q = _times_rz(_rx_times(sk, ck, m), s3, c3)
-            else:
-                q = _times_rz(n, sk, ck)
-            trial.append(cost(_fidelities(compose_quat(q, channel_quat))))
-        grad.append((trial[0] - trial[1]) / (2.0 * d))
-    if math.sqrt(sum([g * g for g in grad])) < _GRADIENT_TOL:
+    scale = 2.0 / 3.0 * w * math.sin(d) / d
+    grad = [scale * a for a in (c1 * rx + s1 * u, v, rx, c0 * v + s0 * (s1 * rx - c1 * u))]
+    if math.hypot(*grad) < _GRADIENT_TOL:
         return
     step = cfg.step_size
     for _ in range(1 + _MAX_HALVINGS):
-        candidate = [p - step * g for p, g in zip(params, grad)]
-        q = _params_quat(candidate)
-        if cost(_fidelities(compose_quat(q, channel_quat))) <= base:
-            ctrl.params, ctrl.quat = tuple(candidate), q
+        candidate = tuple([p - step * g for p, g in zip(params, grad)])
+        qx, qy, qz, qw = q = _params_quat(candidate)
+        if cost(qw * cw - qx * cx - qy * cy - qz * cz) <= base:
+            ctrl.params, ctrl.quat = candidate, q
             return
         step *= 0.5
     kicked = tuple([p + k for p, k in zip(params, ch.normals.normal(0.0, d, 4))])

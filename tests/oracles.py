@@ -10,7 +10,10 @@ Haar draw the tests pin to scipy's ``Rotation.random``.  The Jones path
 the two-photon density matrix, the oracle of the package's closed-form
 Stokes path ``polmath.coincidence_probs``.  ``_controller_quat`` and
 ``_cost_at`` compose the controller from three full ``compose_quat``
-products, as the package did before its axis-aligned products.
+products, as the package did before its axis-aligned products, and
+``fidelity_cost`` is the cost as one minus the mean of the six fidelities;
+``three_product_step`` is the descent step built on them, with its gradient
+by central differences, as the package ran it before its closed form.
 ``loop_longrun_series`` is ``analysis.longrun_series`` as one loop over the
 groups, as the package computed it before its whole-array pass.
 ``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
@@ -26,12 +29,14 @@ import csv
 import io
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from polarlink.analysis import FitError, SeriesPoint
-from polarlink.apc import _fidelities, cost
+from polarlink.apc import _fidelities
 from polarlink.polmath import AnalyzerSetting, compose_quat, quaternion_matrix
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS
 
@@ -157,18 +162,61 @@ def controller_matrix(params):
     return retarders @ Rotation.from_euler("z", params[3]).as_matrix()
 
 
-def _controller_quat(params: list) -> tuple:
-    """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos."""
+def _controller_quat(params: list, swapped=None) -> tuple:
+    """Rx(p2) Rz(p1) Rx(p0) Rz(p3) from axis quaternions (x, y, z, w), with libm's sin and cos.
+
+    With factor ``swapped``'s (sin, cos) of its half-angle taken as (cos,
+    -sin), it is twice the derivative of that quaternion in that angle.
+    """
     s = [math.sin(a / 2) for a in params]
     c = [math.cos(a / 2) for a in params]
+    if swapped is not None:
+        s[swapped], c[swapped] = c[swapped], -s[swapped]
     q = compose_quat((0.0, 0.0, s[1], c[1]), (s[0], 0.0, 0.0, c[0]))
     q = compose_quat((s[2], 0.0, 0.0, c[2]), q)
     return compose_quat(q, (0.0, 0.0, s[3], c[3]))
 
 
+def fidelity_cost(fidelities) -> float:
+    """1 - the mean of the six fidelities, summed left to right, which is the
+    order of ``np.mean`` for six elements, so ``1 - np.mean(fidelities)`` bit
+    for bit (not ``sum()``, which compensates from Python 3.12 on)."""
+    return float(1.0 - reduce(add, fidelities) / len(fidelities))
+
+
 def _cost_at(params: list, channel_quat: tuple) -> float:
-    """``cost(measure_fidelities(channel_quat, Controller(params)))``."""
-    return cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
+    """``fidelity_cost(measure_fidelities(channel_quat, Controller(params)))``."""
+    return fidelity_cost(_fidelities(compose_quat(_controller_quat(params), channel_quat)))
+
+
+def three_product_step(ch, ctrl, cfg) -> int:
+    """``apc.compensation_step`` with each setting's cost from ``_cost_at`` and
+    its gradient by central differences of that cost, in place like it.
+
+    Returns the branch it took: 0 if the gradient vanished, j + 1 if it took
+    line-search candidate j, 7 if it kicked.
+    """
+    channel_quat, params = ch.quat, ctrl.params
+    d = cfg.fd_delta
+    base = _cost_at(params, channel_quat)
+    grad = []
+    for k in range(4):
+        plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
+        minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
+        grad.append((_cost_at(plus, channel_quat) - _cost_at(minus, channel_quat)) / (2.0 * d))
+    if math.sqrt(sum([g * g for g in grad])) < 1e-9:
+        return 0
+    step = cfg.step_size
+    for j in range(6):
+        candidate = [p - step * g for p, g in zip(params, grad)]
+        q = _controller_quat(candidate)
+        if fidelity_cost(_fidelities(compose_quat(q, channel_quat))) <= base:
+            ctrl.params, ctrl.quat = tuple(candidate), q
+            return j + 1
+        step *= 0.5
+    kicked = [p + k for p, k in zip(params, ch.normals.normal(0.0, d, 4))]
+    ctrl.params, ctrl.quat = tuple(kicked), _controller_quat(kicked)
+    return 7
 
 
 # Signs combining the four window correlations into S.

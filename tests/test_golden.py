@@ -1,7 +1,9 @@
 """Every output file of the reference runs against its digest in tests/golden.json.
 
-The digests were recorded before the channel drew its normals in blocks; a
-change that means to move outputs rewrites them with
+The digests were recorded before the channel drew its normals in blocks,
+but the kick run's: at a step size of 1e4 its descent follows every rounding
+of the gradient, and it was rewritten when the step took its gradient in
+closed form.  A change that means to move outputs rewrites them with
 ``benchmarks/golden.py --update``.
 """
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polarlink.apc import Controller, cost, measure_fidelities
+from polarlink.apc import Controller, measure_fidelities
 from polarlink.polmath import (
     CANONICAL_CHSH_ANGLES,
     AnalyzerSetting,
@@ -11,7 +11,7 @@ from polarlink.polmath import (
     PolTransform,
     coincidence_probs,
 )
-from tests.oracles import coincidence_prob, density_matrix, haar_rotation, quat_of
+from tests.oracles import coincidence_prob, density_matrix, fidelity_cost, haar_rotation, quat_of
 
 
 def fidelities(rotation):
@@ -53,7 +53,8 @@ class TestSopFidelity:
         for _ in range(50):
             t = haar_rotation(rng)
             r = haar_rotation(rng)
-            assert cost(fidelities(t @ r @ t.T)) == pytest.approx(cost(fidelities(r)), abs=1e-9)
+            expected = fidelity_cost(fidelities(r))
+            assert fidelity_cost(fidelities(t @ r @ t.T)) == pytest.approx(expected, abs=1e-9)
 
 
 class TestPolTransform:
