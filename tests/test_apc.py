@@ -226,12 +226,15 @@ def hexes(values):
 
 
 class TestCompensationStep:
-    def test_gradient_is_the_central_difference_within_2e14(self):
+    @pytest.mark.parametrize("d", [0.02, 1e-3])
+    def test_gradient_is_the_central_difference_within_2e14(self, d):
         # as a function of one angle the cost is a sinusoid, so its central
         # difference over ±d is sin(d)/d times its derivative, -(2/3) w w_k,
-        # where w_k is w with factor k's (sin, cos) swapped for (cos, -sin)
+        # where w_k is w with factor k's (sin, cos) swapped for (cos, -sin).
+        # The difference divides the costs' rounding by 2d: the bound is 2e-14
+        # at the shipped d of 0.02, and grows as 1/d below it
         rng = np.random.default_rng(21)
-        d = 0.02
+        bound = 2e-14 * max(1.0, 0.02 / d)
         for _ in range(2000):
             chan, params = haar_quat(rng), rng.uniform(-np.pi, np.pi, 4).tolist()
             w = compose_quat(_controller_quat(params), chan)[3]
@@ -240,7 +243,7 @@ class TestCompensationStep:
                 plus = [p + (d if i == k else 0.0) for i, p in enumerate(params)]
                 minus = [p - (d if i == k else 0.0) for i, p in enumerate(params)]
                 difference = (_cost_at(plus, chan) - _cost_at(minus, chan)) / (2.0 * d)
-                assert abs(difference - math.sin(d) / d * (-2.0 / 3.0 * w * w_k)) <= 2e-14
+                assert abs(difference - math.sin(d) / d * (-2.0 / 3.0 * w * w_k)) <= bound
 
     def test_does_not_increase_cost(self):
         rng = np.random.default_rng(5)
@@ -260,9 +263,10 @@ class TestCompensationStep:
         # signed zeros, ±π, angles near 1e3 and optima; a step size of 1e4
         # overshoots in most halvings, which can end in the random kick.  The
         # oracle's differences are exact only to the spacing of the angles
-        # they perturb, and a step multiplies a gradient's rounding by its
-        # length: so the angles agree to 1e-12 at the shipped step of 4 and
-        # angles up to 100 rad, a bound scaled with the step and the angles
+        # they perturb and divide the costs' rounding by 2 fd_delta, and a step
+        # multiplies a gradient's rounding by its length: so the angles agree
+        # to 1e-12 at the shipped step of 4, fd_delta of 0.02 and angles up to
+        # 100 rad, a bound scaled with the step, 1/fd_delta and the angles
         # past those.  Where a cost sits within rounding of the setting's,
         # the two can take different branches: at most 1 case in 1,000.
         seen = []
@@ -277,7 +281,7 @@ class TestCompensationStep:
         cases = step_cases(rng, 2000)
         branches, differing = set(), 0
         for i, (chan, params) in enumerate(cases):
-            cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3])
+            cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
             ch, ctrl = channel_at(chan, i), Controller(params)
             ch.normals = KickCounting(ch.normals)
             seen.clear()
@@ -288,7 +292,8 @@ class TestCompensationStep:
                 differing += 1
                 continue
             branches.add(branch)
-            scale = max(1.0, cfg.step_size / 4.0) * max(1.0, np.abs(params).max() / 100.0)
+            scale = max(1.0, cfg.step_size / 4.0) * max(1.0, 0.02 / cfg.fd_delta)
+            scale *= max(1.0, np.abs(params).max() / 100.0)
             assert np.abs(np.subtract(ctrl.params, expected.params)).max() <= 1e-12 * scale
             assert ctrl.quat == _controller_quat(ctrl.params)
         assert branches == set(range(8))  # optima, each halving, the kick
