@@ -128,16 +128,6 @@ class SeriesPoint(NamedTuple):
     post_timeout: bool
 
 
-@dataclass(frozen=True)
-class LongrunSummary:
-    mean_s: float
-    std_s: float
-    corrected_mean_s: float
-    corrected_std_s: float
-    n_groups: int
-    n_excluded: int
-
-
 def longrun_series(windows: list[Window], counts) -> list[SeriesPoint]:
     """One S estimate per group of four consecutive windows; ``counts`` holds
     each window's (pass/pass, pass/fail, fail/pass, fail/fail) counts, one
@@ -180,44 +170,21 @@ def longrun_series(windows: list[Window], counts) -> list[SeriesPoint]:
     return out
 
 
-def summarize_longrun(series: list[SeriesPoint]) -> LongrunSummary:
-    """Time-averaged S plus the corrected average excluding post-timeout groups."""
+def summarize_longrun(series: list[SeriesPoint]) -> dict:
+    """Time-averaged S plus the corrected average excluding post-timeout groups,
+    under their ``summary.json`` keys."""
     if not series:
         raise FitError("cannot summarize an empty series")
     s_all = np.array([p.s_value for p in series])
     kept = np.array([p.s_value for p in series if not p.post_timeout])
     if kept.size == 0:
         kept = s_all
-    return LongrunSummary(
-        mean_s=float(s_all.mean()),
-        std_s=float(s_all.std(ddof=1)) if s_all.size > 1 else 0.0,
-        corrected_mean_s=float(kept.mean()),
-        corrected_std_s=float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
-        n_groups=len(series),
-        n_excluded=len(series) - int(kept.size),
-    )
-
-
-def write_fringe_csv(path, datasets) -> None:
-    """One row per fringe point, lines ending in CRLF as ``csv.writer``'s do."""
-    rows = [
-        f"{d.nist_basis.angle_deg:.1f},{p.umd_angle_deg:.1f},{p.count},{p.duration_s:.6f},"
-        f"{int(p.post_timeout)}\r\n"
-        for d in datasets
-        for p in d.points
-    ]
-    with open(path, "w", newline="") as f:
-        f.write("nist_basis_deg,umd_angle_deg,counts,duration_s,post_timeout_flag\r\n")
-        f.write("".join(rows))
-
-
-def chsh_result_to_dict(result: ChshResult) -> dict:
     return {
-        "S": result.s_value,
-        "sigma_S": result.sigma_s,
-        "visibilities": [
-            {"basis": label, "V": f.visibility, "sigma": f.sigma_v}
-            for label, f in zip(("H", "D", "V", "A"), result.visibilities)
-        ],
-        "corrected": result.corrected,
+        "mean_S": float(s_all.mean()),
+        "std_S": float(s_all.std(ddof=1)) if s_all.size > 1 else 0.0,
+        "corrected_mean_S": float(kept.mean()),
+        "corrected_std_S": float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
+        "n_groups": len(series),
+        "n_excluded_groups": len(series) - int(kept.size),
     }
+

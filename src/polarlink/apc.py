@@ -213,14 +213,3 @@ def run_session(
         start_time_s=start,
     )
 
-
-def write_sessions_csv(path, records) -> None:
-    """One row per session, lines ending in CRLF as ``csv.writer``'s do."""
-    rows = [
-        f"{r.start_time_s:.6f},{r.outcome},{r.duration_s:.6f},"
-        f"{r.min_fidelity_before:.9f},{r.min_fidelity_after:.9f},{r.iterations}\r\n"
-        for r in records
-    ]
-    with open(path, "w", newline="") as f:
-        f.write("start_time_s,outcome,duration_s,min_f_before,min_f_after,iterations\r\n")
-        f.write("".join(rows))

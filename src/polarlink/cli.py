@@ -19,18 +19,12 @@ import yaml
 
 from . import __version__, analysis, apc, channel, scheduler, source
 # run_session and median_crossing_time stay importable from cli for perfbench's tracer.
-from .apc import ApcConfig, Controller, run_session, write_sessions_csv  # noqa: F401
+from .apc import ApcConfig, Controller, run_session  # noqa: F401
 from .calibrate import MAX_CALIBRATE_SEEDS, CalibrationError, bisect_day_rate
 from .calibrate import median_crossing_time  # noqa: F401
 from .channel import Burst, DriftSchedule, FiberChannel, first_crossing_time
 from .polmath import AnalyzerSetting
-from .scheduler import (
-    SchedulerConfig,
-    run_link,
-    simulate_window_counts,
-    uptime_fraction,
-    write_timeline_csv,
-)
+from .scheduler import SchedulerConfig, run_link, simulate_window_counts, uptime_fraction
 from .source import DetectionChain, PairSource
 
 EXIT_OK = 0
@@ -399,6 +393,35 @@ def _resolved_duration(cfg: dict) -> float:
     return cfg["duration_s"] / cfg["time_compression"]
 
 
+def _write_table(path: Path, header: str, rows, end: str = "\r\n") -> None:
+    """``header`` and each row in ``rows`` as lines ending in ``end``, in one write."""
+    with open(path, "w", newline="") as f:
+        f.write(end.join([header, *rows, ""]))
+
+
+def _write_sessions(path: Path, records) -> None:
+    """One row per compensation session; the fringe and longrun runs both log them."""
+    rows = (
+        f"{r.start_time_s:.6f},{r.outcome},{r.duration_s:.6f},"
+        f"{r.min_fidelity_before:.9f},{r.min_fidelity_after:.9f},{r.iterations}"
+        for r in records
+    )
+    _write_table(path, "start_time_s,outcome,duration_s,min_f_before,min_f_after,iterations", rows)
+
+
+def _chsh_json(result: analysis.ChshResult) -> dict:
+    """``result`` as ``chsh.json`` holds it, each visibility under its NIST basis label."""
+    return {
+        "S": result.s_value,
+        "sigma_S": result.sigma_s,
+        "visibilities": [
+            {"basis": label, "V": f.visibility, "sigma": f.sigma_v}
+            for (label, _), f in zip(NIST_BASES, result.visibilities)
+        ],
+        "corrected": result.corrected,
+    }
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -415,10 +438,11 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
     times, stokes, fidelity = ch.probe_trace(
         np.array([1.0, 0.0, 0.0]), _resolved_duration(cfg), cfg["probe"]["sample_dt_s"]
     )
-    with open(out / "probe.csv", "w", newline="") as f:
-        f.write("t_s,s1,s2,s3,fidelity\n")
-        for t, s, fid in zip(times, stokes, fidelity):
-            f.write(f"{t:.6f},{s[0]:.9f},{s[1]:.9f},{s[2]:.9f},{fid:.9f}\n")
+    rows = (
+        f"{t:.6f},{s[0]:.9f},{s[1]:.9f},{s[2]:.9f},{fid:.9f}"
+        for t, s, fid in zip(times, stokes, fidelity)
+    )
+    _write_table(out / "probe.csv", "t_s,s1,s2,s3,fidelity", rows, end="\n")
     crossing = first_crossing_time(times, fidelity, 0.95)
     summary = {
         "scenario": "probe",
@@ -454,17 +478,24 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
         analysis.FringeDataset(basis, tuple(points[i * n : i * n + n]))
         for i, basis in enumerate(bases)
     ]
-    analysis.write_fringe_csv(out / "fringe.csv", datasets)
-    write_sessions_csv(out / "sessions.csv", [w.session for w in windows])
+    rows = (
+        f"{d.nist_basis.angle_deg:.1f},{p.umd_angle_deg:.1f},{p.count},{p.duration_s:.6f},"
+        f"{int(p.post_timeout)}"
+        for d in datasets
+        for p in d.points
+    )
+    header = "nist_basis_deg,umd_angle_deg,counts,duration_s,post_timeout_flag"
+    _write_table(out / "fringe.csv", header, rows)
+    _write_sessions(out / "sessions.csv", [w.session for w in windows])
     fits = [analysis.fit_fringe(d) for d in datasets]
     result = analysis.chsh_from_visibilities(fits)
-    summary = {"scenario": "fringe", "chsh": analysis.chsh_result_to_dict(result)}
+    summary = {"scenario": "fringe", "chsh": _chsh_json(result)}
     _write_json(out / "chsh.json", summary["chsh"])
     if any(w.post_timeout for w in windows):
         corrected = analysis.chsh_from_visibilities(
             [analysis.corrected_fit(d) for d in datasets], corrected=True
         )
-        summary["chsh_corrected"] = analysis.chsh_result_to_dict(corrected)
+        summary["chsh_corrected"] = _chsh_json(corrected)
         _write_json(out / "chsh_corrected.json", summary["chsh_corrected"])
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
@@ -480,28 +511,29 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
         return summary
     series = analysis.longrun_series(windows, counts)
     sessions = [w.session for w in windows]
-    write_timeline_csv(out / "timeline.csv", windows)
-    write_sessions_csv(out / "sessions.csv", sessions)
-    with open(out / "series.csv", "w", newline="") as f:
-        f.write("t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout\n")
-        for p in series:
-            f.write(
-                f"{p.time_s:.6f},{p.min_ref_fidelity:.9f},{p.s_value:.6f},"
-                f"{p.sigma_s:.6f},{p.compensation_time_s:.6f},{int(p.post_timeout)}\n"
-            )
+    rows = []
+    for w in windows:  # a compensation row and an uptime row per window
+        s, start = w.session, f"{w.start_s:.6f}"
+        rows += (
+            f"{s.start_time_s:.6f},{start},compensation,{s.outcome},{s.min_fidelity_after:.9f}",
+            f"{start},{w.end_s:.6f},uptime,,",
+        )
+    _write_table(out / "timeline.csv", "start_s,end_s,kind,outcome,min_f_after", rows)
+    _write_sessions(out / "sessions.csv", sessions)
+    rows = (
+        f"{p.time_s:.6f},{p.min_ref_fidelity:.9f},{p.s_value:.6f},"
+        f"{p.sigma_s:.6f},{p.compensation_time_s:.6f},{int(p.post_timeout)}"
+        for p in series
+    )
+    header = "t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout"
+    _write_table(out / "series.csv", header, rows, end="\n")
     outcomes = [r.outcome for r in sessions]
     summary["uptime_fraction"] = uptime_fraction(windows)
     summary["n_sessions"] = n = len(outcomes)
     for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
         summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
     if series:
-        stats = analysis.summarize_longrun(series)
-        summary["mean_S"] = stats.mean_s
-        summary["std_S"] = stats.std_s
-        summary["corrected_mean_S"] = stats.corrected_mean_s
-        summary["corrected_std_S"] = stats.corrected_std_s
-        summary["n_groups"] = stats.n_groups
-        summary["n_excluded_groups"] = stats.n_excluded
+        summary.update(analysis.summarize_longrun(series))
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
 

@@ -138,17 +138,3 @@ def simulate_window_counts(
     means = rates * sched_cfg.measure_window_s
     return means if noiseless else rng.poisson(means)
 
-
-def write_timeline_csv(path, windows: list[Window]) -> None:
-    """A ``compensation`` row and an ``uptime`` row per window, lines ending
-    in CRLF as ``csv.writer``'s do."""
-    rows = []
-    for w in windows:
-        s, start = w.session, f"{w.start_s:.6f}"
-        rows.append(
-            f"{s.start_time_s:.6f},{start},compensation,{s.outcome},{s.min_fidelity_after:.9f}\r\n"
-            f"{start},{w.end_s:.6f},uptime,,\r\n"
-        )
-    with open(path, "w", newline="") as f:
-        f.write("start_s,end_s,kind,outcome,min_f_after\r\n")
-        f.write("".join(rows))

@@ -262,10 +262,11 @@ def loop_longrun_series(windows, counts) -> list:
     return out
 
 
-def csv_writer_text(rows) -> str:
-    """The text ``csv.writer`` writes for ``rows``, with its CRLF line ends."""
+def csv_writer_text(rows, lineterminator: str = "\r\n") -> str:
+    """The text ``csv.writer`` writes for ``rows``, with its CRLF line ends
+    unless ``lineterminator`` says otherwise."""
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator=lineterminator).writerows(rows)
     return buf.getvalue()
 
 

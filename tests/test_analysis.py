@@ -1,8 +1,5 @@
 """Fringe fits, visibility errors, CHSH estimates and long-run series."""
 
-import csv
-import json
-
 import numpy as np
 import pytest
 
@@ -13,18 +10,16 @@ from polarlink.analysis import (
     FringeDataset,
     FringePoint,
     chsh_from_visibilities,
-    chsh_result_to_dict,
     corrected_fit,
     fit_fringe,
     longrun_series,
     summarize_longrun,
-    write_fringe_csv,
 )
 from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
 from polarlink.polmath import AnalyzerSetting
-from polarlink.cli import _measure, _write_json, load_config
+from polarlink.cli import _measure, load_config
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
-from tests.oracles import IDENTITY_QUAT, csv_writer_text, loop_longrun_series
+from tests.oracles import IDENTITY_QUAT, loop_longrun_series
 
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
@@ -232,66 +227,12 @@ class TestSummarizeLongrun:
         windows = perfect_group(0.0) + perfect_group(12.0, post_timeout=True)
         series = series_of(windows)
         s = summarize_longrun(series)
-        assert s.n_groups == 2
-        assert s.n_excluded == 1
-        assert s.mean_s == pytest.approx(TSIRELSON, abs=1e-3)
-        assert s.corrected_mean_s == pytest.approx(series[0].s_value)
-        assert s.corrected_std_s == 0.0
+        assert s["n_groups"] == 2
+        assert s["n_excluded_groups"] == 1
+        assert s["mean_S"] == pytest.approx(TSIRELSON, abs=1e-3)
+        assert s["corrected_mean_S"] == pytest.approx(series[0].s_value)
+        assert s["corrected_std_S"] == 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(FitError):
             summarize_longrun([])
-
-
-class TestSerialization:
-    def test_fringe_csv_roundtrip(self, tmp_path):
-        ds = [
-            low_count_dataset(1, 30.0, 0.8, 0.4, {3, 4}),
-            FringeDataset(AnalyzerSetting(45.0), noiseless_dataset(50.0, 0.7, 0.0).points),
-        ]
-        path = tmp_path / "fringe.csv"
-        write_fringe_csv(path, ds)
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        assert list(rows[0]) == [
-            "nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"
-        ]
-        points = [(d.nist_basis, p) for d in ds for p in d.points]
-        assert len(rows) == len(points)
-        for row, (basis, p) in zip(rows, points):
-            assert float(row["nist_basis_deg"]) == pytest.approx(basis.angle_deg)
-            assert float(row["umd_angle_deg"]) == pytest.approx(p.umd_angle_deg)
-            assert float(row["counts"]) == pytest.approx(p.count)
-            assert float(row["duration_s"]) == pytest.approx(p.duration_s)
-            assert bool(int(row["post_timeout_flag"])) == p.post_timeout
-
-    def test_fringe_csv_bytes_equal_csv_writer(self, tmp_path):
-        # integer, numpy float and Python float counts
-        ds = [
-            low_count_dataset(1, 30.0, 0.8, 0.4, {3, 4}),
-            noiseless_dataset(50.0, 0.7, 0.0),
-            FringeDataset(
-                AnalyzerSetting(45.0), (FringePoint(90.0, 12, 2.0), FringePoint(0.0, 0.5, 2.0))
-            ),
-        ]
-        path = tmp_path / "fringe.csv"
-        write_fringe_csv(path, ds)
-        rows = [["nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"]]
-        rows += [
-            [f"{d.nist_basis.angle_deg:.1f}", f"{p.umd_angle_deg:.1f}", p.count,
-             f"{p.duration_s:.6f}", int(p.post_timeout)]
-            for d in ds
-            for p in d.points
-        ]
-        assert path.read_bytes() == csv_writer_text(rows).encode()
-
-    def test_chsh_json(self, tmp_path):
-        fits = [FitResult(1.0, v, 0.0, v, 0.02, 0.0) for v in (0.8, 0.8, 0.8, 0.8)]
-        res = chsh_from_visibilities(fits)
-        path = tmp_path / "chsh.json"
-        _write_json(path, chsh_result_to_dict(res))
-        payload = json.loads(path.read_text())
-        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert payload["S"] == pytest.approx(res.s_value)
-        assert [v["basis"] for v in payload["visibilities"]] == ["H", "D", "V", "A"]
-        assert chsh_result_to_dict(res)["corrected"] is False

@@ -19,7 +19,6 @@ from polarlink.apc import (
     cost,
     measure_fidelities,
     run_session,
-    write_sessions_csv,
 )
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
 from polarlink.polmath import compose_quat
@@ -28,7 +27,6 @@ from tests.oracles import (
     _controller_quat,
     _cost_at,
     controller_matrix,
-    csv_writer_text,
     fidelity_cost,
     haar_quat,
     matrix,
@@ -407,44 +405,6 @@ class TestRunSession:
             return rec
 
         assert run(3) == run(3)
-
-
-class TestSessionsCsv:
-    def test_writes_header_and_rows(self, tmp_path):
-        ch = static_channel(seed=10)
-        ch.quat = haar_quat(np.random.default_rng(10))
-        rec = run_session(ch, Controller(), ApcConfig())
-        path = tmp_path / "sessions.csv"
-        write_sessions_csv(path, [rec])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("start_time_s,outcome")
-        assert len(lines) == 2
-        assert rec.outcome in lines[1]
-
-    def test_bytes_equal_csv_writer(self, tmp_path):
-        # every outcome, and the CRLF line ends csv.writer writes
-        sched = DriftSchedule.constant(DAY_RATE * 300)
-        records = []
-        for seed in range(4):
-            ch = FiberChannel(sched, np.random.default_rng(seed))
-            ch.quat = haar_quat(np.random.default_rng(30 + seed))
-            records.append(run_session(ch, Controller(), ApcConfig()))
-        records.append(run_session(static_channel(seed=7), Controller(), ApcConfig()))
-        ch = static_channel(seed=9)
-        ch.quat = haar_quat(np.random.default_rng(9))
-        records.append(run_session(ch, Controller(), ApcConfig()))
-        assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
-        path = tmp_path / "sessions.csv"
-        write_sessions_csv(path, records)
-        header = "start_time_s outcome duration_s min_f_before min_f_after iterations".split()
-        rows = [
-            [f"{r.start_time_s:.6f}", r.outcome, f"{r.duration_s:.6f}",
-             f"{r.min_fidelity_before:.9f}", f"{r.min_fidelity_after:.9f}", r.iterations]
-            for r in records
-        ]
-        data = path.read_bytes()
-        assert data == csv_writer_text([header, *rows]).encode()
-        assert data.count(b"\r\n") == data.count(b"\n") == 1 + len(records)
 
 
 class TestAgainstTheOracleStep:

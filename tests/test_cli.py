@@ -1,5 +1,6 @@
 """End-to-end scenario runs, config validation and determinism."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -11,9 +12,19 @@ import pytest
 import yaml
 
 import polarlink
-from polarlink import calibrate, cli
-from polarlink.apc import MAX_SESSION_CYCLES, ApcConfig
-from polarlink.channel import DAY_RATE
+from polarlink import analysis, calibrate, cli
+from polarlink.apc import (
+    MAX_SESSION_CYCLES,
+    OUTCOME_CONVERGED,
+    OUTCOME_SKIPPED,
+    OUTCOME_TIMEOUT,
+    ApcConfig,
+    Controller,
+    run_session,
+)
+from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
+from polarlink.polmath import AnalyzerSetting
+from tests.oracles import csv_writer_text, haar_quat
 
 CONFIG_DIR = "configs"
 
@@ -744,3 +755,187 @@ class TestSeedFanout:
     def test_rejects_zero_seeds(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, probe_cfg(duration=5.0))
         assert run(["probe", "--config", cfg, "--out", tmp_path / "o", "--seeds", "0"]) == 2
+
+
+def static_channel(seed, rate=0.0):
+    return FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
+
+
+def longrun_run(tmp_path, **kwargs):
+    """The output directory of a longrun of ``longrun_cfg(**kwargs)`` through
+    ``cli.main``, and the windows and counts that run measured."""
+    data = longrun_cfg(**kwargs)
+    out = tmp_path / "out"
+    assert run(["longrun", "--config", write_cfg(tmp_path, data), "--out", out]) == 0
+    return (out, *cli._measure(cli.resolve_config(data), data["seed"]))
+
+
+SESSIONS_HEADER = "start_time_s outcome duration_s min_f_before min_f_after iterations".split()
+
+
+class TestSessionsCsv:
+    def test_writes_header_and_rows(self, tmp_path):
+        ch = static_channel(seed=10)
+        ch.quat = haar_quat(np.random.default_rng(10))
+        rec = run_session(ch, Controller(), ApcConfig())
+        path = tmp_path / "sessions.csv"
+        cli._write_sessions(path, [rec])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0].startswith("start_time_s,outcome")
+        assert len(lines) == 2
+        assert rec.outcome in lines[1]
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        # every outcome, and the CRLF line ends csv.writer writes
+        records = []
+        for seed in range(4):
+            ch = static_channel(seed, rate=DAY_RATE * 300)
+            ch.quat = haar_quat(np.random.default_rng(30 + seed))
+            records.append(run_session(ch, Controller(), ApcConfig()))
+        records.append(run_session(static_channel(seed=7), Controller(), ApcConfig()))
+        ch = static_channel(seed=9)
+        ch.quat = haar_quat(np.random.default_rng(9))
+        records.append(run_session(ch, Controller(), ApcConfig()))
+        assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
+        path = tmp_path / "sessions.csv"
+        cli._write_sessions(path, records)
+        rows = [
+            [f"{r.start_time_s:.6f}", r.outcome, f"{r.duration_s:.6f}",
+             f"{r.min_fidelity_before:.9f}", f"{r.min_fidelity_after:.9f}", r.iterations]
+            for r in records
+        ]
+        data = path.read_bytes()
+        assert data == csv_writer_text([SESSIONS_HEADER, *rows]).encode()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + len(records)
+
+    def test_no_sessions_is_the_header_alone(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        cli._write_sessions(path, [])
+        assert path.read_bytes() == csv_writer_text([SESSIONS_HEADER]).encode()
+
+
+class TestTimelineCsv:
+    def test_roundtrip_shape(self, tmp_path, capsys):
+        out, windows, _ = longrun_run(tmp_path, duration=30.0, rate=DAY_RATE, seed=9)
+        lines = (out / "timeline.csv").read_text().strip().splitlines()
+        assert lines[0] == "start_s,end_s,kind,outcome,min_f_after"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2 * len(windows)
+        assert [r[2] for r in rows] == ["compensation", "uptime"] * len(windows)
+        for w, comp, up in zip(windows, rows[::2], rows[1::2]):
+            assert comp[3] == w.session.outcome and up[3:] == ["", ""]
+            assert comp[1] == up[0] == f"{w.start_s:.6f}"
+
+    def test_bytes_equal_csv_writer(self, tmp_path, capsys):
+        out, windows, _ = longrun_run(tmp_path, duration=60.0, rate=20 * DAY_RATE, seed=8)
+        rows = [["start_s", "end_s", "kind", "outcome", "min_f_after"]]
+        for w in windows:
+            s, start = w.session, f"{w.start_s:.6f}"
+            min_f = f"{s.min_fidelity_after:.9f}"
+            rows.append([f"{s.start_time_s:.6f}", start, "compensation", s.outcome, min_f])
+            rows.append([start, f"{w.end_s:.6f}", "uptime", "", ""])
+        data = (out / "timeline.csv").read_bytes()
+        assert data == csv_writer_text(rows).encode()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + 2 * len(windows)
+
+
+def fringe_run(tmp_path, noiseless):
+    """The output directory of configs/fringe_burst.yaml, noiseless or not,
+    through ``cli.main``; its sweep as (basis, angle) pairs in degrees; and
+    the windows and counts it measured."""
+    data = yaml.safe_load(Path(CONFIG_DIR, "fringe_burst.yaml").read_text())
+    data["fringe"] = {"noiseless": noiseless}
+    out = tmp_path / "out"
+    assert run(["fringe", "--config", write_cfg(tmp_path, data), "--out", out]) == 0
+    sweep = [(basis, angle) for _, basis in cli.NIST_BASES for angle in cli.UMD_SWEEP_DEG]
+    plan = [(AnalyzerSetting(basis), AnalyzerSetting(angle)) for basis, angle in sweep]
+    return (out, sweep, *cli._measure(cli.resolve_config(data), data["seed"], plan, noiseless))
+
+
+class TestSerialization:
+    def test_fringe_csv_roundtrip(self, tmp_path, capsys):
+        out, sweep, windows, counts = fringe_run(tmp_path, noiseless=False)
+        with open(out / "fringe.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == [
+            "nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"
+        ]
+        assert len(rows) == len(sweep) == len(windows)
+        for row, (basis, angle), w, c in zip(rows, sweep, windows, counts):
+            assert float(row["nist_basis_deg"]) == basis
+            assert float(row["umd_angle_deg"]) == angle
+            assert int(row["counts"]) == c[0]
+            assert float(row["duration_s"]) == 2.0
+            assert bool(int(row["post_timeout_flag"])) == w.post_timeout
+
+    @pytest.mark.parametrize("noiseless", [False, True], ids=["counts", "means"])
+    def test_fringe_csv_bytes_equal_csv_writer(self, tmp_path, capsys, noiseless):
+        # integer Poisson counts with post-timeout flags, and float noiseless means
+        out, sweep, windows, counts = fringe_run(tmp_path, noiseless)
+        assert {type(c[0].item()) for c in counts} == {float if noiseless else int}
+        assert any(w.post_timeout for w in windows)
+        rows = [["nist_basis_deg", "umd_angle_deg", "counts", "duration_s", "post_timeout_flag"]]
+        rows += [
+            [f"{basis:.1f}", f"{angle:.1f}", c[0].item(), f"{2.0:.6f}", int(w.post_timeout)]
+            for (basis, angle), w, c in zip(sweep, windows, counts)
+        ]
+        assert (out / "fringe.csv").read_bytes() == csv_writer_text(rows).encode()
+
+    def test_chsh_json(self, tmp_path):
+        fits = [analysis.FitResult(1.0, v, 0.0, v, 0.02, 0.0) for v in (0.8, 0.8, 0.8, 0.8)]
+        res = analysis.chsh_from_visibilities(fits)
+        path = tmp_path / "chsh.json"
+        cli._write_json(path, cli._chsh_json(res))
+        payload = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert payload["S"] == pytest.approx(res.s_value)
+        assert [v["basis"] for v in payload["visibilities"]] == ["H", "D", "V", "A"]
+        assert cli._chsh_json(res)["corrected"] is False
+
+
+class TestLfTables:
+    def test_probe_csv_bytes_equal_csv_writer(self, tmp_path, capsys):
+        data = probe_cfg(duration=20.0)
+        out = tmp_path / "out"
+        assert run(["probe", "--config", write_cfg(tmp_path, data), "--out", out]) == 0
+        ch = cli.build_channel(cli.resolve_config(data), np.random.default_rng(data["seed"]))
+        times, stokes, fidelity = ch.probe_trace(np.array([1.0, 0.0, 0.0]), 20.0, 0.1)
+        rows = [["t_s", "s1", "s2", "s3", "fidelity"]]
+        rows += [
+            [f"{t:.6f}", f"{s[0]:.9f}", f"{s[1]:.9f}", f"{s[2]:.9f}", f"{fid:.9f}"]
+            for t, s, fid in zip(times, stokes, fidelity)
+        ]
+        data = (out / "probe.csv").read_bytes()
+        assert data == csv_writer_text(rows, lineterminator="\n").encode()
+        assert b"\r" not in data and data.count(b"\n") == len(rows) == 202
+
+    def test_series_csv_bytes_equal_csv_writer(self, tmp_path, capsys):
+        # groups with and without a timed-out session
+        out, windows, counts = longrun_run(tmp_path, duration=600.0, rate=30 * DAY_RATE, seed=4)
+        series = analysis.longrun_series(windows, counts)
+        assert {p.post_timeout for p in series} == {False, True}
+        rows = [["t_s", "min_ref_fidelity", "S", "sigma_S", "compensation_time_s", "post_timeout"]]
+        rows += [
+            [f"{p.time_s:.6f}", f"{p.min_ref_fidelity:.9f}", f"{p.s_value:.6f}",
+             f"{p.sigma_s:.6f}", f"{p.compensation_time_s:.6f}", int(p.post_timeout)]
+            for p in series
+        ]
+        data = (out / "series.csv").read_bytes()
+        assert data == csv_writer_text(rows, lineterminator="\n").encode()
+        assert b"\r" not in data
+
+    def test_series_without_a_group_is_the_header_alone(self, tmp_path, capsys):
+        # two windows make no CHSH group: series.csv is its header, and
+        # summary.json has no S statistics
+        out, windows, _ = longrun_run(tmp_path, duration=6.0)
+        assert len(windows) == 2
+        header = "t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout\n"
+        assert (out / "series.csv").read_bytes() == header.encode()
+        assert "mean_S" not in json.loads((out / "summary.json").read_text())
+
+    def test_table_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_table(path, "a,b", [], end="\n")
+        assert path.read_bytes() == b"a,b\n"
+        cli._write_table(path, "a,b", iter([]))
+        assert path.read_bytes() == b"a,b\r\n"
