@@ -179,37 +179,18 @@ def run_session(
     for logging) and never moves the controller.
     """
     start = ch.sim_time
-    fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
-    min_before = min(fids)
-    if not actuate or min_before >= cfg.check_threshold:
-        return SessionRecord(
-            outcome=OUTCOME_SKIPPED,
-            duration_s=ch.sim_time - start,
-            min_fidelity_before=min_before,
-            min_fidelity_after=min_before,
-            iterations=0,
-            start_time_s=start,
-        )
-    iterations = 0
-    min_after = min_before
-    while True:
-        compensation_step(ch, ctrl, cfg)
-        ch.advance(8 * cfg.cycle_time_s)
-        fids = measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl)
-        iterations += 1
-        min_after = min(fids)
-        if min_after >= cfg.target_threshold:
-            outcome = OUTCOME_CONVERGED
-            break
-        if (1 + 9 * iterations) * cfg.cycle_time_s >= cfg.timeout_s:
-            outcome = OUTCOME_TIMEOUT
-            break
-    return SessionRecord(
-        outcome=outcome,
-        duration_s=ch.sim_time - start,
-        min_fidelity_before=min_before,
-        min_fidelity_after=min_after,
-        iterations=iterations,
-        start_time_s=start,
-    )
-
+    min_before = min(measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl))
+    outcome, min_after, iterations = OUTCOME_SKIPPED, min_before, 0
+    if actuate and not min_before >= cfg.check_threshold:  # a NaN fidelity actuates
+        while True:
+            compensation_step(ch, ctrl, cfg)
+            ch.advance(8 * cfg.cycle_time_s)
+            min_after = min(measure_fidelities(ch.advance(cfg.cycle_time_s), ctrl))
+            iterations += 1
+            if min_after >= cfg.target_threshold:
+                outcome = OUTCOME_CONVERGED
+                break
+            if (1 + 9 * iterations) * cfg.cycle_time_s >= cfg.timeout_s:
+                outcome = OUTCOME_TIMEOUT
+                break
+    return SessionRecord(outcome, ch.sim_time - start, min_before, min_after, iterations, start)
