@@ -3,11 +3,13 @@
 The runs are the six shipped configs at their own seed and at ``--seed 5``;
 configs/fringe_burst.yaml with ``apc.step_size: 1.0e4`` at seed 7, where
 every descent step overshoots into a random kick, which no shipped config
-reaches; and configs/calibrate.yaml at seeds 0, 3 and 17.  Each runs in
-process through ``polarlink.cli.main``, and its stdout is digested beside
-its files; a run that exits other than 0 also records its exit code and
-stderr as ``<exit>``.  tests/golden.json holds the digests with the numpy version that
-wrote them, and tests/test_golden.py re-runs every run against it.
+reaches, and whose corrected fit fails, which its summary.json records; and
+configs/calibrate.yaml at seeds 0, 3 and 17.  Each runs in process through
+``polarlink.cli.main``, and its stdout is digested beside its files; a run
+that exits other than 0 also records its exit code and stderr as
+``<exit>``, which no run does now.  tests/golden.json holds the digests
+with the numpy version that wrote them, and tests/test_golden.py re-runs
+every run against it.
 
 Run from the repository root:
 

@@ -492,11 +492,17 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
     summary = {"scenario": "fringe", "chsh": _chsh_json(result)}
     _write_json(out / "chsh.json", summary["chsh"])
     if any(w.post_timeout for w in windows):
-        corrected = analysis.chsh_from_visibilities(
-            [analysis.corrected_fit(d) for d in datasets], corrected=True
-        )
-        summary["chsh_corrected"] = _chsh_json(corrected)
-        _write_json(out / "chsh_corrected.json", summary["chsh_corrected"])
+        # A failed corrected fit ends only the corrected estimate; summary.json keeps why.
+        try:
+            corrected = analysis.chsh_from_visibilities(
+                [analysis.corrected_fit(d) for d in datasets], corrected=True
+            )
+        except analysis.FitError as e:
+            summary["chsh_corrected_error"] = str(e)
+            print(f"warning: corrected fit failed: {e}", file=sys.stderr)
+        else:
+            summary["chsh_corrected"] = _chsh_json(corrected)
+            _write_json(out / "chsh_corrected.json", summary["chsh_corrected"])
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
 

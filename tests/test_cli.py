@@ -600,6 +600,26 @@ class TestFringe:
         corrected = json.loads((out / "chsh_corrected.json").read_text())
         assert corrected["corrected"] is True
 
+    def test_failed_corrected_fit_ends_only_the_corrected_estimate(self, tmp_path, capsys):
+        # at step_size 1e4 every descent step overshoots into a kick, and at
+        # seed 7 the points outside post-timeout windows of one basis span
+        # under 120°: the run exits 0 without the corrected estimate and
+        # records why in summary.json
+        data = yaml.safe_load(Path(CONFIG_DIR, "fringe_burst.yaml").read_text())
+        data["apc"] = {"step_size": 1.0e4}
+        out = tmp_path / "out"
+        assert run(["fringe", "--config", write_cfg(tmp_path, data), "--seed", 7, "--out", out]) == 0
+        reason = "points must span at least 120 degrees"
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: corrected fit failed: {reason}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["chsh_corrected_error"] == reason
+        assert "chsh_corrected" not in summary
+        assert summary["chsh"] == json.loads((out / "chsh.json").read_text())
+        assert json.loads(captured.out)["chsh_corrected_error"] == reason
+        assert not (out / "chsh_corrected.json").exists()
+        assert "1" in {line[-1] for line in (out / "fringe.csv").read_text().splitlines()}
+
     def test_correction_raises_s_on_most_timed_out_seeds(self, tmp_path, capsys):
         # Dropping the post-timeout points raises S on average, but not at
         # every seed: Poisson noise decides single cases.

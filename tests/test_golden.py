@@ -3,8 +3,10 @@
 The digests were recorded before the channel drew its normals in blocks,
 but the kick run's: at a step size of 1e4 its descent follows every rounding
 of the gradient, and it was rewritten when the step took its gradient in
-closed form.  A change that means to move outputs rewrites them with
-``benchmarks/golden.py --update``.
+closed form, and again when its failed corrected fit stopped ending the run
+with exit 3: it exits 0 now, and its summary.json, which records the failed
+fit, and its stdout are pinned in place of the exit code.  A change that
+means to move outputs rewrites them with ``benchmarks/golden.py --update``.
 """
 
 import json
