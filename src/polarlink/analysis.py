@@ -187,4 +187,3 @@ def summarize_longrun(series: list[SeriesPoint]) -> dict:
         "n_groups": len(series),
         "n_excluded_groups": len(series) - int(kept.size),
     }
-

@@ -518,7 +518,7 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     series = analysis.longrun_series(windows, counts)
     sessions = [w.session for w in windows]
     rows = []
-    for w in windows:  # a compensation row and an uptime row per window
+    for w in windows:
         s, start = w.session, f"{w.start_s:.6f}"
         rows += (
             f"{s.start_time_s:.6f},{start},compensation,{s.outcome},{s.min_fidelity_after:.9f}",

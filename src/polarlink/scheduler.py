@@ -137,4 +137,3 @@ def simulate_window_counts(
     rates = coincidence_rates(src, chain, rotations, pairs[signal], pairs[idler])
     means = rates * sched_cfg.measure_window_s
     return means if noiseless else rng.poisson(means)
-
