@@ -1,8 +1,10 @@
 """Fringe fitting, visibility extraction, CHSH estimation and long-run series.
 
-Coincidence-rate fringes are fitted by weighted linear least squares to
-r(theta) = a + b cos 2theta + c sin 2theta with Poisson weights; visibility is
-the fitted contrast sqrt(b^2 + c^2) / a with first-order error propagation.
+A fringe is the sweep's analyzer angles and the counts measured at them, as
+two arrays, in windows of one duration.  Its rates are fitted by weighted
+linear least squares to r(theta) = a + b cos 2theta + c sin 2theta with
+Poisson weights; visibility is the fitted contrast sqrt(b^2 + c^2) / a with
+first-order error propagation.
 The S parameter is estimated from the four basis visibilities as
 S = 2 sqrt(2) * mean(V).
 """
@@ -14,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polmath import AnalyzerSetting
 from .scheduler import CHSH_WINDOW_SETTINGS, Window
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -22,27 +23,6 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 class FitError(ValueError):
     """Degenerate or under-determined fringe fit."""
-
-
-@dataclass(frozen=True)
-class FringePoint:
-    umd_angle_deg: float
-    count: float  # integer Poisson counts, or exact rates in noiseless mode
-    duration_s: float
-    post_timeout: bool = False
-
-
-@dataclass(frozen=True)
-class FringeDataset:
-    nist_basis: AnalyzerSetting
-    points: tuple
-
-    def __post_init__(self):
-        for p in self.points:
-            if p.count < 0:
-                raise FitError("counts must be >= 0")
-            if not 0.0 <= p.umd_angle_deg <= 180.0:
-                raise FitError("angles must lie in [0, 180] degrees")
 
 
 @dataclass(frozen=True)
@@ -60,20 +40,16 @@ class ChshResult:
     s_value: float
     sigma_s: float
     visibilities: tuple
-    corrected: bool = False
 
 
-def _fit_points(points) -> FitResult:
-    if len(points) < 6:
-        raise FitError(f"need at least 6 points, got {len(points)}")
-    angles = np.array([p.umd_angle_deg for p in points])
+def _fit(angles, counts, duration_s: float) -> FitResult:
+    if len(angles) < 6:
+        raise FitError(f"need at least 6 points, got {len(angles)}")
     if angles.max() - angles.min() < 120.0:
         raise FitError("points must span at least 120 degrees")
-    counts = np.array([float(p.count) for p in points])
-    durations = np.array([p.duration_s for p in points])
-    rates = counts / durations
+    rates = counts / duration_s
     # Poisson variance on counts -> variance on rates.
-    var_rate = np.maximum(counts, 1.0) / durations**2
+    var_rate = np.maximum(counts, 1.0) / (duration_s * duration_s)
     two_theta = 2.0 * np.deg2rad(angles)
     design = np.column_stack([np.ones_like(two_theta), np.cos(two_theta), np.sin(two_theta)])
     w = 1.0 / var_rate
@@ -96,18 +72,21 @@ def _fit_points(points) -> FitResult:
     return FitResult(float(a), float(b), float(c), float(v), sigma_v, phase)
 
 
-def fit_fringe(dataset: FringeDataset) -> FitResult:
-    """Weighted least-squares fit over all points."""
-    return _fit_points(dataset.points)
+def fit_fringe(angles_deg, counts, duration_s: float) -> FitResult:
+    """Weighted least-squares fit over all points: ``counts[i]`` measured at
+    ``angles_deg[i]`` in a window of ``duration_s``."""
+    return _fit(np.asarray(angles_deg, dtype=float), np.asarray(counts, dtype=float), duration_s)
 
 
-def corrected_fit(dataset: FringeDataset) -> FitResult:
-    """Refit excluding points measured right after a timed-out session."""
-    kept = [p for p in dataset.points if not p.post_timeout]
-    return _fit_points(kept)
+def corrected_fit(angles_deg, counts, duration_s: float, post_timeout) -> FitResult:
+    """Refit excluding the points measured right after a timed-out session,
+    those where ``post_timeout`` is true."""
+    kept = ~np.asarray(post_timeout, dtype=bool)
+    angles, counts = np.asarray(angles_deg, dtype=float), np.asarray(counts, dtype=float)
+    return _fit(angles[kept], counts[kept], duration_s)
 
 
-def chsh_from_visibilities(fits, corrected: bool = False) -> ChshResult:
+def chsh_from_visibilities(fits) -> ChshResult:
     """S = 2 sqrt(2) mean(V) with propagated uncertainty."""
     fits = tuple(fits)
     if len(fits) != 4:
@@ -116,7 +95,7 @@ def chsh_from_visibilities(fits, corrected: bool = False) -> ChshResult:
     sigmas = np.array([f.sigma_v for f in fits])
     s = TSIRELSON * float(vs.mean())
     sigma_s = TSIRELSON / 4.0 * float(np.sqrt(np.sum(sigmas**2)))
-    return ChshResult(s, sigma_s, fits, corrected)
+    return ChshResult(s, sigma_s, fits)
 
 
 class SeriesPoint(NamedTuple):

@@ -409,7 +409,7 @@ def _write_sessions(path: Path, records) -> None:
     _write_table(path, "start_time_s,outcome,duration_s,min_f_before,min_f_after,iterations", rows)
 
 
-def _chsh_json(result: analysis.ChshResult) -> dict:
+def _chsh_json(result: analysis.ChshResult, corrected: bool) -> dict:
     """``result`` as ``chsh.json`` holds it, each visibility under its NIST basis label."""
     return {
         "S": result.s_value,
@@ -418,7 +418,7 @@ def _chsh_json(result: analysis.ChshResult) -> dict:
             {"basis": label, "V": f.visibility, "sigma": f.sigma_v}
             for (label, _), f in zip(NIST_BASES, result.visibilities)
         ],
-        "corrected": result.corrected,
+        "corrected": corrected,
     }
 
 
@@ -468,40 +468,37 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
     plan = [(basis, AnalyzerSetting(angle)) for basis in bases for angle in UMD_SWEEP_DEG]
     windows, counts = _measure(cfg, seed, plan, cfg["fringe"]["noiseless"])
     duration = cfg["scheduler"]["measure_window_s"]
-    # Pass/pass counts at the sweep's own angles (AnalyzerSetting reads 180 as 0).
-    points = [
-        analysis.FringePoint(angle, c[0].item(), duration, w.post_timeout)
-        for angle, w, c in zip(UMD_SWEEP_DEG * len(bases), windows, counts)
-    ]
-    n = len(UMD_SWEEP_DEG)
-    datasets = [
-        analysis.FringeDataset(basis, tuple(points[i * n : i * n + n]))
-        for i, basis in enumerate(bases)
-    ]
+    # Basis-major grids of the pass/pass counts and post-timeout flags, one
+    # row per basis at the sweep's own angles (AnalyzerSetting reads 180 as 0).
+    shape = (len(bases), len(UMD_SWEEP_DEG))
+    grid = counts[:, 0].reshape(shape)
+    flags = np.array([w.post_timeout for w in windows]).reshape(shape)
     rows = (
-        f"{d.nist_basis.angle_deg:.1f},{p.umd_angle_deg:.1f},{p.count},{p.duration_s:.6f},"
-        f"{int(p.post_timeout)}"
-        for d in datasets
-        for p in d.points
+        f"{basis.angle_deg:.1f},{angle:.1f},{c},{duration:.6f},{int(flag)}"
+        for basis, row, row_flags in zip(bases, grid.tolist(), flags.tolist())
+        for angle, c, flag in zip(UMD_SWEEP_DEG, row, row_flags)
     )
     header = "nist_basis_deg,umd_angle_deg,counts,duration_s,post_timeout_flag"
     _write_table(out / "fringe.csv", header, rows)
     _write_sessions(out / "sessions.csv", [w.session for w in windows])
-    fits = [analysis.fit_fringe(d) for d in datasets]
+    fits = [analysis.fit_fringe(UMD_SWEEP_DEG, row, duration) for row in grid]
     result = analysis.chsh_from_visibilities(fits)
-    summary = {"scenario": "fringe", "chsh": _chsh_json(result)}
+    summary = {"scenario": "fringe", "chsh": _chsh_json(result, corrected=False)}
     _write_json(out / "chsh.json", summary["chsh"])
-    if any(w.post_timeout for w in windows):
+    if flags.any():
         # A failed corrected fit ends only the corrected estimate; summary.json keeps why.
         try:
             corrected = analysis.chsh_from_visibilities(
-                [analysis.corrected_fit(d) for d in datasets], corrected=True
+                [
+                    analysis.corrected_fit(UMD_SWEEP_DEG, row, duration, row_flags)
+                    for row, row_flags in zip(grid, flags)
+                ]
             )
         except analysis.FitError as e:
             summary["chsh_corrected_error"] = str(e)
             print(f"warning: corrected fit failed: {e}", file=sys.stderr)
         else:
-            summary["chsh_corrected"] = _chsh_json(corrected)
+            summary["chsh_corrected"] = _chsh_json(corrected, corrected=True)
             _write_json(out / "chsh_corrected.json", summary["chsh_corrected"])
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
@@ -510,11 +507,6 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
 def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     windows, counts = _measure(cfg, seed)
     summary: dict = {"scenario": "longrun", "stabilized": cfg["scheduler"]["stabilized"]}
-    if not windows:
-        for name in ("timeline.csv", "series.csv", "sessions.csv"):
-            (out / name).write_text("")
-        _write_summary(out / "summary.json", cfg, seed, summary)
-        return summary
     series = analysis.longrun_series(windows, counts)
     sessions = [w.session for w in windows]
     rows = []
@@ -533,11 +525,12 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     )
     header = "t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout"
     _write_table(out / "series.csv", header, rows, end="\n")
-    outcomes = [r.outcome for r in sessions]
-    summary["uptime_fraction"] = uptime_fraction(windows)
-    summary["n_sessions"] = n = len(outcomes)
-    for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
-        summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
+    if windows:  # a run without windows has no uptime and no sessions to count
+        outcomes = [r.outcome for r in sessions]
+        summary["uptime_fraction"] = uptime_fraction(windows)
+        summary["n_sessions"] = n = len(outcomes)
+        for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
+            summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
     if series:
         summary.update(analysis.summarize_longrun(series))
     _write_summary(out / "summary.json", cfg, seed, summary)

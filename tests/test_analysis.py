@@ -7,8 +7,6 @@ from polarlink.analysis import (
     TSIRELSON,
     FitError,
     FitResult,
-    FringeDataset,
-    FringePoint,
     chsh_from_visibilities,
     corrected_fit,
     fit_fringe,
@@ -16,7 +14,6 @@ from polarlink.analysis import (
     summarize_longrun,
 )
 from polarlink.apc import OUTCOME_CONVERGED, OUTCOME_TIMEOUT, SessionRecord
-from polarlink.polmath import AnalyzerSetting
 from polarlink.cli import _measure, load_config
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS, Window
 from tests.oracles import IDENTITY_QUAT, loop_longrun_series
@@ -24,30 +21,33 @@ from tests.oracles import IDENTITY_QUAT, loop_longrun_series
 ANGLES = np.arange(0.0, 181.0, 10.0)
 
 
-def noiseless_dataset(offset, visibility, phase_deg, duration=2.0):
-    pts = []
+def noiseless_fringe(offset, visibility, phase_deg, duration=2.0):
+    """The sweep's angles, exact mean counts and window duration."""
+    counts = []
     for th in ANGLES:
         rate = offset * (1.0 + visibility * np.cos(2.0 * np.deg2rad(th - phase_deg)))
-        pts.append(FringePoint(th, rate * duration, duration))
-    return FringeDataset(AnalyzerSetting(0.0), tuple(pts))
+        counts.append(rate * duration)
+    return ANGLES, np.array(counts), duration
 
 
-def low_count_dataset(seed, offset, v_good, v_bad, bad_indices, phase_deg=12.0):
-    """Poisson fringe with a corrupted mid-sweep stretch flagged post-timeout."""
+def low_count_fringe(seed, offset, v_good, v_bad, bad_indices, phase_deg=12.0):
+    """Poisson fringe with a corrupted mid-sweep stretch flagged post-timeout:
+    angles, counts, duration and the post-timeout flags."""
     rng = np.random.default_rng(seed)
-    pts = []
+    counts, flags = [], []
     for i, th in enumerate(ANGLES):
         bad = i in bad_indices
         v = v_bad if bad else v_good
         rate = offset * (1.0 + v * np.cos(2.0 * np.deg2rad(th - phase_deg)))
-        pts.append(FringePoint(th, int(rng.poisson(rate * 2.0)), 2.0, post_timeout=bad))
-    return FringeDataset(AnalyzerSetting(0.0), tuple(pts))
+        counts.append(int(rng.poisson(rate * 2.0)))
+        flags.append(bad)
+    return ANGLES, np.array(counts), 2.0, np.array(flags)
 
 
 class TestFitFringe:
     @pytest.mark.parametrize("v,phase", [(0.8, 0.0), (0.5, 37.0), (0.99, -20.0)])
     def test_recovers_noiseless_fringe(self, v, phase):
-        fit = fit_fringe(noiseless_dataset(100.0, v, phase))
+        fit = fit_fringe(*noiseless_fringe(100.0, v, phase))
         assert fit.visibility == pytest.approx(v, abs=1e-9)
         assert fit.offset == pytest.approx(100.0, abs=1e-6)
         # phase is defined mod 90 degrees through the double-angle terms
@@ -58,46 +58,41 @@ class TestFitFringe:
         pulls = []
         for seed in range(200):
             r = np.random.default_rng(seed)
-            pts = []
+            counts = []
             for th in ANGLES:
                 rate = 500.0 * (1.0 + 0.8 * np.cos(2.0 * np.deg2rad(th)))
-                pts.append(FringePoint(th, int(r.poisson(rate * 2.0)), 2.0))
-            fit = fit_fringe(FringeDataset(AnalyzerSetting(0.0), tuple(pts)))
+                counts.append(int(r.poisson(rate * 2.0)))
+            fit = fit_fringe(ANGLES, np.array(counts), 2.0)
             pulls.append((fit.visibility - 0.8) / fit.sigma_v)
         # pull distribution should be standard normal-ish
         assert abs(np.mean(pulls)) < 0.25
         assert 0.7 < np.std(pulls) < 1.4
 
     def test_rejects_too_few_points(self):
-        ds = noiseless_dataset(100.0, 0.8, 0.0)
+        angles, counts, duration = noiseless_fringe(100.0, 0.8, 0.0)
         with pytest.raises(FitError):
-            fit_fringe(FringeDataset(ds.nist_basis, ds.points[:5]))
+            fit_fringe(angles[:5], counts[:5], duration)
 
     def test_rejects_short_span(self):
-        pts = tuple(FringePoint(th, 100.0, 1.0) for th in np.linspace(0, 100, 8))
         with pytest.raises(FitError):
-            fit_fringe(FringeDataset(AnalyzerSetting(0.0), pts))
+            fit_fringe(np.linspace(0, 100, 8), np.full(8, 100.0), 1.0)
 
     def test_rejects_degenerate_angles(self):
         # angles repeating mod 90 collapse the design matrix
-        pts = tuple(
-            FringePoint(th, 100.0, 1.0) for th in [0.0, 0.0, 90.0, 90.0, 180.0, 180.0]
-        )
+        angles = [0.0, 0.0, 90.0, 90.0, 180.0, 180.0]
         with pytest.raises(FitError):
-            fit_fringe(FringeDataset(AnalyzerSetting(0.0), pts))
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(FitError):
-            FringeDataset(AnalyzerSetting(0.0), (FringePoint(0.0, -1.0, 1.0),))
+            fit_fringe(angles, np.full(6, 100.0), 1.0)
 
 
 class TestCorrectedFit:
     def test_low_count_example(self):
         # drift-corrupted sweep: V = 0.76 +/- 0.03 overall, and excluding the
         # flagged points restores V = 0.82 +/- 0.03
-        ds = low_count_dataset(2617, 28.0, 0.81, 0.38, set(range(2, 10)))
-        fit = fit_fringe(ds)
-        cfit = corrected_fit(ds)
+        angles, counts, duration, flags = low_count_fringe(
+            2617, 28.0, 0.81, 0.38, set(range(2, 10))
+        )
+        fit = fit_fringe(angles, counts, duration)
+        cfit = corrected_fit(angles, counts, duration, flags)
         assert fit.visibility == pytest.approx(0.76, abs=0.005)
         assert fit.sigma_v == pytest.approx(0.03, abs=0.005)
         assert cfit.visibility == pytest.approx(0.82, abs=0.005)
@@ -105,8 +100,8 @@ class TestCorrectedFit:
         assert cfit.visibility > fit.visibility
 
     def test_no_flags_matches_plain_fit(self):
-        ds = noiseless_dataset(50.0, 0.7, 10.0)
-        assert corrected_fit(ds) == fit_fringe(ds)
+        fringe = noiseless_fringe(50.0, 0.7, 10.0)
+        assert corrected_fit(*fringe, np.zeros(len(ANGLES), bool)) == fit_fringe(*fringe)
 
 
 class TestChshFromVisibilities:

@@ -679,7 +679,17 @@ class TestLongrun:
         cfg = write_cfg(tmp_path, longrun_cfg(duration=0.0))
         out = tmp_path / "out"
         assert run(["longrun", "--config", cfg, "--out", out]) == 0
-        assert (out / "timeline.csv").read_text() == ""
+        # no window: each table is its header line alone
+        headers = {
+            "timeline.csv": "start_s,end_s,kind,outcome,min_f_after\r\n",
+            "sessions.csv": ",".join(SESSIONS_HEADER) + "\r\n",
+            "series.csv": "t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout\n",
+        }
+        for name, header in headers.items():
+            assert (out / name).read_bytes() == header.encode()
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"scenario", "stabilized", "config", "seed", "polarlink_version"}
+        assert json.loads(capsys.readouterr().out) == {"scenario": "longrun", "stabilized": True}
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, longrun_cfg(duration=300.0))
@@ -905,12 +915,40 @@ class TestSerialization:
         fits = [analysis.FitResult(1.0, v, 0.0, v, 0.02, 0.0) for v in (0.8, 0.8, 0.8, 0.8)]
         res = analysis.chsh_from_visibilities(fits)
         path = tmp_path / "chsh.json"
-        cli._write_json(path, cli._chsh_json(res))
+        cli._write_json(path, cli._chsh_json(res, corrected=False))
         payload = json.loads(path.read_text())
         assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["S"] == pytest.approx(res.s_value)
         assert [v["basis"] for v in payload["visibilities"]] == ["H", "D", "V", "A"]
-        assert cli._chsh_json(res)["corrected"] is False
+        assert payload["corrected"] is False
+        assert cli._chsh_json(res, corrected=True)["corrected"] is True
+
+    def test_chsh_json_holds_the_fits_of_fringe_csv(self, tmp_path, capsys):
+        # seed 7 has a timed-out session: each basis's rows of fringe.csv,
+        # fitted whole and without the flagged points, give chsh.json's and
+        # chsh_corrected.json's visibilities bit for bit
+        out = tmp_path / "out"
+        config = f"{CONFIG_DIR}/fringe_burst.yaml"
+        assert run(["fringe", "--config", config, "--seed", 7, "--out", out]) == 0
+        with open(out / "fringe.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        bases = {}
+        for row in rows:
+            bases.setdefault(float(row["nist_basis_deg"]), []).append(row)
+        assert list(bases) == [basis for _, basis in cli.NIST_BASES]
+        for name, corrected in (("chsh.json", False), ("chsh_corrected.json", True)):
+            payload = json.loads((out / name).read_text())
+            for entry, basis_rows in zip(payload["visibilities"], bases.values(), strict=True):
+                angles = [float(r["umd_angle_deg"]) for r in basis_rows]
+                counts = [int(r["counts"]) for r in basis_rows]
+                (duration,) = {float(r["duration_s"]) for r in basis_rows}
+                flags = [r["post_timeout_flag"] == "1" for r in basis_rows]
+                if corrected:
+                    fit = analysis.corrected_fit(angles, counts, duration, flags)
+                else:
+                    fit = analysis.fit_fringe(angles, counts, duration)
+                assert (entry["V"], entry["sigma"]) == (fit.visibility, fit.sigma_v)
+        assert {r["post_timeout_flag"] for r in rows} == {"0", "1"}
 
 
 class TestLfTables:
