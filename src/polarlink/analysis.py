@@ -6,17 +6,15 @@ linear least squares to r(theta) = a + b cos 2theta + c sin 2theta with
 Poisson weights; visibility is the fitted contrast sqrt(b^2 + c^2) / a with
 first-order error propagation.
 The S parameter is estimated from the four basis visibilities as
-S = 2 sqrt(2) * mean(V).
+S = 2 sqrt(2) * mean(V).  The long-run series has one S per group of four
+CHSH windows, and is kept as columns, the S and σ_S columns as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from .scheduler import CHSH_WINDOW_SETTINGS, Window
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -98,29 +96,20 @@ def chsh_from_visibilities(fits) -> ChshResult:
     return ChshResult(s, sigma_s, fits)
 
 
-class SeriesPoint(NamedTuple):
-    time_s: float
-    min_ref_fidelity: float
-    s_value: float
-    sigma_s: float
-    compensation_time_s: float
-    post_timeout: bool
+def longrun_series(windows: list, counts) -> tuple:
+    """The long-run series, one group of four consecutive windows per entry,
+    as the columns of ``series.csv``: each group's start time, lowest
+    ``min_fidelity_after``, S, σ_S, summed session time and post-timeout flag.
 
-
-def longrun_series(windows: list[Window], counts) -> list[SeriesPoint]:
-    """One S estimate per group of four consecutive windows; ``counts`` holds
-    each window's (pass/pass, pass/fail, fail/pass, fail/fail) counts, one
-    row per window.
-
-    Window k's correlation is E = ((pp + ff) - pf - fp) / total with variance
-    max(1 - E², 1 / total) / total, and (0, 1) for a window without counts;
-    a group's S = ((E0 - E1) + E2) + E3, its variances summed left to right.
-    Every window's E and σ come from one whole-array pass over the counts.
+    ``windows`` are ``run_link``'s, in its CHSH cycle; ``counts`` holds each
+    window's (pass/pass, pass/fail, fail/pass, fail/fail) counts, one row per
+    window.  Window k's correlation is E = ((pp + ff) - pf - fp) / total with
+    variance max(1 - E², 1 / total) / total, and (0, 1) for a window without
+    counts; a group's S = ((E0 - E1) + E2) + E3, its variances summed left to
+    right.  S and σ_S are arrays from one whole-array pass over the counts;
+    the other columns are lists.
     """
     n = len(windows) // 4 * 4
-    for k, w in enumerate(windows[:n]):
-        if w.setting != CHSH_WINDOW_SETTINGS[k % 4]:
-            raise FitError("windows are not aligned to 4-window CHSH groups")
     c = np.asarray(counts[:n]).reshape(n, 4)
     total = c.sum(axis=1).astype(float)
     pp, pf, fp, ff = c.astype(float).T
@@ -131,31 +120,24 @@ def longrun_series(windows: list[Window], counts) -> list[SeriesPoint]:
     e[empty], sigma[empty] = 0.0, 1.0
     e0, e1, e2, e3 = e.reshape(-1, 4).T
     v0, v1, v2, v3 = (sigma * sigma).reshape(-1, 4).T
-    s_values = ((e0 - e1 + e2) + e3).tolist()
-    sigmas = np.sqrt(((v0 + v1) + v2) + v3).tolist()
-    out = []
-    for g, (s, sigma_s) in enumerate(zip(s_values, sigmas)):
-        group = windows[4 * g : 4 * g + 4]
-        out.append(
-            SeriesPoint(
-                time_s=group[0].start_s,
-                min_ref_fidelity=min(w.session.min_fidelity_after for w in group),
-                s_value=s,
-                sigma_s=sigma_s,
-                compensation_time_s=sum(w.session.duration_s for w in group),
-                post_timeout=any(w.post_timeout for w in group),
-            )
-        )
-    return out
+    groups = [windows[k : k + 4] for k in range(0, n, 4)]
+    return (
+        [group[0].start_s for group in groups],
+        [min(w.session.min_fidelity_after for w in group) for group in groups],
+        (e0 - e1 + e2) + e3,
+        np.sqrt(((v0 + v1) + v2) + v3),
+        [sum(w.session.duration_s for w in group) for group in groups],
+        [any(w.post_timeout for w in group) for group in groups],
+    )
 
 
-def summarize_longrun(series: list[SeriesPoint]) -> dict:
-    """Time-averaged S plus the corrected average excluding post-timeout groups,
-    under their ``summary.json`` keys."""
-    if not series:
+def summarize_longrun(s_values, post_timeout) -> dict:
+    """Time-averaged S plus the corrected average excluding the groups whose
+    ``post_timeout`` flag is set, under their ``summary.json`` keys."""
+    s_all = np.asarray(s_values, dtype=float)
+    if s_all.size == 0:
         raise FitError("cannot summarize an empty series")
-    s_all = np.array([p.s_value for p in series])
-    kept = np.array([p.s_value for p in series if not p.post_timeout])
+    kept = s_all[~np.asarray(post_timeout, dtype=bool)]
     if kept.size == 0:
         kept = s_all
     return {
@@ -163,6 +145,6 @@ def summarize_longrun(series: list[SeriesPoint]) -> dict:
         "std_S": float(s_all.std(ddof=1)) if s_all.size > 1 else 0.0,
         "corrected_mean_S": float(kept.mean()),
         "corrected_std_S": float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
-        "n_groups": len(series),
-        "n_excluded_groups": len(series) - int(kept.size),
+        "n_groups": s_all.size,
+        "n_excluded_groups": s_all.size - kept.size,
     }

@@ -78,11 +78,8 @@ class DriftSchedule:
 
     def __post_init__(self):
         # Held for rate_at and constant_rate, one of which every walk calls.
-        starts, rates = np.array(self.segments).T
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_rates", rates)
-        object.__setattr__(self, "_start_list", starts.tolist())
-        object.__setattr__(self, "_rate_list", rates.tolist())
+        object.__setattr__(self, "_start_list", [float(start) for start, _ in self.segments])
+        object.__setattr__(self, "_rate_list", [float(rate) for _, rate in self.segments])
         # Every burst's start and end, sorted, and the multipliers in force,
         # in burst order, in each region between them: a burst covers all of
         # [lo, hi) or none of it, as no edge lies inside.
@@ -113,16 +110,13 @@ class DriftSchedule:
             segments = [(0.0, day_rate), (night_start_s, night_rate)]
         return cls(segments=tuple(segments), period_s=period_s, bursts=tuple(bursts))
 
-    def rate_at(self, t) -> np.ndarray:
-        """Diffusion rate at time(s) t, burst multipliers included."""
-        t = np.asarray(t, dtype=float)
-        phase = np.mod(t, self.period_s)
-        idx = np.searchsorted(self._starts, phase, side="right") - 1
-        out = self._rates[idx]
+    def rate_at(self, t: float) -> float:
+        """Diffusion rate at time t, burst multipliers included."""
+        rate = self._rate_list[bisect_right(self._start_list, t % self.period_s) - 1]
         for b in self.bursts:
-            mask = (t >= b.start_s) & (t < b.start_s + b.duration_s)
-            out = np.where(mask, out * b.multiplier, out)
-        return out
+            if b.start_s <= t < b.start_s + b.duration_s:
+                rate *= b.multiplier
+        return rate
 
     def constant_rate(self, t0: float, t1: float):
         """The rate ``rate_at`` gives at every time in [t0, t1], or None.
@@ -133,7 +127,7 @@ class DriftSchedule:
         """
         if not (0.0 <= t0 <= t1 and t1 - t0 < self.period_s):
             return None
-        # For t >= 0, fmod is exact and equals rate_at's np.mod, so the phase
+        # For t >= 0, fmod is exact and equals rate_at's %, so the phase
         # grows with t within one period; an interval under a period long
         # whose end phase is not below its start phase crosses no period.
         phase0, phase1 = math.fmod(t0, self.period_s), math.fmod(t1, self.period_s)
@@ -299,7 +293,7 @@ class FiberChannel:
         if isinstance(scale, float):
             angles = [a * scale for a in draws[3::4]]
         else:
-            angles = (np.array(draws[3::4]) * scale).tolist()
+            angles = [a * s for a, s in zip(draws[3::4], scale)]
         if sample_stride:  # sliced by the walk, which need not hold the draws as well
             axes, draws = list(axes), None
         self.sim_time += _step_grid(n, dt)[1]
@@ -336,15 +330,18 @@ def _step_grid(n: int, dt: float) -> tuple:
 def _step_scales(schedule: DriftSchedule, t0: float, n: int, dt: float):
     """sqrt(rate * dt) of ``n`` consecutive walk steps of ``dt`` from ``t0``.
 
-    One float where the rate stays constant over the walk, else one per step;
-    either way bit-equal to ``np.sqrt(schedule.rate_at(times) * dts)``.
+    One float where the rate stays constant over the walk, else a list of one
+    per step, read off ``rate_at`` at each step's start; the step times are
+    summed in sequence from 0, as ``np.cumsum`` sums them.
     """
     rate = schedule.constant_rate(t0, t0 + _step_grid(n, dt)[0])
     if rate is not None:
         return math.sqrt(rate * dt)
-    dts = np.full(n, dt)
-    times = t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))
-    return np.sqrt(schedule.rate_at(times) * dts)
+    scales, t = [], 0.0
+    for _ in range(n):
+        scales.append(math.sqrt(schedule.rate_at(t0 + t) * dt))
+        t += dt
+    return scales
 
 
 def loss_transmittance(loss_db: float) -> float:

@@ -507,7 +507,7 @@ def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:
 def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
     windows, counts = _measure(cfg, seed)
     summary: dict = {"scenario": "longrun", "stabilized": cfg["scheduler"]["stabilized"]}
-    series = analysis.longrun_series(windows, counts)
+    t_s, min_f, s_values, sigmas, comp_s, post_timeout = analysis.longrun_series(windows, counts)
     sessions = [w.session for w in windows]
     rows = []
     for w in windows:
@@ -518,11 +518,8 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
         )
     _write_table(out / "timeline.csv", "start_s,end_s,kind,outcome,min_f_after", rows)
     _write_sessions(out / "sessions.csv", sessions)
-    rows = (
-        f"{p.time_s:.6f},{p.min_ref_fidelity:.9f},{p.s_value:.6f},"
-        f"{p.sigma_s:.6f},{p.compensation_time_s:.6f},{int(p.post_timeout)}"
-        for p in series
-    )
+    columns = zip(t_s, min_f, s_values.tolist(), sigmas.tolist(), comp_s, map(int, post_timeout))
+    rows = ("{:.6f},{:.9f},{:.6f},{:.6f},{:.6f},{}".format(*row) for row in columns)
     header = "t_s,min_ref_fidelity,S,sigma_S,compensation_time_s,post_timeout"
     _write_table(out / "series.csv", header, rows, end="\n")
     if windows:  # a run without windows has no uptime and no sessions to count
@@ -531,8 +528,8 @@ def cmd_longrun(cfg: dict, seed: int, out: Path) -> dict:
         summary["n_sessions"] = n = len(outcomes)
         for outcome in (apc.OUTCOME_SKIPPED, apc.OUTCOME_CONVERGED, apc.OUTCOME_TIMEOUT):
             summary[f"fraction_{outcome}"] = outcomes.count(outcome) / n
-    if series:
-        summary.update(analysis.summarize_longrun(series))
+    if s_values.size:
+        summary.update(analysis.summarize_longrun(s_values, post_timeout))
     _write_summary(out / "summary.json", cfg, seed, summary)
     return summary
 

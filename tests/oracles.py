@@ -15,11 +15,14 @@ products, as the package did before its axis-aligned products, and
 ``three_product_step`` is the descent step built on them, with its gradient
 by central differences, as the package ran it before its closed form.
 ``loop_longrun_series`` is ``analysis.longrun_series`` as one loop over the
-groups, as the package computed it before its whole-array pass.
+groups, as the package computed it before its whole-array pass, with the
+check that each window holds its group place's CHSH setting.
 ``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
 ``ScriptedDraws`` stands in for a generator whose normals a test picks.
 ``loop_constant_rate`` is ``DriftSchedule.constant_rate`` with its bursts
-checked one by one, as the package did before its sorted burst edges.
+checked one by one, as the package did before its sorted burst edges, and
+``array_rate_at`` is ``DriftSchedule.rate_at`` over an array of times, as
+the package computed per-step rates before its scalar lookup.
 ``greedy_match`` is the windowed coincidence matcher of acceptance
 criterion 4, which no run of the package reaches since it counts rates, not
 time tags.
@@ -35,7 +38,7 @@ from operator import add
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from polarlink.analysis import FitError, SeriesPoint
+from polarlink.analysis import FitError
 from polarlink.apc import _fidelities
 from polarlink.polmath import AnalyzerSetting, compose_quat, quaternion_matrix
 from polarlink.scheduler import CHSH_WINDOW_SETTINGS
@@ -233,10 +236,13 @@ def _window_correlation(counts: np.ndarray) -> tuple[float, float]:
     return e, sigma
 
 
-def loop_longrun_series(windows, counts) -> list:
+def loop_longrun_series(windows, counts) -> tuple:
     """Oracle of ``longrun_series``: each group's correlations in a loop, S as
-    a dot product with the CHSH signs."""
-    out = []
+    a dot product with the CHSH signs, appended to the six columns in turn.
+
+    Raises FitError where a window's analyzer pair is not the CHSH setting
+    of its place in the group, which ``longrun_series`` takes as given."""
+    columns = tuple([] for _ in range(6))
     n_groups = len(windows) // 4
     for g in range(n_groups):
         group = windows[4 * g : 4 * g + 4]
@@ -247,19 +253,17 @@ def loop_longrun_series(windows, counts) -> list:
                 raise FitError("windows are not aligned to 4-window CHSH groups")
             es[k], sig = _window_correlation(counts[4 * g + k])
             variances[k] = sig * sig
-        s = float(_CHSH_SIGNS @ es)
-        sigma_s = float(np.sqrt(variances.sum()))
-        out.append(
-            SeriesPoint(
-                time_s=group[0].start_s,
-                min_ref_fidelity=min(w.session.min_fidelity_after for w in group),
-                s_value=s,
-                sigma_s=sigma_s,
-                compensation_time_s=sum(w.session.duration_s for w in group),
-                post_timeout=any(w.post_timeout for w in group),
-            )
+        row = (
+            group[0].start_s,
+            min(w.session.min_fidelity_after for w in group),
+            float(_CHSH_SIGNS @ es),
+            float(np.sqrt(variances.sum())),
+            sum(w.session.duration_s for w in group),
+            any(w.post_timeout for w in group),
         )
-    return out
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def csv_writer_text(rows, lineterminator: str = "\r\n") -> str:
@@ -305,6 +309,18 @@ class ScriptedDraws:
             return values.reshape(shape)
         out[...] = values.reshape(shape)
         return out
+
+
+def array_rate_at(schedule, t) -> np.ndarray:
+    """Oracle of ``DriftSchedule.rate_at`` over an array of times: one
+    ``searchsorted`` over the segment starts, then each burst as a mask."""
+    t = np.asarray(t, dtype=float)
+    starts, rates = np.array(schedule.segments, dtype=float).T
+    out = rates[np.searchsorted(starts, np.mod(t, schedule.period_s), side="right") - 1]
+    for b in schedule.bursts:
+        mask = (t >= b.start_s) & (t < b.start_s + b.duration_s)
+        out = np.where(mask, out * b.multiplier, out)
+    return out
 
 
 def loop_constant_rate(schedule, t0: float, t1: float):

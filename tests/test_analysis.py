@@ -128,7 +128,7 @@ def make_window(idx, counts, start=0.0, post_timeout=False, min_f=0.995):
 
 
 def series_of(group):
-    """longrun_series of (window, counts) pairs."""
+    """longrun_series of (window, counts) pairs: its six columns."""
     windows, counts = zip(*group)
     return longrun_series(list(windows), list(counts))
 
@@ -148,42 +148,35 @@ def perfect_group(start=0.0, post_timeout=False):
 
 class TestLongrunSeries:
     def test_known_counts_give_tsirelson(self):
-        series = series_of(perfect_group())
-        assert len(series) == 1
-        assert series[0].s_value == pytest.approx(TSIRELSON, abs=1e-3)
-        assert series[0].sigma_s > 0
+        _, _, s, sigma_s, _, _ = series_of(perfect_group())
+        assert len(s) == 1
+        assert s[0] == pytest.approx(TSIRELSON, abs=1e-3)
+        assert sigma_s[0] > 0
 
     def test_sign_pattern(self):
         # all four correlations +1 gives S = 1 - 1 + 1 + 1 = 2
         group = [make_window(k, [10, 0, 0, 10]) for k in range(4)]
-        series = series_of(group)
-        assert series[0].s_value == pytest.approx(2.0)
-
-    def test_rejects_misaligned_groups(self):
-        group = [make_window(k, [10, 0, 0, 10]) for k in (1, 2, 3, 0)]
-        with pytest.raises(FitError):
-            series_of(group)
+        assert series_of(group)[2][0] == pytest.approx(2.0)
 
     def test_partial_group_dropped(self):
         group = perfect_group() + [make_window(0, [10, 0, 0, 10])]
-        assert len(series_of(group)) == 1
+        assert [len(column) for column in series_of(group)] == [1] * 6
 
     def test_empty_window_contributes_zero(self):
         group = [make_window(k, [0, 0, 0, 0]) for k in range(4)]
-        series = series_of(group)
-        assert series[0].s_value == pytest.approx(0.0)
-        assert series[0].sigma_s == pytest.approx(2.0)
+        _, _, s, sigma_s, _, _ = series_of(group)
+        assert s[0] == pytest.approx(0.0)
+        assert sigma_s[0] == pytest.approx(2.0)
 
     def test_metadata_aggregation(self):
         # one timed-out session with the lowest fidelity marks the whole group
         group = perfect_group(start=7.0)
         group[2] = make_window(2, group[2][1], start=7.0, post_timeout=True, min_f=0.97)
-        p = series_of(group)[0]
-        assert p.time_s == pytest.approx(7.0)
-        assert p.min_ref_fidelity == 0.97
-        assert p.post_timeout
-        assert p.compensation_time_s == pytest.approx(4 * 0.12)
-
+        t_s, min_f, _, _, compensation_s, post_timeout = series_of(group)
+        assert t_s == [7.0]
+        assert min_f == [0.97]
+        assert post_timeout == [True]
+        assert compensation_s[0] == pytest.approx(4 * 0.12)
 
     def test_equals_the_loop_oracle_bit_for_bit(self):
         # integer counts up to 1e9, a quarter of the windows without counts,
@@ -206,28 +199,40 @@ class TestLongrunSeries:
     def test_equals_the_loop_oracle_on_a_stabilized_run(self):
         windows, counts = _measure(load_config("configs/longrun_stabilized.yaml"), 11)
         expected = loop_longrun_series(windows, counts)
-        assert len(expected) > 500
+        assert len(expected[0]) > 500
         assert_same_series(longrun_series(windows, counts), expected)
 
 
 def assert_same_series(got, expected):
-    assert len(got) == len(expected)
-    for p, q in zip(got, expected):
-        assert p == q
-        assert p.s_value.hex() == q.s_value.hex() and p.sigma_s.hex() == q.sigma_s.hex()
+    """Every column equal, the float columns by ``.hex()``; S and σ_S are arrays."""
+    t_s, min_f, s, sigma_s, compensation_s, post_timeout = got
+    assert isinstance(s, np.ndarray) and isinstance(sigma_s, np.ndarray)
+    floats = (t_s, min_f, s.tolist(), sigma_s.tolist(), compensation_s)
+    for column, expected_column in zip(floats, expected[:5]):
+        assert [x.hex() for x in column] == [x.hex() for x in expected_column]
+    assert post_timeout == expected[5]
 
 
 class TestSummarizeLongrun:
     def test_statistics(self):
-        windows = perfect_group(0.0) + perfect_group(12.0, post_timeout=True)
-        series = series_of(windows)
-        s = summarize_longrun(series)
-        assert s["n_groups"] == 2
-        assert s["n_excluded_groups"] == 1
-        assert s["mean_S"] == pytest.approx(TSIRELSON, abs=1e-3)
-        assert s["corrected_mean_S"] == pytest.approx(series[0].s_value)
-        assert s["corrected_std_S"] == 0.0
+        _, _, s, _, _, post_timeout = series_of(perfect_group(0.0) + perfect_group(12.0, True))
+        summary = summarize_longrun(s, post_timeout)
+        assert type(summary["n_groups"]) is int and type(summary["n_excluded_groups"]) is int
+        assert summary["n_groups"] == 2
+        assert summary["n_excluded_groups"] == 1
+        assert summary["mean_S"] == pytest.approx(TSIRELSON, abs=1e-3)
+        assert summary["corrected_mean_S"] == pytest.approx(s[0])
+        assert summary["corrected_std_S"] == 0.0
+
+    def test_every_group_post_timeout_averages_all(self):
+        # with no group left to keep, the corrected statistics are the plain ones
+        s = np.array([2.1, 2.4, 2.7])
+        summary = summarize_longrun(s, [True, True, True])
+        assert summary["corrected_mean_S"] == summary["mean_S"] == float(s.mean())
+        assert summary["corrected_std_S"] == summary["std_S"]
+        assert summary["n_excluded_groups"] == 0
+        assert summary["n_groups"] == 3
 
     def test_rejects_empty(self):
         with pytest.raises(FitError):
-            summarize_longrun([])
+            summarize_longrun(np.array([]), [])

@@ -27,7 +27,14 @@ from polarlink.channel import (
     first_crossing_time,
 )
 from polarlink.cli import build_channel, load_config
-from tests.oracles import ScriptedDraws, haar_quat, loop_constant_rate, matrix, per_step_walk
+from tests.oracles import (
+    ScriptedDraws,
+    array_rate_at,
+    haar_quat,
+    loop_constant_rate,
+    matrix,
+    per_step_walk,
+)
 
 H = np.array([1.0, 0.0, 0.0])
 
@@ -67,9 +74,9 @@ EDGES = sorted(
 
 
 def reference_scales(schedule, t0, n, dt):
-    """sqrt(rate * dt) of each step, read off rate_at at every step start."""
+    """sqrt(rate * dt) of each step, read off the array lookup at every step start."""
     dts = np.full(n, dt)
-    return np.sqrt(schedule.rate_at(t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))) * dts)
+    return np.sqrt(array_rate_at(schedule, t0 + np.concatenate(([0.0], np.cumsum(dts[:-1])))) * dts)
 
 
 def start_ending_on(edge, n, dt):
@@ -660,7 +667,7 @@ class TestDriftOracle:
     N_SEEDS = 1000
 
     def mean_factor(self, step_starts, dts):
-        rates = self.SCHEDULE.rate_at(step_starts)
+        rates = array_rate_at(self.SCHEDULE, step_starts)
         return np.prod(1.0 / 3.0 + (2.0 / 3.0) * np.exp(-rates * dts / 2.0))
 
     @staticmethod

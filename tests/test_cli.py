@@ -675,6 +675,20 @@ class TestLongrun:
         # the uncompensated link falls below the classical bound and stays there
         assert np.median(s_values[len(s_values) // 2 :]) < 2.0
 
+    def test_summary_agrees_with_series_csv(self, tmp_path, capsys):
+        # 555 groups, one of them post-timeout
+        out = tmp_path / "out"
+        args = ["longrun", "--config", f"{CONFIG_DIR}/longrun_stabilized.yaml", "--seed", "11"]
+        assert run(args + ["--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "series.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == summary["n_groups"] == 555
+        assert sum(r["post_timeout"] == "1" for r in rows) == summary["n_excluded_groups"] == 1
+        # the S column is rounded to 6 decimals
+        s_values = np.array([float(r["S"]) for r in rows])
+        assert abs(s_values.mean() - summary["mean_S"]) < 5e-7
+
     def test_zero_duration(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, longrun_cfg(duration=0.0))
         out = tmp_path / "out"
@@ -971,12 +985,14 @@ class TestLfTables:
         # groups with and without a timed-out session
         out, windows, counts = longrun_run(tmp_path, duration=600.0, rate=30 * DAY_RATE, seed=4)
         series = analysis.longrun_series(windows, counts)
-        assert {p.post_timeout for p in series} == {False, True}
+        t_s, min_f, s, sigma_s, compensation_s, post_timeout = series
+        assert set(post_timeout) == {False, True}
         rows = [["t_s", "min_ref_fidelity", "S", "sigma_S", "compensation_time_s", "post_timeout"]]
         rows += [
-            [f"{p.time_s:.6f}", f"{p.min_ref_fidelity:.9f}", f"{p.s_value:.6f}",
-             f"{p.sigma_s:.6f}", f"{p.compensation_time_s:.6f}", int(p.post_timeout)]
-            for p in series
+            [f"{t:.6f}", f"{f:.9f}", f"{v:.6f}", f"{sigma:.6f}", f"{comp:.6f}", int(flag)]
+            for t, f, v, sigma, comp, flag in zip(
+                t_s, min_f, s.tolist(), sigma_s.tolist(), compensation_s, post_timeout
+            )
         ]
         data = (out / "series.csv").read_bytes()
         assert data == csv_writer_text(rows, lineterminator="\n").encode()
