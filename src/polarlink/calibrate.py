@@ -1,4 +1,8 @@
-"""Calibration of the day drift rate: a bisection over batched probe walks."""
+"""Calibration of the day drift rate: a search over batched walks of one seed set.
+
+Each step tries the last rate scaled by median / target time, or the bracket's
+geometric midpoint where that lies outside it or the median lay past the horizon.
+"""
 
 from __future__ import annotations
 
@@ -218,8 +222,12 @@ def median_crossing_time(
 def bisect_day_rate(settings: dict, seed: int) -> tuple:
     """(day rate, its median crossing time) for a resolved ``calibrate`` block.
 
-    Step i of the geometric bisection walks seeds spawned from ``seed + i``;
-    a target fidelity of 1 needs no drift.  Raises CalibrationError if no
+    Every step walks the seeds spawned from ``seed``.  After the first, at
+    the geometric midpoint of [1e-5, 1], a step tries the last rate times
+    median / target time (the median scales about as 1 / rate), or the
+    narrowed bracket's geometric midpoint where that lies outside it or the
+    median lay past the horizon, as inf or as a full walk's finite median.
+    A target fidelity of 1 needs no drift.  Raises CalibrationError if no
     step's median lands in the band.
     """
     target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
@@ -233,10 +241,10 @@ def bisect_day_rate(settings: dict, seed: int) -> tuple:
     # round below a median in the band: 30.75 s at 30 s and 0.05.)
     horizon = target_time + band if band < target_time else math.inf
     lo, hi = 1e-5, 1.0
-    for iteration in range(40):
-        mid = float(np.sqrt(lo * hi))
+    mid = float(np.sqrt(lo * hi))
+    for _ in range(40):
         median = median_crossing_time(
-            mid, target_fidelity, settings["n_seeds"], max_time, seed + iteration, horizon=horizon
+            mid, target_fidelity, settings["n_seeds"], max_time, seed, horizon=horizon
         )
         if abs(median - target_time) <= band:
             return mid, median
@@ -244,6 +252,8 @@ def bisect_day_rate(settings: dict, seed: int) -> tuple:
             lo = mid
         else:
             hi = mid
+        guess = mid * median / target_time if median <= horizon else lo
+        mid = guess if lo < guess < hi else float(np.sqrt(lo * hi))
     last = f"{median:.2f} s" if median <= horizon else f"over {horizon:.2f} s"
     raise CalibrationError(
         f"calibration did not converge (last median {last} for target {target_time:.2f} s)"

@@ -234,23 +234,53 @@ class TestProbeVectorWalk:
 class TestBisectDayRate:
     SETTINGS = {"target_fidelity": 0.95, "target_time_s": 20.0, "n_seeds": 7, "tolerance": 0.05}
 
-    def test_bisects_geometrically_with_a_fresh_seed_per_step(self, monkeypatch):
-        # medians above, below, then inside the band [19.5, 20.5] s
-        calls, medians = [], iter([40.0, 10.0, 20.25])
+    FIRST = float(np.sqrt(1e-5 * 1.0))
+    SECOND = float(np.sqrt(FIRST * 1.0))
+
+    def scripted_calls(self, monkeypatch, medians):
+        """The arguments of each median_crossing_time call, and the result, for scripted medians."""
+        calls, medians = [], iter(medians)
 
         def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon):
             calls.append((rate, threshold, n_seeds, max_time_s, seed, horizon))
             return next(medians)
 
         monkeypatch.setattr(calibrate, "median_crossing_time", scripted)
-        rate, median = calibrate.bisect_day_rate(self.SETTINGS, 11)
-        first = float(np.sqrt(1e-5 * 1.0))
-        second = float(np.sqrt(first * 1.0))
-        third = float(np.sqrt(first * second))
-        assert [c[0] for c in calls] == [first, second, third]
-        assert [c[4] for c in calls] == [11, 12, 13]
-        assert all(c[1:4] == (0.95, 7, 80.0) and c[5] == 20.5 for c in calls)
-        assert (rate, median) == (third, 20.25)
+        result = calibrate.bisect_day_rate(self.SETTINGS, 11)
+        assert all(c[1:] == (0.95, 7, 80.0, 11, 20.5) for c in calls)  # one seed set
+        return [c[0] for c in calls], result
+
+    def test_next_rate_scales_by_the_last_median(self, monkeypatch):
+        # past the horizon, then below and inside the band [19.5, 20.5] s
+        rates, result = self.scripted_calls(monkeypatch, [math.inf, 5.0, 20.25])
+        third = self.SECOND * 5.0 / 20.0
+        assert rates == [self.FIRST, self.SECOND, third]
+        assert result == (third, 20.25)
+
+    def test_guess_outside_the_bracket_takes_the_midpoint(self, monkeypatch):
+        # SECOND * 0.1 / 20 lies below lo = FIRST
+        rates, _ = self.scripted_calls(monkeypatch, [math.inf, 0.1, 20.25])
+        assert rates == [self.FIRST, self.SECOND, float(np.sqrt(self.FIRST * self.SECOND))]
+
+    def test_finite_median_past_the_horizon_acts_as_inf(self, monkeypatch):
+        # a full walk's median past the horizon is finite; FIRST * 30 / 20
+        # would lie inside (FIRST, 1), yet the step takes the midpoint
+        assert self.scripted_calls(monkeypatch, [30.0, 5.0, 20.25]) == self.scripted_calls(
+            monkeypatch, [math.inf, 5.0, 20.25]
+        )
+
+    def test_calibrate_yaml_seed_3_walks_three_medians(self, tmp_path, monkeypatch, capsys):
+        medians = []
+        walk = calibrate.median_crossing_time
+
+        def counted(*args, horizon):
+            medians.append(walk(*args, horizon=horizon))
+            return medians[-1]
+
+        monkeypatch.setattr(calibrate, "median_crossing_time", counted)
+        args = ["calibrate", "--config", "configs/calibrate.yaml", "--seed", "3"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert len(medians) == 3 and abs(medians[-1] - 20.0) <= 0.5
 
     def test_fidelity_1_walks_nothing(self, monkeypatch):
         monkeypatch.setattr(calibrate, "median_crossing_time", None)
