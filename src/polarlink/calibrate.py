@@ -252,8 +252,8 @@ def bisect_day_rate(settings: dict, seed: int) -> tuple:
             lo = mid
         else:
             hi = mid
-        guess = mid * median / target_time if median <= horizon else lo
-        mid = guess if lo < guess < hi else float(np.sqrt(lo * hi))
+        guess = mid * median / target_time
+        mid = guess if median <= horizon and lo < guess < hi else float(np.sqrt(lo * hi))
     last = f"{median:.2f} s" if median <= horizon else f"over {horizon:.2f} s"
     raise CalibrationError(
         f"calibration did not converge (last median {last} for target {target_time:.2f} s)"

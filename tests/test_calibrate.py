@@ -238,7 +238,7 @@ class TestBisectDayRate:
     SECOND = float(np.sqrt(FIRST * 1.0))
 
     def scripted_calls(self, monkeypatch, medians):
-        """The arguments of each median_crossing_time call, and the result, for scripted medians."""
+        """The rate of each median_crossing_time call, and the result, for scripted medians."""
         calls, medians = [], iter(medians)
 
         def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon):
