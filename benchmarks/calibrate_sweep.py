@@ -1,9 +1,9 @@
 """Calibrate the day drift rate over a run of seeds: convergence and spread.
 
 Runs ``calibrate.bisect_day_rate`` with configs/calibrate.yaml's settings at
-seeds ``--first`` to ``--first + --count - 1`` (default 0-199) and prints how
-many converge, the mean, sd and standard error of the day rate, the number of
-distinct rates, and the min, median and max number of median walks (calls of
+seeds 0 to ``--count`` - 1 (default 0-199) and prints how many converge, the
+mean, sd and standard error of the day rate, the number of distinct rates,
+and the min, median and max number of median walks (calls of
 ``median_crossing_time``) a calibration takes.  It exits 1 if any seed fails
 to converge, or if the mean rate is more than 2 standard errors from
 0.01321, the mean over seeds 0-199 of the bisection that walked a fresh seed
@@ -11,7 +11,7 @@ set at every step.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 benchmarks/calibrate_sweep.py [--first N] [--count K]
+    PYTHONPATH=src python3 benchmarks/calibrate_sweep.py [--count K]
 """
 
 import argparse
@@ -28,7 +28,6 @@ REFERENCE_MEAN = 0.01321
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--first", type=int, default=0)
     parser.add_argument("--count", type=int, default=200)
     args = parser.parse_args()
     if args.count < 2:
@@ -46,7 +45,7 @@ def main():
     calibrate.median_crossing_time = counted
     rates, walk_counts, failed = [], [], []
     start = time.perf_counter()
-    for seed in range(args.first, args.first + args.count):
+    for seed in range(args.count):
         walks = 0
         try:
             rate, _ = calibrate.bisect_day_rate(settings, seed)
@@ -57,7 +56,7 @@ def main():
         walk_counts.append(walks)
     elapsed = time.perf_counter() - start
 
-    print(f"seeds {args.first}-{args.first + args.count - 1}: {len(rates)}/{args.count} converge in {elapsed:.1f} s")
+    print(f"seeds 0-{args.count - 1}: {len(rates)}/{args.count} converge in {elapsed:.1f} s")
     for line in failed:
         print(line)
     if len(rates) < 2:

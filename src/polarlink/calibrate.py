@@ -1,8 +1,4 @@
-"""Calibration of the day drift rate: a search over batched walks of one seed set.
-
-Each step tries the last rate scaled by median / target time, or the bracket's
-geometric midpoint where that lies outside it or the median lay past the horizon.
-"""
+"""Calibration of the day drift rate: a proportional-step bisection over walks of common seeds."""
 
 from __future__ import annotations
 
@@ -222,13 +218,16 @@ def median_crossing_time(
 def bisect_day_rate(settings: dict, seed: int) -> tuple:
     """(day rate, its median crossing time) for a resolved ``calibrate`` block.
 
-    Every step walks the seeds spawned from ``seed``.  After the first, at
-    the geometric midpoint of [1e-5, 1], a step tries the last rate times
+    Steps walk the seeds spawned from ``seed``.  After the first, at the
+    geometric midpoint of [1e-5, 1], a step tries the last rate times
     median / target time (the median scales about as 1 / rate), or the
     narrowed bracket's geometric midpoint where that lies outside it or the
     median lay past the horizon, as inf or as a full walk's finite median.
-    A target fidelity of 1 needs no drift.  Raises CalibrationError if no
-    step's median lands in the band.
+    Over one seed set the median is a step function of the rate: a bracket
+    narrower than tolerance / 4 that still straddles the band holds a jump
+    over it, so the search reopens [1e-5, 1] and walks the next seed set
+    (``seed + 1``, ...) from the same rate.  A target fidelity of 1 needs no
+    drift.  Raises CalibrationError if none of 40 steps lands in the band.
     """
     target_fidelity, target_time = settings["target_fidelity"], settings["target_time_s"]
     if target_fidelity == 1.0:
@@ -240,18 +239,18 @@ def bisect_day_rate(settings: dict, seed: int) -> tuple:
     # target_time > band beyond.  (target_time * (1 + tolerance / 2) can
     # round below a median in the band: 30.75 s at 30 s and 0.05.)
     horizon = target_time + band if band < target_time else math.inf
-    lo, hi = 1e-5, 1.0
+    lo, hi, walked = 1e-5, 1.0, seed
     mid = float(np.sqrt(lo * hi))
     for _ in range(40):
         median = median_crossing_time(
-            mid, target_fidelity, settings["n_seeds"], max_time, seed, horizon=horizon
+            mid, target_fidelity, settings["n_seeds"], max_time, walked, horizon=horizon
         )
         if abs(median - target_time) <= band:
             return mid, median
-        if median > target_time:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if median > target_time else (lo, mid)
+        if hi < lo * (1 + settings["tolerance"] / 4):
+            lo, hi, walked = 1e-5, 1.0, walked + 1
+            continue
         guess = mid * median / target_time
         mid = guess if median <= horizon and lo < guess < hi else float(np.sqrt(lo * hi))
     last = f"{median:.2f} s" if median <= horizon else f"over {horizon:.2f} s"

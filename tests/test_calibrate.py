@@ -269,6 +269,28 @@ class TestBisectDayRate:
             monkeypatch, [math.inf, 5.0, 20.25]
         )
 
+    def test_bracket_closed_on_a_jump_walks_the_next_seed_set(self, monkeypatch):
+        # seed 11's median scales as 1 / rate but jumps over the band
+        # [19.5, 20.5] s at 0.0132; seed 12's passes through the band there
+        calls = []
+
+        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon):
+            calls.append((rate, seed))
+            if seed == 12:
+                return 20.0 * 0.0132 / rate
+            return (20.6 if rate < 0.0132 else 19.4) * 0.0132 / rate
+
+        monkeypatch.setattr(calibrate, "median_crossing_time", scripted)
+        rate, median = calibrate.bisect_day_rate(self.SETTINGS, 11)
+        *elevens, (last_rate, last_seed) = calls
+        assert all(s == 11 for _, s in elevens) and last_seed == 12
+        # the bracket around the jump is narrower than tolerance / 4
+        lo = max(r for r, _ in elevens if r < 0.0132)
+        hi = min(r for r, _ in elevens if r >= 0.0132)
+        assert hi < lo * (1 + 0.05 / 4)
+        # the next seed set starts at the last rate
+        assert last_rate == elevens[-1][0] and (rate, median) == (last_rate, 20.0 * 0.0132 / last_rate)
+
     def test_calibrate_yaml_seed_3_walks_three_medians(self, tmp_path, monkeypatch, capsys):
         medians = []
         walk = calibrate.median_crossing_time

@@ -737,8 +737,9 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "n_seeds,tolerance,seed,last",
         [
-            # the bracket closes on a rate where this seed set's median jumps
-            # from 19.80 s to 20.25 s, past the horizon, 20 s + 1e-5 s
+            # the bracket closes on a rate where seed 2's set's median jumps
+            # from 19.80 s to 20.25 s, past the horizon, 20 s + 1e-5 s; the
+            # 40 steps end on a jump of the next set, seed 3's
             (200, 1.0e-6, 2, "last median over 20.00 s"),
             # the last step's walk stopped at the horizon, 20 s + 0.004 * 20 s / 2
             (3, 0.004, 0, "last median over 20.04 s"),
