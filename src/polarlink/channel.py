@@ -77,7 +77,7 @@ class DriftSchedule:
     bursts: tuple = ()
 
     def __post_init__(self):
-        # Held for rate_at and constant_rate, one of which every walk calls.
+        # Held for rate_at, constant_rate and constant_stretch (on a stretch miss).
         object.__setattr__(self, "_start_list", [float(start) for start, _ in self.segments])
         object.__setattr__(self, "_rate_list", [float(rate) for _, rate in self.segments])
         # Every burst's start and end, sorted, and the multipliers in force,
@@ -125,23 +125,34 @@ class DriftSchedule:
         and no burst starts or ends in (t0, t1]; then the rate is that of t0,
         bit for bit.  Where it cannot tell, it returns None.
         """
+        return self.constant_stretch(t0, t1)[0]
+
+    def constant_stretch(self, t0: float, t1: float) -> tuple:
+        """(``constant_rate(t0, t1)``, end): a rate that is not None is also
+        ``constant_rate(a, b)`` for all t0 <= a <= b < end, the first burst edge
+        past t0 or, if sooner, a relative 1e-12 short of the next segment start
+        or period end, as t0 - fmod(t0, period_s) + start may round either way."""
         if not (0.0 <= t0 <= t1 and t1 - t0 < self.period_s):
-            return None
+            return None, t0
         # For t >= 0, fmod is exact and equals rate_at's %, so the phase
         # grows with t within one period; an interval under a period long
         # whose end phase is not below its start phase crosses no period.
         phase0, phase1 = math.fmod(t0, self.period_s), math.fmod(t1, self.period_s)
         seg = bisect_right(self._start_list, phase0)
         if not (phase0 <= phase1 and bisect_right(self._start_list, phase1) == seg):
-            return None
+            return None, t0
         rate = self._rate_list[seg - 1]
         # the first burst edge past t0 must lie past t1 too
         region = bisect_right(self._burst_edges, t0)
         if region < len(self._burst_edges) and self._burst_edges[region] <= t1:
-            return None
+            return None, t0
         for multiplier in self._burst_multipliers[region]:
             rate *= multiplier
-        return rate
+        start = self._start_list[seg] if seg < len(self._start_list) else self.period_s
+        end = (t0 - phase0 + start) * (1.0 - 1e-12)
+        if region < len(self._burst_edges):
+            end = min(end, self._burst_edges[region])
+        return rate, end
 
 
 class NormalStream:
@@ -222,11 +233,17 @@ class FiberChannel:
         sim_time: float = 0.0,
         max_step_s: float = MAX_STEP_S,
     ):
-        self.schedule = schedule
+        self._schedule = schedule
         self.normals = NormalStream(rng)
         self.sim_time = sim_time
-        self.max_step_s = max_step_s
+        self._max_step_s = max_step_s
         self.quat = (0.0, 0.0, 0.0, 1.0)
+        self._plans = {}  # duration: (n, dt) of its time rule
+        self._stretch = (math.inf, -math.inf, None)  # (start, end, rate) of constant_stretch
+
+    # read-only, as the cached plans and stretch hold for them
+    schedule = property(lambda self: self._schedule, doc="The drift schedule.")
+    max_step_s = property(lambda self: self._max_step_s, doc="The time rule's longest step.")
 
     @property
     def rng(self) -> np.random.Generator:
@@ -237,27 +254,40 @@ class FiberChannel:
         """Advance by ``duration``; the quaternion at its start.
 
         By the time rule the walk takes n = ``_walk_steps(duration,
-        max_step_s)`` steps, each by an angle ~ N(0, rate * dt) about a
-        uniform axis.  Where the rate stays constant over the advance, n is
-        at least COARSE_MIN_STEPS and the advance's angle variance, rate *
-        duration, fits in one step at DAY_RATE (DAY_RATE * max_step_s), it
-        takes the two steps of ``_coarse_walk`` instead.  Any walk at DAY_RATE
-        or faster keeps the time rule bit for bit.
+        max_step_s)`` steps of dt = duration / n, each by an angle ~ N(0,
+        rate * dt) about a uniform axis.  Where the rate stays constant over
+        the advance, n is at least COARSE_MIN_STEPS and the advance's angle
+        variance, rate * duration, fits in one step at DAY_RATE (DAY_RATE *
+        max_step_s), it takes the two steps of ``_coarse_walk`` instead.  Any
+        walk at DAY_RATE or faster keeps the time rule bit for bit.  The
+        channel keeps (n, dt) per duration and the last constant-rate
+        ``constant_stretch``, and asks the schedule again only when an
+        advance leaves that stretch.
         """
         if not duration >= 0:
             raise ChannelError(f"duration must be >= 0, got {duration!r}")
         start = self.quat
         if duration > 0:
-            n = _walk_steps(duration, self.max_step_s)
-            rate = self.schedule.constant_rate(self.sim_time, self.sim_time + duration)
+            plan = self._plans.get(duration)
+            if plan is None:
+                if len(self._plans) >= 64:  # capped as _step_grid's cache is
+                    self._plans.clear()
+                n = _walk_steps(duration, self._max_step_s)
+                plan = self._plans[duration] = (n, duration / n)
+            n, dt = plan
+            t0, t1 = self.sim_time, self.sim_time + duration
+            low, end, rate = self._stretch
+            if not (low <= t0 and t1 < end):
+                rate, end = self._schedule.constant_stretch(t0, t1)
+                if rate is not None:
+                    self._stretch = (t0, end, rate)
             if rate is None:
-                self._walk(n, duration / n)
+                self._walk(n, dt)
             # at DAY_RATE or faster, rate / DAY_RATE >= 1.0, so the product is
             # at least duration / max_step_s, over n - 1
-            elif n >= COARSE_MIN_STEPS and rate / DAY_RATE * (duration / self.max_step_s) <= 1.0:
+            elif n >= COARSE_MIN_STEPS and rate / DAY_RATE * (duration / self._max_step_s) <= 1.0:
                 self._coarse_walk(n, duration, rate)
             else:
-                dt = duration / n
                 self._walk(n, dt, math.sqrt(rate * dt))
         return start
 
@@ -287,7 +317,7 @@ class FiberChannel:
         takes normals 4i to 4i + 3 of the stream, its axis and its angle's.
         ``scale`` is the steps' sqrt(rate * dt), if the caller knows it."""
         if scale is None:
-            scale = _step_scales(self.schedule, self.sim_time, n, dt)
+            scale = _step_scales(self._schedule, self.sim_time, n, dt)
         draws = self.normals.take(4 * n)
         axes = zip(draws[0::4], draws[1::4], draws[2::4])
         if isinstance(scale, float):
