@@ -5,8 +5,10 @@ three advance lengths (a 0.12 s check cycle, a 0.96 s finite-difference block
 and a 3 s uptime window) under the configs/longrun_stabilized.yaml schedule,
 which starts at night, where the 3 s window walks as two coarse steps, and at
 the day rate, where they take 2, 10 and 30 steps; each row prints the steps
-walked, so the fixed cost of a walk shows beside its per-step cost.  It exits
-1 if a day-rate advance takes other than ``_walk_steps`` steps.  The "window"
+walked and the advance's fixed cost: its µs per call less its steps times
+the "rotation_walk" row's per-step time (so the draws and angles of each
+step count in it too).  It exits 1 if a day-rate advance takes other than
+``_walk_steps`` steps.  The "window"
 row times a check cycle and an uptime window as ``run_link`` runs them; it
 exits 1 if the rotations at the start of each advance differ by more than
 1e-12 from those of a per-step matrix walk of the same draws, the oracle kept
@@ -374,12 +376,17 @@ def main():
     parser.add_argument("--walk-steps", type=int, default=200_000)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    report("rotation_walk", args.walk_steps, bench_rotation_walk(args.walk_steps, args.repeats))
+    walk_seconds = bench_rotation_walk(args.walk_steps, args.repeats)
+    report("rotation_walk", args.walk_steps, walk_seconds)
     for label, make_channel in (("night", longrun_channel), ("day", day_channel)):
         for duration in (0.12, 0.96, 3.0):
             seconds, steps = bench_advance(make_channel, duration, 1000, args.repeats)
+            fixed = seconds - steps * walk_seconds / args.walk_steps
             name = f"advance {label}"
-            print(f"{name:<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call")
+            print(
+                f"{name:<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call"
+                f"   fixed {fixed * 1e6:5.1f} us"
+            )
             if label == "day" and steps != _walk_steps(duration, MAX_STEP_S):
                 sys.exit(f"a {duration:g} s advance at the day rate walked {steps} steps")
     channel = longrun_channel()

@@ -77,7 +77,7 @@ class DriftSchedule:
     bursts: tuple = ()
 
     def __post_init__(self):
-        # Held for rate_at, constant_rate and constant_stretch (on a stretch miss).
+        # Held for rate_at and constant_stretch, which an advance calls only off its cached stretch.
         object.__setattr__(self, "_start_list", [float(start) for start, _ in self.segments])
         object.__setattr__(self, "_rate_list", [float(rate) for _, rate in self.segments])
         # Every burst's start and end, sorted, and the multipliers in force,

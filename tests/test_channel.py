@@ -1,6 +1,7 @@
 """Drift schedule, fiber channel walk, loss and probe traces."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,34 @@ class TestConstantRate:
                     checked += 1
                     rated += got is not None
         assert checked > 150_000 and rated > 2_000
+
+    def test_a_stretch_holds_to_its_end(self):
+        # from each t0 >= 0, every interval between the grid's points in
+        # [t0, end) has the rate too, and end is the next edge, or at most a
+        # relative 2e-12 short of it
+        held = 0
+        for schedule in self.SCHEDULES:
+            ends = self.ends(schedule)
+            edges = schedule_edges(schedule, range(-1, 12))
+            unburst = DriftSchedule(schedule.segments, schedule.period_s)
+            periodic = set(schedule_edges(unburst, range(-1, 12)))
+            for i, t0 in enumerate(ends):
+                rate, end = schedule.constant_stretch(t0, t0)
+                assert rate == schedule.constant_rate(t0, t0)
+                if rate is None:
+                    assert t0 < 0
+                    continue
+                inside = [t for t in ends[i:] if t < end]
+                for j, a in enumerate(inside):
+                    for b in inside[j:]:
+                        assert schedule.constant_rate(a, b) == rate, (t0, a, b)
+                        held += 1
+                edge = min(e for e in edges if e > t0)
+                if edge in periodic:
+                    assert edge * (1.0 - 2e-12) <= end < edge
+                else:  # a burst edge alone
+                    assert end == edge
+        assert held > 3_000
 
     def test_multiplies_in_burst_order(self):
         # (rate * a) * b and (rate * b) * a round apart here: the lookup
@@ -612,6 +641,183 @@ class TestStepRule:
             assert ks_2samp(by_rule, by_time).pvalue > 0.01
             # the test tells one such step from the time rule's 30
             assert ks_2samp(one_step, by_time).pvalue < 1e-6
+
+
+def schedule_edges(schedule, periods):
+    """Every segment start and period end in the periods numbered
+    ``periods``, and every burst edge."""
+    edges = {k * schedule.period_s + s for k in periods for s, _ in schedule.segments}
+    edges |= {(k + 1) * schedule.period_s for k in periods}
+    edges |= {e for b in schedule.bursts for e in (b.start_s, b.start_s + b.duration_s)}
+    return sorted(edges)
+
+
+class TestRateStretch:
+    """Whether from the channel's cached stretch or from a fresh
+    ``constant_stretch``, every advance serves the rate ``constant_rate``
+    gives over it, None included, and so walks as it did without the cache."""
+
+    LONGRUN, FRINGE_BURST = (
+        build_channel(load_config(f"configs/{name}.yaml"), np.random.default_rng(0))
+        for name in ("longrun_stabilized", "fringe_burst")
+    )
+    # segment starts, period and bursts off any binary grid; a burst shorter
+    # than one advance, and one nested in another
+    SEGMENTS = DriftSchedule(
+        segments=((0.0, NIGHT_RATE), (1234.5678, DAY_RATE), (4321.123, 3 * NIGHT_RATE)),
+        period_s=7200.7,
+        bursts=(Burst(2000.3, 0.05, 100.0), Burst(5000.0, 120.0, 2.0), Burst(5060.0, 10.0, 50.0)),
+    )
+    # the link's advances: check cycles, finite-difference blocks and uptime windows
+    LINK = (0.12, 0.12, 0.96, 0.12, 3.0)
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """Advance a channel by ``durations``; per advance (t0, duration, what
+        its walk got: ("time", scale) or ("coarse", rate)), and for how many
+        the channel asked its schedule for the advance's interval."""
+        got, asks = [], []
+        real_walk, real_coarse = FiberChannel._walk, FiberChannel._coarse_walk
+        real_stretch = DriftSchedule.constant_stretch
+
+        def walk(ch, n, dt, scale=None, sample_stride=0):
+            got.append(("time", scale))
+            return real_walk(ch, n, dt, scale, sample_stride)
+
+        def coarse_walk(ch, n, duration, rate):
+            got.append(("coarse", rate))
+            real_coarse(ch, n, duration, rate)
+
+        def constant_stretch(schedule, t0, t1):
+            asks.append((t0, t1))
+            return real_stretch(schedule, t0, t1)
+
+        monkeypatch.setattr(FiberChannel, "_walk", walk)
+        monkeypatch.setattr(FiberChannel, "_coarse_walk", coarse_walk)
+        monkeypatch.setattr(DriftSchedule, "constant_stretch", constant_stretch)
+
+        def advance(ch, durations):
+            got.clear()
+            asks.clear()
+            starts = []
+            for d in durations:
+                starts.append(ch.sim_time)
+                ch.advance(d)
+            assert len(got) == len(durations)
+            # _step_scales asks about a shorter interval, through constant_rate
+            asked = set(asks)
+            own = sum((t, t + d) in asked for t, d in zip(starts, durations))
+            return list(zip(starts, durations, got)), own
+
+        return advance
+
+    @staticmethod
+    def check(ch, advances):
+        """Each advance got what the rate ``constant_rate`` gives over it
+        calls for; the number of advances that had a rate."""
+        rated = 0
+        for t0, d, served in advances:
+            rate = ch.schedule.constant_rate(t0, t0 + d)
+            n = _walk_steps(d, ch.max_step_s)
+            if coarse_rate(ch.schedule, t0, d, ch.max_step_s) is not None:
+                expected = ("coarse", rate)
+            else:
+                expected = ("time", None if rate is None else math.sqrt(rate * (d / n)))
+            assert served == expected, (t0, d)
+            rated += rate is not None
+        return rated
+
+    def edge_runs(self, run, make_channel, edges):
+        """Link runs from 32 starts within 4.2 s before each edge to 4 s past
+        it, and a check cycle that ends on the edge, after one a second before."""
+        served = rated = 0
+        for edge in edges:
+            for offset in np.linspace(0.0, 4.2, 32):
+                ch = make_channel(edge - offset)
+                durations = []
+                while ch.sim_time + sum(durations) < edge + 4.0:
+                    durations.append(self.LINK[len(durations) % len(self.LINK)])
+                advances, _ = run(ch, durations)
+                rated += self.check(ch, advances)
+                served += len(advances)
+            ch = make_channel(edge - 1.0)
+            advances, _ = run(ch, [0.12])
+            ch.sim_time = start_ending_on(edge, 2, 0.12)  # t0 + 0.12 == edge
+            more, _ = run(ch, [0.12])
+            rated += self.check(ch, advances + more)
+            served += 2
+        assert 0 < rated < served  # both a rate and None are served
+        return served
+
+    def channel_at(self, schedule, max_step_s=MAX_STEP_S):
+        return lambda t0: FiberChannel(schedule, np.random.default_rng(0), t0, max_step_s)
+
+    def test_every_edge_of_the_shipped_schedules(self, run):
+        for shipped in (self.LONGRUN, self.FRINGE_BURST):
+            make = self.channel_at(shipped.schedule, shipped.max_step_s)
+            assert self.edge_runs(run, make, schedule_edges(shipped.schedule, (0, 1))) > 1000
+
+    def test_every_edge_of_a_segments_schedule(self, run):
+        edges = schedule_edges(self.SEGMENTS, (0, 1))
+        assert self.edge_runs(run, self.channel_at(self.SEGMENTS), edges) > 1000
+
+    def test_edges_a_million_periods_on(self, run):
+        # from t ~ 7e9 to 9e10 s, the stretch ends a relative 1e-12, up to 0.09 s,
+        # short of the next edge, and t0 - fmod(t0, period_s) + start rounds
+        for schedule in (self.LONGRUN.schedule, self.FRINGE_BURST.schedule, self.SEGMENTS):
+            period = 10**6 * schedule.period_s
+            edges = [e for e in schedule_edges(schedule, (10**6,)) if e >= period]
+            self.edge_runs(run, self.channel_at(schedule), edges)
+
+    def test_a_segment_start_the_unmargined_end_rounds_past(self, run):
+        # at period m, both m * period_s and the day start lie half an ulp off
+        # the float grid, and both round up: the day starts on a float, yet
+        # t0 - fmod(t0, period_s) + start is the float above it
+        period, start, m = 7200.0 + 2.0**-21, 3300.0 + 2.0**-20 + 2.0**-21, 1_000_003
+        schedule = DriftSchedule(segments=((0.0, NIGHT_RATE), (start, DAY_RATE)), period_s=period)
+        day = Fraction(m) * Fraction(period) + Fraction(start)
+        boundary = float(day)
+        assert Fraction(boundary) == day
+        t0 = boundary - 50.0
+        assert t0 - math.fmod(t0, period) + start > boundary
+        ch = self.channel_at(schedule)(t0)
+        advances, _ = run(ch, [0.12])
+        # on, inside the stretch held, to an advance that ends on the boundary
+        ch.sim_time = start_ending_on(boundary, 2, 0.12)
+        more, asks = run(ch, [0.12])
+        assert self.check(ch, advances + more) == 1 and asks == 1
+
+    def test_a_run_within_one_stretch_asks_once(self, run):
+        ch = self.channel_at(self.LONGRUN.schedule)(100.0)  # the night segment, to 3,300 s
+        advances, asks = run(ch, self.LINK * 200)
+        assert self.check(ch, advances) == len(advances) and asks == 1
+
+    def test_a_clock_set_back_asks_again(self, run):
+        ch = self.channel_at(self.LONGRUN.schedule)(3400.0)
+        advances, asks = run(ch, self.LINK)  # day, before the burst from 3,500 s
+        assert asks == 1 and self.check(ch, advances) == len(advances)
+        # back to night, whose advances end inside the day stretch held; back
+        # into the day; on within its new stretch; back across 3,300 s, whose
+        # None is not held; again from inside the night stretch held, to 3,300 s
+        for t0, expected_asks in ((3000.0, 1), (3399.0, 1), (3399.5, 0), (3298.0, 2), (3298.5, 1)):
+            ch.sim_time = t0
+            advances, asks = run(ch, self.LINK)
+            assert asks == expected_asks and self.check(ch, advances) >= len(advances) - 1
+
+    def test_schedule_and_step_are_read_only(self):
+        # both caches hold for them
+        ch = make_channel(NIGHT_RATE, 0)
+        ch.advance(3.0)
+        with pytest.raises(AttributeError):
+            ch.schedule = DriftSchedule.constant(DAY_RATE)
+        with pytest.raises(AttributeError):
+            ch.max_step_s = 1e-3
+        assert ch.schedule.rate_at(0.0) == NIGHT_RATE and ch.max_step_s == MAX_STEP_S
+
+    def test_plans_are_capped(self, run):
+        ch = self.channel_at(DriftSchedule.constant(NIGHT_RATE))(0.0)
+        advances, _ = run(ch, [0.01 * k for k in range(1, 300)])
+        assert self.check(ch, advances) == len(advances) and len(ch._plans) <= 64
 
 
 class TestProbeTrace:
