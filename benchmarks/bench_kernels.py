@@ -26,7 +26,11 @@ of them with a median of 80 s, or if the walk stopped at calibrate.yaml's
 horizon of 20.5 s reads other than that median where it is at most 20.5 s,
 and inf where it is over; the two reference walks build their generators
 with numpy's ``SeedSequence.spawn``, so that check also covers
-``spawned_generators``.  The "spawn" row times building calibration's 200
+``spawned_generators``.  The "seed set" row times seed 3's three
+calibration walks (rates 0.00316, 0.0562 and 0.01265, horizon 20.5 s) on
+fresh generators for each walk and on one ``SeedSet``, whose later walks
+read the normals the earlier ones drew, and exits 1 if any median differs.
+The "spawn" row times building calibration's 200
 generators, numpy's list against ``spawned_generators``, and exits 1 if any
 generator's state differs.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
@@ -66,7 +70,12 @@ from polarlink.channel import (
     first_crossing_time,
 )
 from polarlink.apc import ApcConfig, Controller, compensation_step
-from polarlink.calibrate import median_crossing_time, probe_crossing_times, spawned_generators
+from polarlink.calibrate import (
+    SeedSet,
+    median_crossing_time,
+    probe_crossing_times,
+    spawned_generators,
+)
 from polarlink.cli import _resolved_duration, build_channel, build_link, load_config
 from polarlink.polmath import PolTransform, quaternion_matrix
 from polarlink.scheduler import run_link, simulate_window_counts
@@ -271,6 +280,30 @@ def bench_median_crossing(n_seeds, repeats):
     )
 
 
+# The rates of configs/calibrate.yaml's three median walks at seed 3.
+SEED_3_RATES = (0.00316, 0.0562, 0.01265)
+
+
+def bench_seed_set(n_seeds, repeats):
+    """Seed 3's calibration walks, on fresh generators each and on one shared SeedSet."""
+
+    def walks(shared):
+        seed_set = SeedSet(3, n_seeds) if shared else None
+        return [
+            median_crossing_time(rate, 0.95, n_seeds, 80.0, 3, horizon=20.5, seed_set=seed_set)
+            for rate in SEED_3_RATES
+        ]
+
+    if walks(True) != walks(False):
+        sys.exit("walks on a shared seed set and on fresh generators give different medians")
+    fresh = timeit(lambda: walks(False), repeats)
+    shared = timeit(lambda: walks(True), repeats)
+    print(
+        f"{'seed set':<16} n={n_seeds:<9} fresh {fresh * 1e3:7.2f} ms"
+        f"   shared {shared * 1e3:7.2f} ms   speedup {fresh / shared:6.1f}x"
+    )
+
+
 def bench_spawn(n_seeds, repeats):
     """Calibration's per-seed generators: numpy's spawn list against one vectorised pass."""
     for seed in (0, 3, 2**128):
@@ -395,6 +428,7 @@ def main():
     print(f"{'window':<16} n={steps:<9} 0.12 s + 3 s  {seconds * 1e6:7.1f} us per window")
     bench_draws(1000, args.repeats)
     bench_median_crossing(200, args.repeats)
+    bench_seed_set(200, args.repeats)
     bench_spawn(200, args.repeats)
     bench_sampler(args.repeats)
     bench_compensation_step(1000, args.repeats)

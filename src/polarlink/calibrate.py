@@ -10,14 +10,34 @@ import numpy as np
 from .channel import MAX_STEP_S, _probe_grid
 
 # Most calibration seeds; each holds a generator and a walk row in every
-# bisection step.  At 2,000 seeds a calibration takes about 14 MB, and a step
-# about 0.08 s, or 0.35 s where the walk runs all 800 samples (2-core x86-64).
+# bisection step.  At 2,000 seeds, past the draw cache below, a calibration's
+# allocations peak at about 11.5 MB, and a step takes about 0.09 s, or 0.3 s
+# where the walk runs all 800 samples (2-core x86-64).
 MAX_CALIBRATE_SEEDS = 10**4
 
-# Steps drawn per seed at a time by probe_crossing_times, so that its memory
-# does not grow with the length of the walk: a step holds 4 normals and a
-# 4 x 4 step matrix per seed, 32 KB at 200 seeds.
+# Steps drawn per seed at a time by probe_crossing_times: a step holds 4
+# normals and a 4 x 4 step matrix per seed, 32 KB at 200 seeds.  Only a
+# SeedSet's kept chunks (160 kB each at 200 seeds) grow with the walk.
 _CHUNK_STEPS = 25
+
+# Largest full walk's normals (seeds x steps x 4 doubles) for which
+# bisect_day_rate keeps a seed set's draws; calibrate.yaml's is 5.1 MB, of
+# which its walks, stopped at the horizon, keep 9 chunks (1.44 MB).
+_DRAW_CACHE_BYTES = 8 << 20
+
+
+class SeedSet(list):
+    """The generators spawned from one seed, and every chunk of normals walks drew from them.
+
+    Chunk k holds, shape (seeds, steps, 4), the normals of the steps from
+    k * _CHUNK_STEPS on.  A walk over a SeedSet reads the chunks an earlier
+    walk drew and draws only past them, so it takes the normals a walk over
+    fresh generators would.
+    """
+
+    def __init__(self, seed: int, n: int):
+        super().__init__(spawned_generators(seed, n))
+        self.chunks = []
 
 
 class CalibrationError(RuntimeError):
@@ -30,7 +50,8 @@ def _probe_s1_chunks(rate: float, rngs, duration: float):
     Yields (index of the chunk's first step, s1 array of shape (steps,
     channels)).  Column j takes the draws of ``rngs[j]`` that
     ``FiberChannel(DriftSchedule.constant(rate), rngs[j]).probe_trace(H,
-    duration, MAX_STEP_S)`` takes, one MAX_STEP_S step per sample.  The
+    duration, MAX_STEP_S)`` takes, one MAX_STEP_S step per sample; a
+    SeedSet's chunks are read where drawn and kept where not.  The
     channels' rotations are the columns of one (4, channels) array of unit
     quaternions (x, y, z, w); each walk step left-multiplies every column by
     the matrix of its step quaternion, one einsum for the whole batch, and s1
@@ -49,10 +70,18 @@ def _probe_s1_chunks(rate: float, rngs, duration: float):
     left = np.empty((chunk, 4, 4, n))
     q = np.zeros((4, n))
     q[3] = 1.0
-    for start in range(0, n_steps, chunk):
+    kept = rngs.chunks if isinstance(rngs, SeedSet) else None
+    for k, start in enumerate(range(0, n_steps, chunk)):
         m = min(chunk, n_steps - start)
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=draws[j, :m])
+        have = 0
+        if kept is not None and k < len(kept):
+            have = kept[k].shape[1]
+            draws[:, :have] = kept[k]
+        if have < m:  # a new chunk, or the rest of a shorter walk's last chunk
+            for j, rng in enumerate(rngs):
+                rng.standard_normal(out=draws[j, have:m])
+            if kept is not None:
+                kept[k:] = [draws[:, :m].copy()]
         # (step, channel) views; the draws are consumed in place
         x, y, z, half = draws[:, :m].transpose(2, 1, 0)
         half *= scale
@@ -198,6 +227,7 @@ def median_crossing_time(
     max_time_s: float,
     seed: int,
     horizon: float = math.inf,
+    seed_set: SeedSet | None = None,
 ) -> float:
     """Median first time the probe fidelity drops below ``threshold``, if at most ``horizon``.
 
@@ -208,8 +238,10 @@ def median_crossing_time(
     lies past every sample but the last, so the median is fixed bit for bit.
     It also stops at the horizon once the median lies past it; the median
     then reads ``max_time_s``, past the horizon unless the walk had ended.
+    The walk reads and keeps its draws in ``seed_set``, if given: the
+    ``n_seeds`` generators spawned from ``seed``.
     """
-    rngs = spawned_generators(seed, n_seeds)
+    rngs = spawned_generators(seed, n_seeds) if seed_set is None else seed_set
     times = probe_crossing_times(rate, rngs, max_time_s, threshold, n_seeds // 2 + 1, horizon)
     median = float(np.median(np.where(np.isnan(times), max_time_s, times)))
     return median if median <= horizon else math.inf
@@ -218,7 +250,9 @@ def median_crossing_time(
 def bisect_day_rate(settings: dict, seed: int) -> tuple:
     """(day rate, its median crossing time) for a resolved ``calibrate`` block.
 
-    Steps walk the seeds spawned from ``seed``.  After the first, at the
+    Steps walk the seeds spawned from ``seed``, one SeedSet whose draws each
+    walk reads where an earlier one drew them, when a full walk's normals fit
+    _DRAW_CACHE_BYTES, else generators spawned afresh.  After the first, at the
     geometric midpoint of [1e-5, 1], a step tries the last rate times
     median / target time (the median scales about as 1 / rate), or the
     narrowed bracket's geometric midpoint where that lies outside it or the
@@ -239,17 +273,21 @@ def bisect_day_rate(settings: dict, seed: int) -> tuple:
     # target_time > band beyond.  (target_time * (1 + tolerance / 2) can
     # round below a median in the band: 30.75 s at 30 s and 0.05.)
     horizon = target_time + band if band < target_time else math.inf
+    n_seeds = settings["n_seeds"]
+    cached = n_seeds * _probe_grid(max_time, MAX_STEP_S, MAX_STEP_S)[1] * 32 <= _DRAW_CACHE_BYTES
     lo, hi, walked = 1e-5, 1.0, seed
+    seed_set = SeedSet(walked, n_seeds) if cached else None
     mid = float(np.sqrt(lo * hi))
     for _ in range(40):
         median = median_crossing_time(
-            mid, target_fidelity, settings["n_seeds"], max_time, walked, horizon=horizon
+            mid, target_fidelity, n_seeds, max_time, walked, horizon=horizon, seed_set=seed_set
         )
         if abs(median - target_time) <= band:
             return mid, median
         lo, hi = (mid, hi) if median > target_time else (lo, mid)
         if hi < lo * (1 + settings["tolerance"] / 4):
             lo, hi, walked = 1e-5, 1.0, walked + 1
+            seed_set = SeedSet(walked, n_seeds) if cached else None
             continue
         guess = mid * median / target_time
         mid = guess if median <= horizon and lo < guess < hi else float(np.sqrt(lo * hi))

@@ -8,9 +8,11 @@ import pytest
 from polarlink import calibrate, cli
 from polarlink.calibrate import (
     MAX_CALIBRATE_SEEDS,
+    SeedSet,
     _probe_s1_chunks,
     median_crossing_time,
     probe_crossing_times,
+    spawned_generators,
 )
 from polarlink.channel import DAY_RATE, MAX_STEP_S, DriftSchedule, FiberChannel, first_crossing_time
 from tests.oracles import ScriptedDraws
@@ -184,7 +186,7 @@ class TestHorizon:
         args = ["calibrate", "--config", "configs/calibrate.yaml", "--seed", str(seed), "--out"]
         assert cli.main(args + [str(tmp_path / "horizon")]) == 0
         full = calibrate.median_crossing_time
-        monkeypatch.setattr(calibrate, "median_crossing_time", lambda *a, horizon: full(*a))
+        monkeypatch.setattr(calibrate, "median_crossing_time", lambda *a, horizon, seed_set: full(*a))
         assert cli.main(args + [str(tmp_path / "full")]) == 0
         for name in ("schedule.json", "summary.json"):
             assert (tmp_path / "horizon" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
@@ -194,7 +196,7 @@ class TestHorizon:
         # 30 * (1 + 0.05 / 2) = 30.749999999999996 would put past the horizon
         horizons = []
 
-        def scripted(*args, horizon):
+        def scripted(*args, horizon, seed_set):
             horizons.append(horizon)
             return 30.75 if 30.75 <= horizon else math.inf
 
@@ -203,6 +205,66 @@ class TestHorizon:
         cfg.write_text("calibrate: {target_time_s: 30.0, tolerance: 0.05}\n")
         assert cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert horizons == [30.75]
+
+
+class TestSeedSet:
+    """Walks over one SeedSet take, bit for bit, the normals of fresh generators."""
+
+    def test_walks_read_the_draws_of_fresh_generators(self):
+        # seed 3's calibration rates: 0.0562 stops after 2 chunks, 0.00316 at the
+        # horizon after 9; the third walk reads only kept chunks
+        n, seed_set = 200, SeedSet(3, 200)
+        for rate, chunks in ((0.0562, 2), (0.00316, 9), (0.0562, 9)):
+            states = [g.bit_generator.state for g in seed_set]
+            got = probe_crossing_times(rate, seed_set, 80.0, 0.95, n // 2 + 1, 20.5)
+            fresh = spawned_generators(3, n)
+            expected = probe_crossing_times(rate, fresh, 80.0, 0.95, n // 2 + 1, 20.5)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert len(seed_set.chunks) == chunks
+            if rate == 0.0562:
+                assert np.count_nonzero(~np.isnan(got)) >= n // 2 + 1  # stopped at the median
+            if chunks == 9 and rate == 0.0562:  # drew nothing
+                assert [g.bit_generator.state for g in seed_set] == states
+
+    def test_a_shorter_walks_last_chunk_is_extended(self):
+        # 2.3 s walks 23 steps, a partial chunk; 2.8 s walks 25 + 3
+        seed_set = SeedSet(8, 5)
+        for duration, kept in ((2.3, [23]), (2.8, [25, 3]), (2.3, [25, 3]), (2.0, [25, 3])):
+            got = [c for _, c in _probe_s1_chunks(1.0, seed_set, duration)]
+            expected = [c for _, c in _probe_s1_chunks(1.0, spawned_generators(8, 5), duration)]
+            assert np.array_equal(np.concatenate(got), np.concatenate(expected))
+            assert [c.shape[1] for c in seed_set.chunks] == kept
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_calibration_equals_that_without_the_cache(self, monkeypatch, seed):
+        settings = cli.load_config("configs/calibrate.yaml")["calibrate"]
+        seed_sets = []
+        walk = calibrate.median_crossing_time
+
+        def recorded(*args, horizon, seed_set):
+            seed_sets.append(seed_set)
+            return walk(*args, horizon=horizon, seed_set=seed_set)
+
+        monkeypatch.setattr(calibrate, "median_crossing_time", recorded)
+        cached = calibrate.bisect_day_rate(settings, seed)
+        assert seed_sets and all(isinstance(s, SeedSet) for s in seed_sets)
+        seed_sets.clear()
+        monkeypatch.setattr(calibrate, "_DRAW_CACHE_BYTES", 0)
+        assert calibrate.bisect_day_rate(settings, seed) == cached
+        assert seed_sets and all(s is None for s in seed_sets)
+
+    @pytest.mark.parametrize("n_seeds,cached", [(200, True), (327, True), (328, False)])
+    def test_cache_only_where_a_full_walk_fits_the_budget(self, monkeypatch, n_seeds, cached):
+        # a full walk at 20 s is 800 steps of 4 doubles per seed: 25,600 B
+        seed_sets = []
+
+        def scripted(*args, horizon, seed_set):
+            seed_sets.append(seed_set)
+            return 20.0
+
+        monkeypatch.setattr(calibrate, "median_crossing_time", scripted)
+        calibrate.bisect_day_rate({**TestBisectDayRate.SETTINGS, "n_seeds": n_seeds}, 0)
+        assert isinstance(seed_sets[0], SeedSet) == cached
 
 
 class TestProbeVectorWalk:
@@ -241,7 +303,7 @@ class TestBisectDayRate:
         """The rate of each median_crossing_time call, and the result, for scripted medians."""
         calls, medians = [], iter(medians)
 
-        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon):
+        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon, seed_set):
             calls.append((rate, threshold, n_seeds, max_time_s, seed, horizon))
             return next(medians)
 
@@ -274,7 +336,7 @@ class TestBisectDayRate:
         # [19.5, 20.5] s at 0.0132; seed 12's passes through the band there
         calls = []
 
-        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon):
+        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon, seed_set):
             calls.append((rate, seed))
             if seed == 12:
                 return 20.0 * 0.0132 / rate
@@ -291,12 +353,33 @@ class TestBisectDayRate:
         # the next seed set starts at the last rate
         assert last_rate == elevens[-1][0] and (rate, median) == (last_rate, 20.0 * 0.0132 / last_rate)
 
+    def test_a_jump_reseeds_onto_the_next_seeds_own_normals(self, monkeypatch):
+        # the jump of test_bracket_closed_on_a_jump_walks_the_next_seed_set;
+        # each call walks 50 steps over the seed set it is given
+        seen = []
+
+        def scripted(rate, threshold, n_seeds, max_time_s, seed, horizon, seed_set):
+            s1 = np.concatenate([c for _, c in _probe_s1_chunks(1.0, seed_set, 5.0)])
+            fresh = spawned_generators(seed, n_seeds)
+            expected = np.concatenate([c for _, c in _probe_s1_chunks(1.0, fresh, 5.0)])
+            seen.append((seed, seed_set, np.array_equal(s1, expected)))
+            if seed == 12:
+                return 20.0 * 0.0132 / rate
+            return (20.6 if rate < 0.0132 else 19.4) * 0.0132 / rate
+
+        monkeypatch.setattr(calibrate, "median_crossing_time", scripted)
+        calibrate.bisect_day_rate(self.SETTINGS, 11)
+        *elevens, (last_seed, last_set, last_equal) = seen
+        assert len(elevens) > 1 and last_seed == 12 and last_equal
+        assert all(seed == 11 and s is elevens[0][1] and equal for seed, s, equal in elevens)
+        assert last_set is not elevens[0][1] and len(last_set) == 7
+
     def test_calibrate_yaml_seed_3_walks_three_medians(self, tmp_path, monkeypatch, capsys):
         medians = []
         walk = calibrate.median_crossing_time
 
-        def counted(*args, horizon):
-            medians.append(walk(*args, horizon=horizon))
+        def counted(*args, horizon, seed_set):
+            medians.append(walk(*args, horizon=horizon, seed_set=seed_set))
             return medians[-1]
 
         monkeypatch.setattr(calibrate, "median_crossing_time", counted)
