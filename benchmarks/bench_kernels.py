@@ -6,9 +6,10 @@ and a 3 s uptime window) under the configs/longrun_stabilized.yaml schedule,
 which starts at night, where the 3 s window walks as two coarse steps, and at
 the day rate, where they take 2, 10 and 30 steps; each row prints the steps
 walked and the advance's fixed cost: its µs per call less its steps times
-the "rotation_walk" row's per-step time (so the draws and angles of each
-step count in it too).  It exits 1 if a day-rate advance takes other than
-``_walk_steps`` steps.  The "window"
+the per-step time of a walk of at least 20,000 steps, the "rotation_walk"
+row's if ``--walk-steps`` is that many (so the drawing of each step's
+normals counts in it too).  It exits 1 if a day-rate advance takes other
+than ``_walk_steps`` steps.  The "window"
 row times a check cycle and an uptime window as ``run_link`` runs them; it
 exits 1 if the rotations at the start of each advance differ by more than
 1e-12 from those of a per-step matrix walk of the same draws, the oracle kept
@@ -95,12 +96,11 @@ def timeit(fn, repeats):
 
 
 def bench_rotation_walk(n_steps, repeats):
-    rng = np.random.default_rng(0)
-    axes = rng.standard_normal((n_steps, 3)).tolist()
-    angles = rng.normal(0.0, 0.01, n_steps).tolist()
+    draws = np.random.default_rng(0).standard_normal(4 * n_steps).tolist()
+    scales = [0.01] * n_steps
     q0 = (0.0, 0.0, 0.0, 1.0)
     stride = max(1, n_steps // 100)
-    return timeit(lambda: _kernels.rotation_walk(q0, axes, angles, stride), repeats)
+    return timeit(lambda: _kernels.rotation_walk(q0, draws, scales, stride), repeats)
 
 
 def longrun_channel(seed=0):
@@ -195,24 +195,14 @@ WINDOW_STEPS = (2, 30)
 
 
 def per_call_draws(rng, windows):
-    """The axes and angle normals of ``windows`` windows' walks, one
+    """The normals of ``windows`` windows' walks, four per step, one
     ``standard_normal`` call per walk."""
-    out = []
-    for _ in range(windows):
-        for n in WINDOW_STEPS:
-            draws = rng.standard_normal((n, 4))
-            out.append((draws[:, :3].tolist(), draws[:, 3].tolist()))
-    return out
+    return [rng.standard_normal(4 * n).tolist() for _ in range(windows) for n in WINDOW_STEPS]
 
 
 def stream_draws(stream, windows):
-    """The same from a ``NormalStream``, sliced as ``FiberChannel._walk`` slices them."""
-    out = []
-    for _ in range(windows):
-        for n in WINDOW_STEPS:
-            draws = stream.take(4 * n)
-            out.append((list(zip(draws[0::4], draws[1::4], draws[2::4])), draws[3::4]))
-    return out
+    """The same from a ``NormalStream``, as ``FiberChannel._walk`` hands them to the walk."""
+    return [stream.take(4 * n) for _ in range(windows) for n in WINDOW_STEPS]
 
 
 def bench_draws(windows, repeats):
@@ -220,7 +210,7 @@ def bench_draws(windows, repeats):
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     stream = NormalStream(rng)
     got, expected = stream_draws(stream, windows), per_call_draws(twin, windows)
-    if got != [([tuple(a) for a in axes], angles) for axes, angles in expected]:
+    if got != expected:
         sys.exit("the stream's normals differ from per-call draws")
     if stream.sync().bit_generator.state != twin.bit_generator.state:
         sys.exit("the synced generator's state differs from that of per-call draws")
@@ -400,6 +390,10 @@ def bench_sampler(repeats):
     )
 
 
+# Fewest steps of the walk that gives the advance rows their per-step time.
+STEP_TIME_MIN_STEPS = 20_000
+
+
 def report(name, size, seconds):
     print(f"{name:<16} n={size:<9} python {seconds * 1e3:9.2f} ms")
 
@@ -411,10 +405,15 @@ def main():
     args = parser.parse_args()
     walk_seconds = bench_rotation_walk(args.walk_steps, args.repeats)
     report("rotation_walk", args.walk_steps, walk_seconds)
+    # the per-step time of a long walk, which its per-call cost does not skew
+    if args.walk_steps < STEP_TIME_MIN_STEPS:
+        step_seconds = bench_rotation_walk(STEP_TIME_MIN_STEPS, args.repeats) / STEP_TIME_MIN_STEPS
+    else:
+        step_seconds = walk_seconds / args.walk_steps
     for label, make_channel in (("night", longrun_channel), ("day", day_channel)):
         for duration in (0.12, 0.96, 3.0):
             seconds, steps = bench_advance(make_channel, duration, 1000, args.repeats)
-            fixed = seconds - steps * walk_seconds / args.walk_steps
+            fixed = seconds - steps * step_seconds
             name = f"advance {label}"
             print(
                 f"{name:<16} n={steps:<9} {duration:g} s walk  {seconds * 1e6:7.1f} us per call"

@@ -301,33 +301,26 @@ class FiberChannel:
         whose fourth cumulant is zero, adds the remaining variance.  The
         clock moves as under the time rule.
         """
-        x, y, z, angle, *gaussian = self.normals.take(7)
+        draws = self.normals.take(7)  # an axis and its angle's, then the Gaussian vector
+        draws.append(math.hypot(*draws[4:]))
         self.sim_time += _step_grid(n, duration / n)[1]
         variance = rate * duration
         part = variance / math.sqrt(n)
-        angles = [
-            angle * math.sqrt(part),
-            math.hypot(*gaussian) * math.sqrt((variance - part) / 3.0),
-        ]
-        self.quat, _ = _kernels.rotation_walk(self.quat, [(x, y, z), gaussian], angles)
+        scales = [math.sqrt(part), math.sqrt((variance - part) / 3.0)]
+        self.quat, _ = _kernels.rotation_walk(self.quat, draws, scales)
 
     def _walk(self, n: int, dt: float, scale=None, sample_stride: int = 0) -> list:
         """Draw ``n`` steps of ``dt`` seconds, compose them onto ``quat`` and
         move the clock past them; the samples of ``rotation_walk``.  Step i
-        takes normals 4i to 4i + 3 of the stream, its axis and its angle's.
-        ``scale`` is the steps' sqrt(rate * dt), if the caller knows it."""
+        takes normals 4i to 4i + 3 of the stream, its axis and its angle's,
+        as the walk reads them.  ``scale`` is the steps' sqrt(rate * dt), if
+        the caller knows it."""
         if scale is None:
             scale = _step_scales(self._schedule, self.sim_time, n, dt)
+        scales = scale if isinstance(scale, list) else [scale] * n
         draws = self.normals.take(4 * n)
-        axes = zip(draws[0::4], draws[1::4], draws[2::4])
-        if isinstance(scale, float):
-            angles = [a * scale for a in draws[3::4]]
-        else:
-            angles = [a * s for a, s in zip(draws[3::4], scale)]
-        if sample_stride:  # sliced by the walk, which need not hold the draws as well
-            axes, draws = list(axes), None
         self.sim_time += _step_grid(n, dt)[1]
-        self.quat, samples = _kernels.rotation_walk(self.quat, axes, angles, sample_stride)
+        self.quat, samples = _kernels.rotation_walk(self.quat, draws, scales, sample_stride)
         return samples
 
     def probe_trace(self, input_sop: np.ndarray, duration: float, sample_dt: float):

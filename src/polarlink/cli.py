@@ -174,9 +174,10 @@ def resolve_config(cfg) -> dict:
     return _resolve_block(_SCHEMA, _check(dict, cfg, "config root"), "")
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """A SafeLoader that refuses a repeated key, whose earlier value YAML drops.
 
+    It parses with libyaml where PyYAML was built with it, else in Python.
     ``<<`` merge keys load as SafeLoader loads them.
     """
 
@@ -424,8 +425,8 @@ def _chsh_json(result: analysis.ChshResult, corrected: bool) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        # one write: json.dump with an indent writes a chunk at a time
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_summary(path: Path, cfg: dict, seed: int, payload: dict) -> None:
@@ -578,8 +579,7 @@ def _run_seeds(scenario: str, cfg: dict, seeds: list, out: Path) -> None:
                 path.unlink()
                 raise
             aggregate = {"scenario": scenario, "seeds": seeds, "runs": results}
-            json.dump(aggregate, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     except OSError as e:  # a file or directory in the way, or no permission
         raise ConfigError(f"--out: {e}") from e
 

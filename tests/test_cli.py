@@ -254,6 +254,9 @@ class TestConfigHandling:
         assert "config error: invalid YAML" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_parses_with_libyaml_where_pyyaml_has_it(self):
+        assert not yaml.__with_libyaml__ or issubclass(cli._UniqueKeyLoader, yaml.CSafeLoader)
+
     @pytest.mark.parametrize(
         "text,key",
         [

@@ -58,6 +58,18 @@ def scan_match(ref_times, tag_times, half_window):
     return count
 
 
+def flat_draws(axes, angles) -> list:
+    """The draws of steps by ``angles`` about ``axes``, as ``rotation_walk``
+    reads them: x, y, z, angle of each step in turn."""
+    return [v for axis, angle in zip(axes, angles) for v in (*axis, angle)]
+
+
+def walk(q, axes, angles, sample_stride=0):
+    """``rotation_walk`` by ``angles`` about ``axes``, at scales of 1.0,
+    whose products are the angles bit for bit."""
+    return _kernels.rotation_walk(q, flat_draws(axes, angles), [1.0] * len(angles), sample_stride)
+
+
 class TestRotationWalk:
     def test_identity_on_empty_walk(self):
         q, samples = _kernels.rotation_walk(IDENTITY_QUAT, [], [])
@@ -69,7 +81,7 @@ class TestRotationWalk:
         rng = np.random.default_rng(0)
         axes = rng.standard_normal((10**5, 3)).tolist()
         angles = rng.normal(0.0, 0.036, 10**5).tolist()
-        q, _ = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles)
+        q, _ = walk(IDENTITY_QUAT, axes, angles)
         assert abs(math.fsum(c * c for c in q) - 1.0) < 1e-12
         r = matrix(q)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
@@ -77,10 +89,10 @@ class TestRotationWalk:
 
     def test_sampling_matches_final(self):
         axes, angles = _random_walk_inputs(1, 300)
-        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, sample_stride=50)
+        q, samples = walk(IDENTITY_QUAT, axes, angles, sample_stride=50)
         assert len(samples) == 6
         assert samples[-1] == q
-        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, sample_stride=70)
+        q, samples = walk(IDENTITY_QUAT, axes, angles, sample_stride=70)
         assert len(samples) == 4 and samples[-1] != q  # 20 steps follow the last sample
 
     def test_within_1e13_of_the_per_step_matrix_walk(self):
@@ -97,7 +109,7 @@ class TestRotationWalk:
             angles[rng.random(n) < 0.1] = 0.0
             angles[rng.random(n) < 0.1] = -0.0
             stride = int(rng.integers(0, 8))
-            q, samples = _kernels.rotation_walk(start, axes.tolist(), angles.tolist(), stride)
+            q, samples = walk(start, axes.tolist(), angles.tolist(), stride)
             r_oracle, samples_oracle = per_step_walk(matrix(start), axes, angles, stride)
             worst = max(worst, np.abs(matrix(q) - r_oracle).max())
             assert len(samples) == len(samples_oracle)
@@ -108,11 +120,36 @@ class TestRotationWalk:
         assert worst < 1e-13
         assert sampled > 1000
 
+    def test_per_step_scales_within_1e13_of_the_per_step_matrix_walk(self):
+        # raw stream normals, the axes unnormalised, with scales that vary per
+        # step as across a rate edge: step i turns by a * scales[i]
+        rng = np.random.default_rng(21)
+        sampled = worst = 0
+        for _ in range(100):
+            start = haar_quat(rng)
+            n = int(rng.integers(1, 60))
+            draws = rng.standard_normal(4 * n)
+            scales = np.sqrt(rng.choice([1e-5, 1e-3, 0.05], n) * rng.uniform(0.01, 0.3, n))
+            stride = int(rng.integers(0, 6))
+            q, samples = _kernels.rotation_walk(start, draws.tolist(), scales.tolist(), stride)
+            steps = draws.reshape(n, 4)
+            axes = steps[:, :3] / np.linalg.norm(steps[:, :3], axis=1, keepdims=True)
+            angles = steps[:, 3] * scales
+            r_oracle, samples_oracle = per_step_walk(matrix(start), axes, angles, stride)
+            worst = max(worst, np.abs(matrix(q) - r_oracle).max())
+            assert len(samples) == len(samples_oracle)
+            if samples:
+                stack = quaternion_matrix(*np.array(samples).T)
+                worst = max(worst, np.abs(stack - samples_oracle).max())
+            sampled += len(samples)
+        assert worst < 1e-13
+        assert sampled > 200
+
     def test_unnormalized_axes_walk_as_their_directions(self):
         axes, angles = _random_walk_inputs(3, 40)
         lengths = np.random.default_rng(3).uniform(1e-3, 1e3, 40)
         scaled = (np.array(axes) * lengths[:, None]).tolist()
-        q, _ = _kernels.rotation_walk(IDENTITY_QUAT, scaled, angles)
+        q, _ = walk(IDENTITY_QUAT, scaled, angles)
         expected, _ = per_step_walk(np.eye(3), axes, angles)
         assert np.abs(matrix(q) - expected).max() < 1e-14
 
@@ -122,12 +159,10 @@ class TestRotationWalk:
         axes[5] = [0.0, 0.0, 0.0]
         axes[11] = [-0.0, 0.0, -0.0]
         angles[5], angles[11] = 0.7, -2.0
-        q, samples = _kernels.rotation_walk(IDENTITY_QUAT, axes, angles, 1)
+        q, samples = walk(IDENTITY_QUAT, axes, angles, 1)
         assert samples[5] == samples[4] and samples[11] == samples[10]
         kept = [i for i in range(20) if i not in (5, 11)]
-        expected, _ = _kernels.rotation_walk(
-            IDENTITY_QUAT, [axes[i] for i in kept], [angles[i] for i in kept]
-        )
+        expected, _ = walk(IDENTITY_QUAT, [axes[i] for i in kept], [angles[i] for i in kept])
         assert q == expected
 
 
