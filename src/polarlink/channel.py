@@ -8,11 +8,11 @@ a slow constant rate takes two steps of the same variance and fourth
 cumulant instead (``FiberChannel.advance``).  Loss is a scalar
 in dB; there is no polarization-dependent loss.
 
-A link draws every random number from one generator, in the order of
-per-call draws: each walk's and each descent kick's normals as the link
-runs (``NormalStream``, which draws them in blocks), then the window
-sampler's Poisson counts.  Other code reads that generator only through the
-channel, as ``FiberChannel.rng`` or ``FiberChannel.normals``.
+A link's walks and descent kicks draw their normals from the generator of
+its seed, in the order of per-call draws, through the channel's
+``NormalStream``, which draws them in blocks; nothing else reads that
+generator.  The window sampler draws its Poisson counts from the seed's
+first spawned child (``cli._measure``).
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ STREAM_BLOCK = 1024
 
 class ChannelError(ValueError):
     """Invalid walk duration or step, or a walk over MAX_WALK_STEPS steps."""
-
-
-class StreamError(RuntimeError):
-    """A draw made on a generator directly while its NormalStream was ahead."""
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,14 @@ class NormalStream:
 
     ``take(k)`` gives the values that ``rng.standard_normal(k)`` would, and
     ``normal(loc, scale, size)`` those of ``rng.normal``, bit for bit, as
-    lists.  The stream runs ahead of what it has handed out; ``sync`` puts
-    the generator back where per-call draws would have left it, by restoring
-    the block's starting state and redrawing the values taken.  A draw made
-    on the generator directly while the stream is ahead would come out of
-    order, so the next refill or sync raises StreamError instead.
+    lists, as long as nothing else draws from the generator.
     """
 
-    __slots__ = ("_rng", "_block", "_pos", "_start", "_end")
+    __slots__ = ("_rng", "_block", "_pos")
 
     def __init__(self, rng):
         self._rng = rng
         self._block, self._pos = [], 0
-        self._start = self._end = None  # the generator's state before and after the block
 
     def take(self, k: int) -> list:
         """The next ``k`` standard normals."""
@@ -182,37 +173,19 @@ class NormalStream:
         if end <= len(self._block):
             self._pos = end
             return self._block[pos:end]
-        if k > STREAM_BLOCK:  # drawn at once, with no block held
-            return self.sync().standard_normal(k).tolist()
         head = self._block[pos:]
-        self._check()
-        bits = self._rng.bit_generator
-        self._start = bits.state
+        rest = k - len(head)
+        if rest > STREAM_BLOCK:  # drawn at once, with no block held
+            self._block, self._pos = [], 0
+            return head + self._rng.standard_normal(rest).tolist()
         self._block = self._rng.standard_normal(STREAM_BLOCK).tolist()
-        self._end = bits.state
-        self._pos = k - len(head)
-        return head + self._block[: self._pos]
+        self._pos = rest
+        return head + self._block[:rest]
 
     def normal(self, loc: float, scale: float, size: int) -> list:
         """``rng.normal(loc, scale, size)``, which is loc + scale * z for each
         standard normal z."""
         return [loc + scale * z for z in self.take(size)]
-
-    def sync(self):
-        """The generator, where per-call draws of the values taken would have left it."""
-        if self._pos < len(self._block):
-            self._check()
-            self._rng.bit_generator.state = self._start
-            self._rng.standard_normal(self._pos)
-        self._block, self._pos = [], 0
-        return self._rng
-
-    def _check(self) -> None:
-        if self._pos < len(self._block) and self._rng.bit_generator.state != self._end:
-            raise StreamError(
-                "the channel's generator was drawn from directly while its normal"
-                " stream was ahead; draw through FiberChannel.rng or .normals"
-            )
 
 
 class FiberChannel:
@@ -221,9 +194,8 @@ class FiberChannel:
     ``quat`` is the rotation as a unit quaternion (x, y, z, w) of Python
     floats; each advance composes its steps onto it at once.  The walks draw
     from ``normals``, the NormalStream of ``rng``, in the order of per-call
-    draws; so do the descent's kicks (``apc.compensation_step``).  Read the
-    generator itself as ``rng``, which syncs the stream first; the window
-    sampler, which draws after the link, does.
+    draws; so do the descent's kicks (``apc.compensation_step``).  Nothing
+    else reads ``rng``: the window sampler has a generator of its own.
     """
 
     def __init__(
@@ -244,11 +216,6 @@ class FiberChannel:
     # read-only, as the cached plans and stretch hold for them
     schedule = property(lambda self: self._schedule, doc="The drift schedule.")
     max_step_s = property(lambda self: self._max_step_s, doc="The time rule's longest step.")
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The generator, where per-call draws would have left it."""
-        return self.normals.sync()
 
     def advance(self, duration: float) -> tuple:
         """Advance by ``duration``; the quaternion at its start.

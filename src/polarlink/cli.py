@@ -456,12 +456,15 @@ def cmd_probe(cfg: dict, seed: int, out: Path) -> dict:
 
 def _measure(cfg: dict, seed: int, plan=None, noiseless: bool = False):
     """Run the seeded link along ``plan`` (to its end; with none, for duration_s)
-    and sample every window's counts after the walk, from the same generator:
-    the walks and kicks through the channel's stream, then the sampler."""
+    and sample every window's counts.  The walks and kicks draw from the
+    seed's generator, through the channel's stream; the sampler draws from
+    the seed's first spawned child, so the counts do not depend on how many
+    normals the link drew."""
     ch, src, chain, apc_cfg, sched_cfg = build_link(cfg, np.random.default_rng(seed))
     duration = math.inf if plan is not None else _resolved_duration(cfg)
     windows = run_link(ch, Controller(), apc_cfg, sched_cfg, duration, plan=plan)
-    return windows, simulate_window_counts(windows, src, chain, sched_cfg, ch.rng, noiseless)
+    counts_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return windows, simulate_window_counts(windows, src, chain, sched_cfg, counts_rng, noiseless)
 
 
 def cmd_fringe(cfg: dict, seed: int, out: Path) -> dict:

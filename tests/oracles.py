@@ -18,7 +18,8 @@ by central differences, as the package ran it before its closed form.
 groups, as the package computed it before its whole-array pass, with the
 check that each window holds its group place's CHSH setting.
 ``csv_writer_text`` is what ``csv.writer`` wrote for the package's tables.
-``ScriptedDraws`` stands in for a generator whose normals a test picks.
+``ScriptedDraws`` stands in for a generator whose normals a test picks,
+and ``CountingStream`` for a channel's stream that counts what it hands out.
 ``loop_constant_rate`` is ``DriftSchedule.constant_rate`` with its bursts
 checked one by one, as the package did before its sorted burst edges, and
 ``array_rate_at`` is ``DriftSchedule.rate_at`` over an array of times, as
@@ -274,29 +275,30 @@ def csv_writer_text(rows, lineterminator: str = "\r\n") -> str:
     return buf.getvalue()
 
 
+class CountingStream:
+    """A channel's normal stream that counts the descent kicks and the
+    normals drawn from it."""
+
+    def __init__(self, normals):
+        self.normals, self.kicks, self.drawn = normals, 0, 0
+
+    def take(self, k):
+        self.drawn += k
+        return self.normals.take(k)
+
+    def normal(self, loc, scale, size):
+        self.kicks += 1
+        self.drawn += size
+        return self.normals.normal(loc, scale, size)
+
+
 class ScriptedDraws:
     """A generator stand-in whose standard normals are ``values``, in order,
-    then NaN.
-
-    Its ``bit_generator.state`` is the count of values taken, which a
-    channel's ``NormalStream`` reads and restores as it would a generator's.
-    """
+    then NaN."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float).ravel()
         self.taken = 0
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self.taken
-
-    @state.setter
-    def state(self, taken):
-        self.taken = taken
 
     def standard_normal(self, size=None, out=None):
         shape = out.shape if out is not None else size

@@ -24,6 +24,7 @@ from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
 from polarlink.polmath import compose_quat
 from tests.oracles import (
     IDENTITY_QUAT,
+    CountingStream,
     _controller_quat,
     _cost_at,
     controller_matrix,
@@ -41,20 +42,6 @@ def controller_for(rotation):
 
 def static_channel(seed=0, rate=0.0):
     return FiberChannel(DriftSchedule.constant(rate), np.random.default_rng(seed))
-
-
-class KickCounting:
-    """A channel's normal stream that counts the descent kicks drawn from it."""
-
-    def __init__(self, normals):
-        self.normals, self.kicks = normals, 0
-
-    def normal(self, *args):
-        self.kicks += 1
-        return self.normals.normal(*args)
-
-    def __getattr__(self, name):
-        return getattr(self.normals, name)
 
 
 def channel_at(quat, seed=0):
@@ -116,7 +103,7 @@ class TestController:
             steps.clear()
             ch = static_channel(seed=9)
             ch.quat = haar_quat(np.random.default_rng(9))
-            ch.normals = KickCounting(ch.normals)
+            ch.normals = CountingStream(ch.normals)
             rec = run_session(ch, ctrl, cfg)
             assert rec.iterations == len(steps) >= 2
             assert len(built) == sum(steps)
@@ -281,7 +268,7 @@ class TestCompensationStep:
         for i, (chan, params) in enumerate(cases):
             cfg = ApcConfig(step_size=[4.0, 0.5, 1e4][i % 3], fd_delta=[0.02, 1e-3][i % 2])
             ch, ctrl = channel_at(chan, i), Controller(params)
-            ch.normals = KickCounting(ch.normals)
+            ch.normals = CountingStream(ch.normals)
             seen.clear()
             compensation_step(ch, ctrl, cfg)
             branch = len(seen) - 1 + ch.normals.kicks  # the candidates tried, plus the kick
@@ -387,15 +374,17 @@ class TestRunSession:
 
     def test_kicks_draw_from_the_channel_stream(self):
         # a step size of 1e4 ends most descent steps in a kick; on a fast
-        # channel the kicks and the walks share the channel's stream, so 200
-        # sessions run without a StreamError and the generator still syncs
+        # channel the kicks and the walks share the channel's stream, which
+        # over 200 sessions hands out the seed's normals in order, none skipped
         ch = FiberChannel(DriftSchedule.constant(20 * DAY_RATE), np.random.default_rng(1))
-        ch.normals = KickCounting(ch.normals)
+        ch.normals = CountingStream(ch.normals)
         ctrl, cfg = Controller(), ApcConfig(step_size=1e4)
         records = [run_session(ch, ctrl, cfg) for _ in range(200)]
         assert {r.outcome for r in records} == {OUTCOME_SKIPPED, OUTCOME_CONVERGED, OUTCOME_TIMEOUT}
         assert ch.normals.kicks > 1000
-        ch.rng.standard_normal()
+        twin = np.random.default_rng(1)
+        twin.standard_normal(ch.normals.drawn)
+        assert ch.normals.take(5) == twin.standard_normal(5).tolist()
 
     def test_deterministic(self):
         def run(seed):

@@ -21,7 +21,6 @@ from polarlink.channel import (
     DriftSchedule,
     FiberChannel,
     NormalStream,
-    StreamError,
     _step_grid,
     _step_scales,
     _walk_steps,
@@ -374,7 +373,7 @@ class TestQuaternionWalk:
 
     def test_within_1e13_of_one_matrix_walk_per_advance(self):
         # same draws, clock and rotations (to rounding) as the matrix walk,
-        # and the generator continues alike after every advance
+        # and the stream continues as the oracle's generator after every advance
         pick = np.random.default_rng(12)
         reads = returns = worst = 0
         for trial in range(240):
@@ -394,14 +393,14 @@ class TestQuaternionWalk:
                 elif op < 0.8:
                     worst = max(worst, np.abs(matrix(ch.quat) - oracle.rotation).max())
                     reads += 1
-                elif op < 0.95:  # another user of the channel's generator
-                    assert np.array_equal(ch.rng.normal(size=4), oracle.rng.normal(size=4))
+                elif op < 0.95:  # a descent kick
+                    assert ch.normals.normal(0.0, 1.0, 4) == oracle.rng.normal(size=4).tolist()
                 else:
                     ch.quat = haar_quat(pick)
                     oracle.rotation = matrix(ch.quat)
                 assert ch.sim_time == oracle.sim_time
             worst = max(worst, np.abs(matrix(ch.quat) - oracle.rotation).max())
-            assert ch.rng.standard_normal() == oracle.rng.standard_normal()
+            assert ch.normals.take(1) == oracle.rng.standard_normal(1).tolist()
         assert worst < 1e-13
         assert returns > 600 and reads > 200
 
@@ -434,71 +433,47 @@ class TestNormalStream:
 
     @staticmethod
     def interleave(seed, ops):
-        """``ops`` random stream reads, kicks and syncs against per-call
-        draws on a twin generator; every value and synced state must agree."""
+        """``ops`` random stream reads and kicks against per-call draws on a
+        twin generator; every value must agree."""
         pick = np.random.default_rng(1000 + seed)
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        stream = NormalStream(rng)
+        stream, twin = NormalStream(np.random.default_rng(seed)), np.random.default_rng(seed)
         for _ in range(ops):
-            op = pick.random()
-            if op < 0.7:
+            if pick.random() < 0.8:
                 k = int(pick.choice([1, 4, 7, 8, 40, 120, STREAM_BLOCK - 1, STREAM_BLOCK]))
                 if pick.random() < 0.3:
-                    k = int(pick.integers(1, STREAM_BLOCK + 50))
+                    k = int(pick.integers(1, 2 * STREAM_BLOCK + 50))
                 assert stream.take(k) == twin.standard_normal(k).tolist()
-            elif op < 0.85:
+            else:
                 loc, d = float(pick.choice([0.0, 0.3])), float(pick.choice([0.02, 1.5]))
                 assert stream.normal(loc, d, size=4) == twin.normal(loc, d, size=4).tolist()
-            else:
-                assert stream.sync() is rng
-                assert rng.bit_generator.state == twin.bit_generator.state
-                # once synced, the generator may be drawn from directly
-                assert rng.standard_normal() == twin.standard_normal()
-        assert stream.sync().bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_interleaved_reads_kicks_and_syncs_equal_per_call_draws(self, seed):
+    def test_interleaved_reads_and_kicks_equal_per_call_draws(self, seed):
         self.interleave(seed, 300)
 
     def test_a_probe_sized_read(self):
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        stream = NormalStream(rng)
+        stream, twin = NormalStream(np.random.default_rng(3)), np.random.default_rng(3)
         assert stream.take(5) == twin.standard_normal(5).tolist()
         assert stream.take(4 * 10**5) == twin.standard_normal(4 * 10**5).tolist()
         assert stream.take(9) == twin.standard_normal(9).tolist()
-        assert stream.sync().bit_generator.state == twin.bit_generator.state
 
-    def test_sync_at_the_block_edges(self):
-        # nothing taken, a block taken to its last value, and one past it
-        for taken in ([], [STREAM_BLOCK], [STREAM_BLOCK - 3, 3], [STREAM_BLOCK, 1]):
-            rng, twin = np.random.default_rng(4), np.random.default_rng(4)
-            stream = NormalStream(rng)
+    def test_reads_at_the_block_edges(self):
+        # a block taken to its last value, one past it, and reads over a
+        # block that start inside one, at its end or with none held
+        edges = (
+            [STREAM_BLOCK, 1],
+            [STREAM_BLOCK - 3, 3, 1],
+            [STREAM_BLOCK - 3, 4],
+            [STREAM_BLOCK + 1, STREAM_BLOCK],
+            [5, STREAM_BLOCK + 4, STREAM_BLOCK - 1],
+            [5, STREAM_BLOCK + 5, 2],
+            [STREAM_BLOCK, STREAM_BLOCK + 1, 1],
+        )
+        for taken in edges:
+            stream, twin = NormalStream(np.random.default_rng(4)), np.random.default_rng(4)
             for k in taken:
                 assert stream.take(k) == twin.standard_normal(k).tolist()
-            assert stream.sync().bit_generator.state == twin.bit_generator.state
-
-    def test_a_direct_draw_while_ahead_raises(self):
-        for then in ("sync", "refill"):
-            rng = np.random.default_rng(5)
-            stream = NormalStream(rng)
-            stream.take(8)
-            rng.standard_normal()  # out of order: the stream holds values drawn before it
-            with pytest.raises(StreamError):
-                stream.sync() if then == "sync" else stream.take(STREAM_BLOCK)
-
-    def test_a_channel_raises_on_a_direct_draw_while_ahead(self):
-        rng = np.random.default_rng(6)
-        ch = FiberChannel(DriftSchedule.constant(DAY_RATE), rng)
-        ch.advance(0.12)
-        rng.normal(size=4)
-        with pytest.raises(StreamError):
-            ch.rng
-        # ... but not once synced
-        ch = FiberChannel(DriftSchedule.constant(DAY_RATE), rng)
-        ch.advance(0.12)
-        ch.rng.normal(size=4)
-        ch.advance(3.0)
-        assert ch.rng is rng
+            assert stream.normal(0.3, 1.5, 4) == twin.normal(0.3, 1.5, 4).tolist()
 
 
 def h_fidelity(q):
@@ -595,17 +570,18 @@ class TestStepRule:
     def test_walk_cap_counts_time_rule_steps(self):
         # at rate 0 an advance takes two steps, but the cap counts max_step_s steps
         ch = make_channel(0.0, 1, max_step_s=1.0e-300)
-        state = ch.rng.bit_generator.state
         with pytest.raises(ChannelError, match="steps"):
             ch.advance(0.1)
-        assert ch.sim_time == 0.0 and ch.rng.bit_generator.state == state
+        # nothing drawn
+        assert ch.sim_time == 0.0
+        assert ch.normals.take(3) == np.random.default_rng(1).standard_normal(3).tolist()
 
     def test_coarse_walk_draws_seven_normals(self):
         ch, twin = make_channel(NIGHT_RATE, 4), np.random.default_rng(4)
         for _ in range(3):
             ch.advance(3.0)
             twin.standard_normal(7)
-        assert ch.rng.standard_normal() == twin.standard_normal()
+        assert ch.normals.take(1) == twin.standard_normal(1).tolist()
         assert ch.sim_time == 3 * _step_grid(30, 0.1)[1]
 
     @pytest.mark.parametrize("rate", [NIGHT_RATE, 10 * NIGHT_RATE, DAY_RATE / 2])

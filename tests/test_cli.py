@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,8 @@ from polarlink.apc import (
 )
 from polarlink.channel import DAY_RATE, DriftSchedule, FiberChannel
 from polarlink.polmath import AnalyzerSetting
-from tests.oracles import csv_writer_text, haar_quat
+from polarlink.scheduler import run_link, simulate_window_counts
+from tests.oracles import CountingStream, csv_writer_text, haar_quat
 
 CONFIG_DIR = "configs"
 
@@ -649,6 +651,30 @@ class TestFringe:
         assert run(["fringe", "--config", noiseless, "--out", b]) == 0
         assert (a / "sessions.csv").read_bytes() == (b / "sessions.csv").read_bytes()
 
+    def test_counts_come_from_the_seeds_child_generator(self, tmp_path, capsys):
+        # fringe.csv's counts are the sampler's over run_link's windows, drawn
+        # from the seed's first spawned child, however many normals the link
+        # drew: a step size of 1e4 ends most descent steps in a kick
+        sweep = [(basis, angle) for _, basis in cli.NIST_BASES for angle in cli.UMD_SWEEP_DEG]
+        plan = [(AnalyzerSetting(basis), AnalyzerSetting(angle)) for basis, angle in sweep]
+        drawn = []
+        for step_size in (None, 1e4):
+            data = yaml.safe_load(Path(CONFIG_DIR, "fringe_burst.yaml").read_text())
+            if step_size is not None:
+                data.setdefault("apc", {})["step_size"] = step_size
+            out = tmp_path / f"out_{len(drawn)}"
+            assert run(["fringe", "--config", write_cfg(tmp_path, data), "--out", out]) == 0
+            cfg, seed = cli.resolve_config(data), data["seed"]
+            ch, src, chain, apc_cfg, sched_cfg = cli.build_link(cfg, np.random.default_rng(seed))
+            ch.normals = CountingStream(ch.normals)
+            windows = run_link(ch, Controller(), apc_cfg, sched_cfg, math.inf, plan=plan)
+            child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            expected = simulate_window_counts(windows, src, chain, sched_cfg, child)[:, 0]
+            with open(out / "fringe.csv", newline="") as f:
+                assert [int(row["counts"]) for row in csv.DictReader(f)] == expected.tolist()
+            drawn.append(ch.normals.drawn)
+        assert drawn[1] > drawn[0]
+
 
 class TestLongrun:
     def test_stabilized_run_summary(self, tmp_path, capsys):
@@ -691,6 +717,23 @@ class TestLongrun:
         # the S column is rounded to 6 decimals
         s_values = np.array([float(r["S"]) for r in rows])
         assert abs(s_values.mean() - summary["mean_S"]) < 5e-7
+
+    def test_series_comes_from_the_seeds_child_generator(self, tmp_path, capsys):
+        # series.csv's S column is that of the sampler's counts over
+        # run_link's windows, drawn from the seed's first spawned child
+        data = longrun_cfg(duration=600.0)
+        out = tmp_path / "out"
+        assert run(["longrun", "--config", write_cfg(tmp_path, data), "--out", out]) == 0
+        cfg, seed = cli.resolve_config(data), data["seed"]
+        ch, src, chain, apc_cfg, sched_cfg = cli.build_link(cfg, np.random.default_rng(seed))
+        windows = run_link(ch, Controller(), apc_cfg, sched_cfg, cli._resolved_duration(cfg))
+        child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        counts = simulate_window_counts(windows, src, chain, sched_cfg, child)
+        s_values = analysis.longrun_series(windows, counts)[2]
+        with open(out / "series.csv", newline="") as f:
+            column = [row["S"] for row in csv.DictReader(f)]
+        assert len(column) > 10
+        assert column == [f"{s:.6f}" for s in s_values.tolist()]
 
     def test_zero_duration(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, longrun_cfg(duration=0.0))
